@@ -10,10 +10,12 @@
            --json          machine-readable timings only (implies --bench-only)
            --seed N        change the experiment seed (default 1)
            --only Ei       run a single table
-           --baseline F    compare timings against a saved --json file
-                           (or a repo BENCH_*.json); exit 1 on regression
+           --baseline F    compare timings and minor words against a saved
+                           --json file (or a repo BENCH_*.json); exit 1 on
+                           regression
            --tolerance X   relative slowdown allowed before a bench counts
-                           as regressed (default 0.25 = 25%)
+                           as regressed (default 0.25 = 25%); minor words
+                           are held to a fixed +2%
            --profile       attach the Obs.Prof sink per bench and print each
                            bench's top allocation sites
 
@@ -205,9 +207,19 @@ let bench_tests () =
 
    A baseline is any earlier `--json` output, or one of the repo's
    saved BENCH_*.json snapshots (a bare array of the same objects).
-   The parser scans the whole file for "name"/"ns_per_run" pairs, so
-   both shapes — and whitespace/pretty-printing differences — are
-   accepted without a JSON dependency. *)
+   The parser scans the whole file for "name" entries and reads one
+   numeric field from each entry's object, so both shapes — and
+   whitespace/pretty-printing differences — are accepted without a
+   JSON dependency.
+
+   Two gates run against it: wall time ([ns_per_run]) at --tolerance,
+   and allocation ([minor_words]) at the fixed [words_tolerance].  Word
+   counts are exact for a build (see [gc_measure]), so their gate can
+   be tight where the clock's must absorb a shared runner's noise: a
+   change that reintroduces per-round work fails it even when the
+   timings hide it. *)
+
+let words_tolerance = 0.02
 
 let read_file file =
   let ic = open_in_bin file in
@@ -215,7 +227,7 @@ let read_file file =
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let parse_baseline file =
+let parse_baseline ?(field = "ns_per_run") file =
   let s = read_file file in
   let len = String.length s in
   let rec skip_ws i =
@@ -232,6 +244,7 @@ let parse_baseline file =
     in
     at from
   in
+  let key = Printf.sprintf "%S" field in
   let rec go acc i =
     match find i {|"name"|} with
     | None -> List.rev acc
@@ -246,9 +259,11 @@ let parse_baseline file =
             | None -> List.rev acc
             | Some q -> (
                 let name = String.sub s (j + 1) (q - j - 1) in
-                match find q {|"ns_per_run"|} with
-                | None -> List.rev acc
-                | Some k ->
+                (* Only this entry's object: a field found past the next
+                   "name" belongs to another bench. *)
+                let next = Option.value (find q {|"name"|}) ~default:len in
+                match find q key with
+                | Some k when k < next ->
                     let k = skip_ws k in
                     let k = if k < len && s.[k] = ':' then skip_ws (k + 1) else k in
                     let stop = ref k in
@@ -267,54 +282,66 @@ let parse_baseline file =
                         float_of_string_opt (String.sub s k (!stop - k))
                       else None
                     in
-                    go ((name, v) :: acc) !stop))
+                    go ((name, v) :: acc) !stop
+                | _ -> go ((name, None) :: acc) q))
   in
   go [] 0
 
-let compare_baseline ~file timings =
+(* One gate: print each bench's [field] against the baseline's, and
+   return how many benches were compared and how many went beyond
+   [tol]. *)
+let gate ppf ~file ~what ~field ~tol current =
+  let base = parse_baseline ~field file in
+  Format.fprintf ppf "@.== %s vs %s (%s, tolerance +%.0f%%)@." what file field
+    (100. *. tol);
+  Format.fprintf ppf "  %-30s %12s %12s %9s@." "bench" "baseline" "current"
+    "delta";
+  let compared, regressed =
+    List.fold_left
+      (fun (compared, regressed) (name, cur) ->
+        match (List.assoc_opt name base, cur) with
+        | (None | Some None), _ -> (compared, regressed)
+        | Some (Some b), None ->
+            Format.fprintf ppf "  %-30s %12.0f %12s %9s@." name b "-" "-";
+            (compared, regressed)
+        | Some (Some b), Some c ->
+            let delta = (c -. b) /. b in
+            let over = delta > tol in
+            Format.fprintf ppf "  %-30s %12.0f %12.0f %+8.1f%%%s@." name b c
+              (100. *. delta)
+              (if over then "  REGRESSED" else "");
+            (compared + 1, if over then regressed + 1 else regressed))
+      (0, 0) current
+  in
+  if regressed > 0 then
+    Format.fprintf ppf "  %d of %d bench(es) regressed beyond +%.0f%%@."
+      regressed compared (100. *. tol);
+  (compared, regressed)
+
+let compare_baseline ~file rows =
   (* Under --json the comparison goes to stderr so stdout stays valid
      JSON; the exit code carries the verdict either way. *)
   let ppf = if !json then Format.err_formatter else Format.std_formatter in
-  let base = parse_baseline file in
-  if base = [] then begin
+  if parse_baseline file = [] then begin
     Printf.eprintf "bench: no timings found in baseline %s\n" file;
     exit 2
   end;
-  Format.fprintf ppf "@.== baseline comparison vs %s (tolerance +%.0f%%)@." file
-    (100. *. !tolerance);
-  Format.fprintf ppf "  %-30s %12s %12s %9s@." "bench" "baseline" "current"
-    "delta";
-  let regressed = ref 0 and compared = ref 0 in
-  List.iter
-    (fun (name, cur) ->
-      match (List.assoc_opt name base, cur) with
-      | (None | Some None), _ -> ()
-      | Some (Some b), None ->
-          Format.fprintf ppf "  %-30s %12.0f %12s %9s@." name b "-" "-"
-      | Some (Some b), Some c ->
-          incr compared;
-          let delta = (c -. b) /. b in
-          let flag =
-            if delta > !tolerance then begin
-              incr regressed;
-              "  REGRESSED"
-            end
-            else ""
-          in
-          Format.fprintf ppf "  %-30s %12.0f %12.0f %+8.1f%%%s@." name b c
-            (100. *. delta) flag)
-    timings;
-  if !compared = 0 then begin
+  let timed, slow =
+    gate ppf ~file ~what:"wall time" ~field:"ns_per_run" ~tol:!tolerance
+      (List.map (fun (name, ns, _) -> (name, ns)) rows)
+  in
+  let weighed, heavy =
+    gate ppf ~file ~what:"allocation" ~field:"minor_words" ~tol:words_tolerance
+      (List.map (fun (name, _, w) -> (name, Some (float_of_int w))) rows)
+  in
+  if timed = 0 then begin
     Format.fprintf ppf "  no bench in this run has a baseline entry@.";
     exit 2
   end;
-  if !regressed > 0 then begin
-    Format.fprintf ppf "  %d of %d bench(es) regressed beyond +%.0f%%@."
-      !regressed !compared
-      (100. *. !tolerance);
-    exit 1
-  end
-  else Format.fprintf ppf "  no regressions (%d bench(es) compared)@." !compared
+  if slow + heavy > 0 then exit 1
+  else
+    Format.fprintf ppf "  no regressions (%d bench(es) timed, %d weighed)@."
+      timed weighed
 
 (* One extra, untimed execution of the bench body measuring GC cost:
    minor/major words allocated and major collections.  Word counts are
@@ -450,7 +477,7 @@ let run_benches () =
          timings
      end
    end);
-  List.map (fun (name, est, _, _) -> (name, est)) timings
+  List.map (fun (name, est, (minor, _, _), _) -> (name, est, minor)) timings
 
 (* ------------------------------------------------------------------ *)
 (* bench history: the per-bench perf trajectory over every checked-in

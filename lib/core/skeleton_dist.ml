@@ -1583,6 +1583,7 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
     let states = Array.init n (fun v -> fst (R.init g v)) in
     let inboxes : (int * R.message) list array = Array.make n [] in
     let suspects_seen = Array.make n 0 in
+    let visited = Array.make n 0 in
     emit_ref := (fun ~src ~dst m -> outbox.(src) <- (dst, m) :: outbox.(src));
     (* Crash-recovery: when a node's restart round arrives, revive it.
        The reborn node is engine-live but protocol-dead ([proto_dead]):
@@ -1651,11 +1652,23 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
                pending_revives := rest;
                List.iter (fun (_, v) -> revive ~round v) landed
            | _ -> ());
+        (* Visit only the nodes with something to do: mail, an outbox
+           the phase driver filled, or an ARQ timer due.  Any other
+           [R.receive] is a no-op — the mailbox dispatches and drains
+           nothing, and the flush neither sends nor arms a timer.
+           Ascending order keeps every [Sim.send], and so every fault
+           draw, where a sweep over all nodes would put it. *)
+        let visits = ref 0 in
         for v = 0 to n - 1 do
-          let inbox = List.rev inboxes.(v) in
+          let inbox = inboxes.(v) in
           inboxes.(v) <- [];
-          if not (crashed_now v) then begin
-            let _, outs = R.receive g ~round v states.(v) inbox in
+          if
+            (inbox <> [] || outbox.(v) <> [] || R.due states.(v) ~round)
+            && not (crashed_now v)
+          then begin
+            visited.(!visits) <- v;
+            incr visits;
+            let _, outs = R.receive g ~round v states.(v) (List.rev inbox) in
             (* Under churn a down link swallows the frame — the ARQ
                retransmits, and persistent downtime ripens into a
                suspicion exactly like a crashed peer. *)
@@ -1666,23 +1679,23 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
               outs
           end
         done;
-        (* Fold freshly abandoned transmissions into the detector. *)
-        for v = 0 to n - 1 do
-          if not (crashed_now v) then begin
-            let s = R.suspected states.(v) in
-            let len = List.length s in
-            if len > suspects_seen.(v) then begin
-              let fresh = ref [] and extra = ref (len - suspects_seen.(v)) in
-              List.iter
-                (fun w ->
-                  if !extra > 0 then begin
-                    fresh := w :: !fresh;
-                    decr extra
-                  end)
-                s;
-              suspects_seen.(v) <- len;
-              List.iter (fun w -> on_suspect ~by:v w) !fresh
-            end
+        (* Fold freshly abandoned transmissions into the detector; only
+           a visited node's flush can have abandoned one. *)
+        for i = 0 to !visits - 1 do
+          let v = visited.(i) in
+          let s = R.suspected states.(v) in
+          let len = List.length s in
+          if len > suspects_seen.(v) then begin
+            let fresh = ref [] and extra = ref (len - suspects_seen.(v)) in
+            List.iter
+              (fun w ->
+                if !extra > 0 then begin
+                  fresh := w :: !fresh;
+                  decr extra
+                end)
+              s;
+            suspects_seen.(v) <- len;
+            List.iter (fun w -> on_suspect ~by:v w) !fresh
           end
         done);
     idle_ref :=

@@ -390,31 +390,27 @@ let restarted_table = function
   | Random { restarted_at; _ } | Scripted { restarted_at; _ } ->
       Some restarted_at
 
+(* [crashed] and [incarnation] run per node per round and per message,
+   so they match on the plan and look up without boxing an option: a
+   missing entry reads as a round that never comes. *)
+let round_of tbl v =
+  match Hashtbl.find tbl v with r -> r | exception Not_found -> max_int
+
 (* Crash-recovery: a node is down on the half-open interval
    [crash_round, restart_round); without a restart entry the crash is
    permanent (crash-stop, the pre-existing semantics). *)
 let crashed t ~round v =
-  match crashed_table t with
-  | None -> false
-  | Some tbl -> (
-      match Hashtbl.find_opt tbl v with
-      | None -> false
-      | Some rc ->
-          round >= rc
-          && (match restarted_table t with
-             | None -> true
-             | Some rt -> (
-                 match Hashtbl.find_opt rt v with
-                 | Some rr -> round < rr
-                 | None -> true)))
+  match t with
+  | None_ -> false
+  | Random { crashed_at; restarted_at; _ }
+  | Scripted { crashed_at; restarted_at; _ } ->
+      round >= round_of crashed_at v && round < round_of restarted_at v
 
 let incarnation t ~round v =
-  match restarted_table t with
-  | None -> 0
-  | Some rt -> (
-      match Hashtbl.find_opt rt v with
-      | Some rr when round >= rr -> 1
-      | _ -> 0)
+  match t with
+  | None_ -> 0
+  | Random { restarted_at; _ } | Scripted { restarted_at; _ } ->
+      if round >= round_of restarted_at v then 1 else 0
 
 let crash_schedule t =
   match crashed_table t with

@@ -82,7 +82,7 @@ module Make (P : Sim.PROTOCOL) = struct
     queue : P.message Queue.t;  (** inner messages awaiting transmission *)
     mutable inflight : (int * P.message) option;  (** stop-and-wait window *)
     mutable rto : int;
-    mutable timer : int;
+    mutable deadline : int;  (** round the inflight seq times out *)
     mutable retries : int;
     mutable sent_round : int;  (** first transmission of the inflight seq *)
     mutable pending_acks : int list;  (** to piggyback on the next send *)
@@ -98,6 +98,8 @@ module Make (P : Sim.PROTOCOL) = struct
     mutable retrans : int;
     mutable dead : int;
     mutable abandoned : int list;  (** peers with >= 1 dead letter *)
+    mutable wake : int;  (** earliest in-flight [deadline], [max_int] if none *)
+    mutable started : bool;  (** [receive] has run: deadlines are anchored *)
   }
 
   let inner st = st.inner
@@ -112,10 +114,20 @@ module Make (P : Sim.PROTOCOL) = struct
         let p = st.peers.(i) in
         p.inflight = None && Queue.is_empty p.queue
 
-  let active st =
-    Array.exists
-      (fun p -> p.inflight <> None || not (Queue.is_empty p.queue))
-      st.peers
+  (* Between calls a non-empty queue implies a seq in flight (every
+     flush starts the next one), so in-flight timers are all the work
+     a node can have pending. *)
+  let active st = st.wake <> max_int
+  let due st ~round = st.wake <= round || ((not st.started) && active st)
+
+  let recompute_wake st =
+    st.wake <-
+      Array.fold_left
+        (fun w p ->
+          match p.inflight with
+          | Some _ when p.deadline < w -> p.deadline
+          | _ -> w)
+        max_int st.peers
 
   let peer_of st w =
     match Hashtbl.find_opt st.index w with
@@ -137,24 +149,26 @@ module Make (P : Sim.PROTOCOL) = struct
         p.next_seq <- seq + 1;
         p.inflight <- Some (seq, m);
         p.rto <- rto0;
-        p.timer <- rto0;
+        p.deadline <- round + rto0;
         p.retries <- 0;
         p.sent_round <- round;
         p.span <-
-          Obs.Span.open_span !s_spans ~src:owner ~dst:p.nbr Obs.Span.Arq
-            ~name:(Printf.sprintf "seq-%d" seq)
-            ~round;
+          (if Obs.Span.enabled !s_spans then
+             Obs.Span.open_span !s_spans ~src:owner ~dst:p.nbr Obs.Span.Arq
+               ~name:(Printf.sprintf "seq-%d" seq)
+               ~round
+           else -1);
         Some (seq, m)
 
-  (* One round of the sender side for [p]: tick the timer, decide what
-     data (if any) goes on the wire this round. *)
+  (* One round of the sender side for [p]: fire the timer if its
+     deadline has come, decide what data (if any) goes on the wire this
+     round. *)
   let outgoing st ~round p =
     let data =
       match p.inflight with
       | None -> start_next ~owner:st.v ~round p
       | Some (seq, m) ->
-          p.timer <- p.timer - 1;
-          if p.timer > 0 then None
+          if round < p.deadline then None
           else if p.retries >= !current_config.max_retries then begin
             (* The peer is not answering (crashed, or the link is
                hopeless): abandon, move on. *)
@@ -184,14 +198,15 @@ module Make (P : Sim.PROTOCOL) = struct
             in
             if next > p.rto then Obs.Metrics.incr !m_backoff;
             p.rto <- next;
-            p.timer <- next;
+            p.deadline <- round + next;
             st.retrans <- st.retrans + 1;
             Obs.Metrics.incr !m_retrans;
-            ignore
-              (Obs.Span.span !s_spans ~parent:p.span ~src:st.v ~dst:p.nbr
-                 Obs.Span.Retransmit
-                 ~name:(Printf.sprintf "seq-%d" seq)
-                 ~start_round:round ~stop_round:round);
+            if Obs.Span.enabled !s_spans then
+              ignore
+                (Obs.Span.span !s_spans ~parent:p.span ~src:st.v ~dst:p.nbr
+                   Obs.Span.Retransmit
+                   ~name:(Printf.sprintf "seq-%d" seq)
+                   ~start_round:round ~stop_round:round);
             Obs.Prof.leave (Obs.Prof.current ());
             Some (seq, m)
           end
@@ -201,20 +216,24 @@ module Make (P : Sim.PROTOCOL) = struct
     if data = None && acks = [] then None
     else Some (p.nbr, { acks; data })
 
-  (* The timer sweep: every peer's RTO ticks here, every round.  This
-     is the ARQ's per-round fixed cost, so it gets its own region (with
-     retransmissions attributed separately inside it). *)
+  (* The timer sweep over one node's peers: starts queued sends, fires
+     the timers whose deadline has come, piggybacks pending acks.  It
+     runs once per [receive], so a driver that visits only the nodes
+     with mail, an outbox or a {!due} timer pays it only there; it gets
+     its own region (with retransmissions attributed separately inside
+     it). *)
   let flush st ~round =
     let prof = Obs.Prof.current () in
     Obs.Prof.enter prof "arq_timer_sweep";
-    let out =
-      Array.fold_left
-        (fun out p ->
-          match outgoing st ~round p with Some m -> m :: out | None -> out)
-        [] st.peers
-    in
+    let out = ref [] in
+    for i = 0 to Array.length st.peers - 1 do
+      match outgoing st ~round st.peers.(i) with
+      | Some m -> out := m :: !out
+      | None -> ()
+    done;
+    recompute_wake st;
     Obs.Prof.leave prof;
-    out
+    !out
 
   let init g v =
     let nbrs = Array.of_list (Graph.neighbors g v) in
@@ -227,7 +246,7 @@ module Make (P : Sim.PROTOCOL) = struct
             queue = Queue.create ();
             inflight = None;
             rto = !current_config.initial_rto;
-            timer = 0;
+            deadline = 0;
             retries = 0;
             sent_round = 0;
             pending_acks = [];
@@ -240,7 +259,17 @@ module Make (P : Sim.PROTOCOL) = struct
     Array.iteri (fun i p -> Hashtbl.replace index p.nbr i) peers;
     let inner, msgs = P.init g v in
     let st =
-      { v; inner; peers; index; retrans = 0; dead = 0; abandoned = [] }
+      {
+        v;
+        inner;
+        peers;
+        index;
+        retrans = 0;
+        dead = 0;
+        abandoned = [];
+        wake = max_int;
+        started = false;
+      }
     in
     enqueue st msgs;
     (st, flush st ~round:0)
@@ -267,14 +296,25 @@ module Make (P : Sim.PROTOCOL) = struct
         p.next_seq <- 0;
         Queue.clear p.queue;
         p.rto <- !current_config.initial_rto;
-        p.timer <- 0;
         p.retries <- 0;
         p.sent_round <- round;
         p.pending_acks <- [];
         Hashtbl.reset p.received;
-        st.abandoned <- List.filter (fun x -> x <> w) st.abandoned
+        st.abandoned <- List.filter (fun x -> x <> w) st.abandoned;
+        recompute_wake st
 
   let receive g ~round v st inbox =
+    if not st.started then begin
+      (* [init] has no round, so it armed its exchanges as of round 0.
+         A node's first [receive] comes the round after it started —
+         round 1 from the start, or for a late joiner the join round
+         its [init] ran in — so its timers count from the round
+         before. *)
+      st.started <- true;
+      Array.iter
+        (fun p -> if p.inflight <> None then p.deadline <- p.deadline + round - 1)
+        st.peers
+    end;
     let deliveries = ref [] in
     List.iter
       (fun (w, { acks; data }) ->

@@ -18,7 +18,17 @@
 
     A transmission abandoned after {!max_retries} unacknowledged tries
     (e.g. to a crashed neighbor) is counted in {!dead_letters}; this
-    bounds the run when a peer is gone forever. *)
+    bounds the run when a peer is gone forever.
+
+    Timers are absolute: a seq sent or retransmitted at round [r] with
+    timeout [rto] times out at round [r + rto], the round its
+    [receive] must run to fire it.  Between rounds a node keeps the
+    earliest such deadline, so a driver can ask {!Make.due} and skip a
+    node that has no mail, no outbound message and no timer due: the
+    skipped [receive] would have sent nothing and armed nothing.  The
+    clock keeps running while a node is down; a node frozen by a crash
+    and resumed (as {!Sim.Run_active} does) fires its overdue timers
+    on its first round back. *)
 
 (** Retransmission policy (rounds are the time unit). *)
 
@@ -47,8 +57,9 @@ val config : unit -> config
 
 val set_config : config -> unit
 (** Install a policy for subsequent runs.  Affects every {!Make}
-    instantiation; call before [Sim.create]/[run], not mid-run (nodes
-    cache nothing, but an in-flight exchange would mix policies).
+    instantiation; call before [Sim.create]/[run], not mid-run: an
+    in-flight exchange keeps the deadline it was armed with, so a
+    mid-run change would mix policies.
     @raise Invalid_argument naming the offending field if the config
     violates the bounds above. *)
 
@@ -91,6 +102,16 @@ module Make (P : Sim.PROTOCOL) : sig
 
   val dead_letters : state -> int
   (** Transmissions this node abandoned after {!max_retries}. *)
+
+  val due : state -> round:int -> bool
+  (** Must this node's [receive] run at [round] even with an empty
+      inbox?  True when an in-flight seq's deadline is [<= round] — a
+      retransmission or a dead letter is due — and, before the node's
+      first [receive], whenever [init] put a seq in flight ([init] has
+      no round, so its timers are anchored on that first call).  A
+      [receive] with an empty inbox, nothing newly queued by the inner
+      protocol and [due = false] is a no-op: it sends nothing and
+      fires or arms no timer. *)
 
   val link_idle : state -> int -> bool
   (** No inner message queued or awaiting acknowledgement toward that

@@ -913,6 +913,122 @@ let test_arq_backoff_escalation_metric () =
   checki "backoff 1 never escalates" 0 (run 1.);
   checkb "backoff 2 escalates under 30% loss" true (run 2. > 0)
 
+(* ------------------------------------------------------------------ *)
+(* ARQ timers: absolute deadlines, and drivers that skip idle nodes *)
+
+let test_arq_due_schedule () =
+  (* Node 0 of a 2-path sends one message and never hears an ack.  The
+     timeout backs off 3, 6, 12, 24 and then 32 rounds; after twelve
+     retransmissions the thirteenth timeout abandons the message.  A
+     driver that calls [receive] only when [due] sends the same frames
+     in the same rounds as one that calls it every round. *)
+  let module P = struct
+    type state = unit
+    type message = unit
+
+    let message_words () = 1
+    let init _ v = ((), if v = 0 then [ (1, ()) ] else [])
+    let receive _ ~round:_ _ () _ = ((), [])
+  end in
+  let module R = Reliable.Make (P) in
+  let g = Gen.path 2 in
+  let swept, _ = R.init g 0 in
+  let woken, _ = R.init g 0 in
+  (* Round 1 is the node's first round: [init] has no round, and its
+     first [receive] anchors the timer [init] armed. *)
+  checkb "first round of a node with a seq in flight is due" true
+    (R.due woken ~round:1);
+  ignore (R.receive g ~round:1 0 swept []);
+  ignore (R.receive g ~round:1 0 woken []);
+  let due = ref [] and frames = ref [] in
+  for round = 2 to 400 do
+    let sent = snd (R.receive g ~round 0 swept []) <> [] in
+    if R.due woken ~round then begin
+      due := round :: !due;
+      let sent' = snd (R.receive g ~round 0 woken []) <> [] in
+      checkb (Printf.sprintf "round %d: same frame either way" round) sent sent';
+      if sent' then frames := round :: !frames
+    end
+    else checkb (Printf.sprintf "round %d: no frame when not due" round) false sent
+  done;
+  let schedule = [ 3; 9; 21; 45; 77; 109; 141; 173; 205; 237; 269; 301; 333 ] in
+  let ints = Alcotest.(list int) in
+  Alcotest.check ints "due exactly at the timeouts" schedule (List.rev !due);
+  Alcotest.check ints "a frame at each of the first twelve"
+    (List.filteri (fun i _ -> i < 12) schedule)
+    (List.rev !frames);
+  List.iter
+    (fun st ->
+      checki "twelve retransmissions" 12 (R.retransmissions st);
+      checki "one dead letter" 1 (R.dead_letters st);
+      checkb "nothing in flight" false (R.active st);
+      Alcotest.check ints "peer suspected" [ 1 ] (R.suspected st))
+    [ swept; woken ]
+
+let test_arq_late_joiner_timers () =
+  (* A late-joining root runs [init] and its first [receive] in its join
+     round, so its first timeout counts from the round before; at
+     [initial_rto] itself a timer counted from round 0 would fire in the
+     round the first frame went out and send twice on one link. *)
+  List.iter
+    (fun (join, rounds) ->
+      let r = Util.Prng.create ~seed:17 in
+      let g = Gen.connected_gnp r ~n:60 ~p:0.08 in
+      let faults =
+        Fault.make ~seed:3 ~graph:g
+          {
+            Fault.default_spec with
+            Fault.drop = 0.1;
+            churn = [ Fault.Join { round = join; node = 0 } ];
+          }
+      in
+      let st, dist = Protocols.reliable_bfs ~faults g ~root:0 in
+      let _, expected = Protocols.bfs g ~root:0 in
+      Alcotest.check (Alcotest.array Alcotest.int) "distances exact" expected
+        dist;
+      Alcotest.check stats_testable
+        (Printf.sprintf "join at %d: pinned stats" join)
+        { Sim.rounds; messages = 524; words = 950; max_message_words = 3 }
+        st)
+    [ (3, 28); (6, 31) ]
+
+let test_skeleton_pump_skips_idle_nodes () =
+  (* The skeleton's ARQ pump visits only the nodes with mail, an outbox
+     or a due timer, so the per-node timer sweep runs on a small share
+     of the node-rounds; a pump that visits every node every round
+     enters it about n times a round. *)
+  let n = 250 in
+  let g =
+    Gen.connected_gnp (Util.Prng.create ~seed:1) ~n
+      ~p:(8. /. float_of_int n)
+  in
+  let faults =
+    Fault.make ~seed:1
+      {
+        Fault.default_spec with
+        Fault.drop = 0.2;
+        crashes = [ (3, 40); (11, 120); (17, 300) ];
+      }
+  in
+  let prof = Obs.Prof.create () in
+  Obs.Prof.set_current prof;
+  let r =
+    Fun.protect
+      ~finally:(fun () -> Obs.Prof.set_current Obs.Prof.disabled)
+      (fun () -> Spanner.Skeleton_dist.build ~faults ~seed:1 g)
+  in
+  let sweeps =
+    List.fold_left
+      (fun acc (row : Obs.Prof.row) ->
+        if row.Obs.Prof.name = "arq_timer_sweep" then acc + row.Obs.Prof.count
+        else acc)
+      0 (Obs.Prof.rows prof)
+  in
+  let budget = n * r.Spanner.Skeleton_dist.stats.Sim.rounds / 10 in
+  checkb
+    (Printf.sprintf "%d timer sweeps < n * rounds / 10 = %d" sweeps budget)
+    true (sweeps < budget)
+
 let suite =
   [
     ( "distnet.engine",
@@ -994,6 +1110,15 @@ let suite =
           test_arq_set_config_rejects_invalid;
         Alcotest.test_case "backoff escalation metric" `Quick
           test_arq_backoff_escalation_metric;
+      ] );
+    ( "distnet.arq_timers",
+      [
+        Alcotest.test_case "due at exactly the timeouts" `Quick
+          test_arq_due_schedule;
+        Alcotest.test_case "late joiner counts from its join" `Quick
+          test_arq_late_joiner_timers;
+        Alcotest.test_case "skeleton pump skips idle nodes" `Quick
+          test_skeleton_pump_skips_idle_nodes;
       ] );
     ( "distnet.churn",
       [
