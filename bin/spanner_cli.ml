@@ -342,6 +342,117 @@ let parse_links s =
                | _ -> bad ())
            | _ -> bad ())
 
+(* The churn flags simulate and serve share, assembled into one plan. *)
+let churn_arg =
+  let edge_drop =
+    Arg.(
+      value
+      & opt string ""
+      & info [ "edge-drop" ] ~docv:"SPEC"
+          ~doc:
+            "Churn: edges going down, e.g. 3-7@10,5-9@20 (edge 3-7 goes down \
+             at round 10).  A down edge silently swallows messages; the ARQ \
+             retransmits and eventually suspects the peer.")
+  in
+  let edge_up =
+    Arg.(
+      value
+      & opt string ""
+      & info [ "edge-up" ] ~docv:"SPEC"
+          ~doc:"Churn: edges coming (back) up, same U-V@ROUND syntax.")
+  in
+  let partition =
+    Arg.(
+      value
+      & opt string ""
+      & info [ "partition" ] ~docv:"LINKS"
+          ~doc:
+            "Churn: cut all listed links at once, e.g. 3-7,5-9 (see \
+             --partition-round and --heal-round).")
+  in
+  let partition_round =
+    Arg.(
+      value
+      & opt int 1
+      & info [ "partition-round" ] ~docv:"R"
+          ~doc:"Round at which the --partition cut happens.")
+  in
+  let heal_round =
+    Arg.(
+      value
+      & opt int 0
+      & info [ "heal-round" ] ~docv:"R"
+          ~doc:
+            "Heal the --partition at round R (0: never heals — the spanner \
+             ends partitioned and each island is certified separately).")
+  in
+  let join =
+    Arg.(
+      value
+      & opt string ""
+      & info [ "join" ] ~docv:"SPEC"
+          ~doc:
+            "Churn: late node joins, e.g. 4@25 (node 4 only joins the network \
+             at round 25; until then all its links are dead).")
+  in
+  let churn edge_drop edge_up partition partition_round heal_round join =
+    List.map
+      (fun (r, u, v) -> Distnet.Fault.Edge_down { round = r; u; v })
+      (parse_edge_events "edge-drop" edge_drop)
+    @ List.map
+        (fun (r, u, v) -> Distnet.Fault.Edge_up { round = r; u; v })
+        (parse_edge_events "edge-up" edge_up)
+    @ (match parse_links partition with
+      | [] -> []
+      | links ->
+          [
+            Distnet.Fault.Partition
+              {
+                round = partition_round;
+                edges = links;
+                heal = (if heal_round > 0 then Some heal_round else None);
+              };
+          ])
+    @ List.map
+        (fun (v, r) -> Distnet.Fault.Join { round = r; node = v })
+        (parse_crashes join)
+  in
+  Term.(
+    const churn $ edge_drop $ edge_up $ partition $ partition_round
+    $ heal_round $ join)
+
+(* --arq-backoff, shared by simulate and sweep: applied to the ARQ
+   config as the command line is evaluated. *)
+let arq_backoff_arg =
+  let default = Distnet.Reliable.default_config.Distnet.Reliable.backoff in
+  let set backoff =
+    if backoff <> default then
+      try
+        Distnet.Reliable.set_config
+          { Distnet.Reliable.default_config with backoff }
+      with Invalid_argument msg ->
+        Format.eprintf "spanner_cli: %s@." msg;
+        exit 1
+  in
+  Term.(
+    const set
+    $ Arg.(
+        value
+        & opt float default
+        & info [ "arq-backoff" ] ~docv:"F"
+            ~doc:
+              "ARQ retransmit-timer growth factor per timeout (1 = fixed \
+               interval; default 2 = classic doubling, byte-identical to \
+               historical behavior)."))
+
+(* A corrupt run log is a user error, not a crash: one line naming the
+   file and the line, exit 1. *)
+let reading_log f x =
+  try f x
+  with Obs.Jsonl.Parse_error _ as e ->
+    Format.eprintf "spanner_cli: %s@." (Printexc.to_string e);
+    exit 1
+
 let simulate_cmd =
   let drop =
     Arg.(
@@ -436,57 +547,6 @@ let simulate_cmd =
              edge from the spanner.  The certifier must reject (exercises the \
              failure path; implies --certify).")
   in
-  let edge_drop =
-    Arg.(
-      value
-      & opt string ""
-      & info [ "edge-drop" ] ~docv:"SPEC"
-          ~doc:
-            "Churn: edges going down, e.g. 3-7@10,5-9@20 (edge 3-7 goes down \
-             at round 10).  A down edge silently swallows messages; the ARQ \
-             retransmits and eventually suspects the peer.")
-  in
-  let edge_up =
-    Arg.(
-      value
-      & opt string ""
-      & info [ "edge-up" ] ~docv:"SPEC"
-          ~doc:"Churn: edges coming (back) up, same U-V@ROUND syntax.")
-  in
-  let partition =
-    Arg.(
-      value
-      & opt string ""
-      & info [ "partition" ] ~docv:"LINKS"
-          ~doc:
-            "Churn: cut all listed links at once, e.g. 3-7,5-9 (see \
-             --partition-round and --heal-round).")
-  in
-  let partition_round =
-    Arg.(
-      value
-      & opt int 1
-      & info [ "partition-round" ] ~docv:"R"
-          ~doc:"Round at which the --partition cut happens.")
-  in
-  let heal_round =
-    Arg.(
-      value
-      & opt int 0
-      & info [ "heal-round" ] ~docv:"R"
-          ~doc:
-            "Heal the --partition at round R (0: never heals — the spanner \
-             ends partitioned and each island is certified separately).")
-  in
-  let join =
-    Arg.(
-      value
-      & opt string ""
-      & info [ "join" ] ~docv:"SPEC"
-          ~doc:
-            "Churn: late node joins, e.g. 4@25 (node 4 only joins the network \
-             at round 25; until then all its links are dead).")
-  in
   let churn_trace =
     Arg.(
       value
@@ -570,36 +630,16 @@ let simulate_cmd =
   let root =
     Arg.(value & opt int 0 & info [ "root" ] ~docv:"V" ~doc:"Protocol root node.")
   in
-  let arq_backoff =
-    Arg.(
-      value
-      & opt float Distnet.Reliable.default_config.Distnet.Reliable.backoff
-      & info [ "arq-backoff" ] ~docv:"F"
-          ~doc:
-            "ARQ retransmit-timer growth factor per timeout (1 = fixed \
-             interval; default 2 = classic doubling, byte-identical to \
-             historical behavior).")
-  in
   let run kind n p seed input drop dup delay max_delay crash restart
-      crash_frac crash_max_round edge_drop edge_up partition partition_round
-      heal_round join churn_trace phase_limit certify mutate trace_file
-      replay_file metrics_file metrics_summary spans_file profile_file
-      audit_bounds strict protocol root arq_backoff =
-    if arq_backoff <> Distnet.Reliable.default_config.Distnet.Reliable.backoff
-    then begin
-      try
-        Distnet.Reliable.set_config
-          { Distnet.Reliable.default_config with backoff = arq_backoff }
-      with Invalid_argument msg ->
-        Format.eprintf "spanner_cli: %s@." msg;
-        exit 1
-    end;
+      crash_frac crash_max_round churn churn_trace phase_limit certify mutate
+      trace_file replay_file metrics_file metrics_summary spans_file
+      profile_file audit_bounds strict protocol root () =
     let g = load_graph ~kind ~n ~p ~seed ~input in
     Format.printf "graph: %a@." Graph.pp_summary g;
     let faults, recorded =
       match replay_file with
       | Some file ->
-          let events, stored = Distnet.Trace.load file in
+          let events, stored = reading_log Distnet.Trace.load file in
           Format.printf "replaying %d events from %s@." (List.length events)
             file;
           (* A loss-free recording must replay over the loss-free
@@ -636,32 +676,12 @@ let simulate_cmd =
             end
           in
           let churn =
-            List.map
-              (fun (r, u, v) -> Distnet.Fault.Edge_down { round = r; u; v })
-              (parse_edge_events "edge-drop" edge_drop)
-            @ List.map
-                (fun (r, u, v) -> Distnet.Fault.Edge_up { round = r; u; v })
-                (parse_edge_events "edge-up" edge_up)
-            @ (match parse_links partition with
-              | [] -> []
-              | links ->
-                  [
-                    Distnet.Fault.Partition
-                      {
-                        round = partition_round;
-                        edges = links;
-                        heal =
-                          (if heal_round > 0 then Some heal_round else None);
-                      };
-                  ])
-            @ List.map
-                (fun (v, r) -> Distnet.Fault.Join { round = r; node = v })
-                (parse_crashes join)
+            churn
             @
             match churn_trace with
             | None -> []
             | Some file ->
-                let events, _ = Distnet.Trace.load file in
+                let events, _ = reading_log Distnet.Trace.load file in
                 let churn = Distnet.Fault.churn_of_trace events in
                 Format.printf "churn plan: %d events from %s@."
                   (List.length churn) file;
@@ -865,63 +885,44 @@ let simulate_cmd =
       Obs.Report.pp_phase_table Format.std_formatter
         (Obs.Metrics.snapshot reg)
     end;
+    (* The meta header of each log: the run's identity and final
+       stats.  The metrics header also carries the plan and spanner
+       size, enough for [report --audit-bounds] to audit the file
+       standalone. *)
+    let header kind extra =
+      Printf.sprintf
+        {|{"kind":"%s","algo":"%s","n":%d,"arq":%d%s,"rounds":%d,"messages":%d,"words":%d,"max_message_words":%d}|}
+        kind protocol (Graph.n g)
+        (if Distnet.Fault.is_none faults then 0 else 1)
+        extra stats.Distnet.Sim.rounds stats.Distnet.Sim.messages
+        stats.Distnet.Sim.words stats.Distnet.Sim.max_message_words
+    in
     (match metrics_file with
     | Some file ->
-        (* Meta header first: enough to rebuild the plan and stats, so
-           [report --audit-bounds] can audit the file standalone. *)
-        let meta =
-          let b = Buffer.create 160 in
-          Buffer.add_string b
-            (Printf.sprintf {|{"kind":"meta","algo":"%s","n":%d,"arq":%d|}
-               protocol (Graph.n g)
-               (if Distnet.Fault.is_none faults then 0 else 1));
+        let extra =
           (match !plan_ref with
           | Some (plan : Spanner.Plan.t) ->
-              Buffer.add_string b
-                (Printf.sprintf {|,"d":%d,"eps":%g|} plan.Spanner.Plan.d
-                   plan.Spanner.Plan.eps)
-          | None -> ());
-          (match !spanner_edges_ref with
-          | Some edges ->
-              Buffer.add_string b
-                (Printf.sprintf {|,"spanner_edges":%d|} edges)
-          | None -> ());
-          Buffer.add_string b
-            (Printf.sprintf
-               {|,"rounds":%d,"messages":%d,"words":%d,"max_message_words":%d}|}
-               stats.Distnet.Sim.rounds stats.Distnet.Sim.messages
-               stats.Distnet.Sim.words stats.Distnet.Sim.max_message_words);
-          Buffer.contents b
+              Printf.sprintf {|,"d":%d,"eps":%g|} plan.Spanner.Plan.d
+                plan.Spanner.Plan.eps
+          | None -> "")
+          ^
+          match !spanner_edges_ref with
+          | Some edges -> Printf.sprintf {|,"spanner_edges":%d|} edges
+          | None -> ""
         in
-        Obs.Metrics.save ~extra:[ meta ] reg file;
+        Obs.Metrics.save ~extra:[ header "meta" extra ] reg file;
         Format.printf "metrics written to %s (%d samples)@." file
           (List.length (Obs.Metrics.snapshot reg))
     | None -> ());
     (match spans_file with
     | Some file ->
-        let meta =
-          Printf.sprintf
-            {|{"kind":"span_meta","algo":"%s","n":%d,"arq":%d,"rounds":%d,"messages":%d,"words":%d,"max_message_words":%d}|}
-            protocol (Graph.n g)
-            (if Distnet.Fault.is_none faults then 0 else 1)
-            stats.Distnet.Sim.rounds stats.Distnet.Sim.messages
-            stats.Distnet.Sim.words stats.Distnet.Sim.max_message_words
-        in
-        Obs.Span.save ~extra:[ meta ] spans file;
+        Obs.Span.save ~extra:[ header "span_meta" "" ] spans file;
         Format.printf "spans written to %s (%d spans)@." file
           (Obs.Span.count spans)
     | None -> ());
     (match profile_file with
     | Some file ->
-        let meta =
-          Printf.sprintf
-            {|{"kind":"prof_meta","algo":"%s","n":%d,"arq":%d,"rounds":%d,"messages":%d,"words":%d,"max_message_words":%d}|}
-            protocol (Graph.n g)
-            (if Distnet.Fault.is_none faults then 0 else 1)
-            stats.Distnet.Sim.rounds stats.Distnet.Sim.messages
-            stats.Distnet.Sim.words stats.Distnet.Sim.max_message_words
-        in
-        Obs.Prof.save ~extra:[ meta ] prof file;
+        Obs.Prof.save ~extra:[ header "prof_meta" "" ] prof file;
         Format.printf "profile written to %s (%d rows, %d round samples)@."
           file
           (List.length (Obs.Prof.rows prof))
@@ -957,10 +958,10 @@ let simulate_cmd =
     Term.(
       const run $ kind_arg $ n_arg $ p_arg $ seed_arg $ input_arg $ drop $ dup
       $ delay $ max_delay $ crash $ restart $ crash_frac $ crash_max_round
-      $ edge_drop $ edge_up $ partition $ partition_round $ heal_round $ join
-      $ churn_trace $ phase_limit $ certify $ mutate $ trace_file
+      $ churn_arg $ churn_trace $ phase_limit $ certify $ mutate $ trace_file
       $ replay_file $ metrics_file $ metrics_summary $ spans_file
-      $ profile_file $ audit_bounds $ strict $ protocol $ root $ arq_backoff)
+      $ profile_file $ audit_bounds $ strict $ protocol $ root
+      $ arq_backoff_arg)
 
 (* ------------------------------------------------------------------ *)
 (* report *)
@@ -1027,51 +1028,24 @@ let report_cmd =
     | x :: tl when k > 0 -> x :: take (k - 1) tl
     | _ -> []
   in
-  (* Auto-detect: metrics files start with a {"kind":"meta"|"metric"}
-     line, spans files with {"kind":"span_meta"|"span"}; anything else
-     is treated as a trace. *)
+  (* Auto-detect on the first line's kind: metrics files start with
+     meta or metric, spans files with span_meta or span, profiles with
+     prof_meta, prof or prof_round.  Anything else, a line without a
+     kind included, goes to the trace reader, which reports it. *)
   let file_kind file =
-    let ic = open_in file in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        let rec go () =
-          match input_line ic with
-          | exception End_of_file -> `Empty
-          | line when String.trim line = "" -> go ()
-          | line -> (
-              match Obs.Metrics.json_str line "kind" with
-              | Some "metric" | Some "meta" -> `Metrics
-              | Some "span" | Some "span_meta" -> `Spans
-              | Some "prof" | Some "prof_round" | Some "prof_meta" -> `Profile
-              | _ -> `Trace)
-        in
-        go ())
+    match Obs.Jsonl.first_kind file with
+    | None -> `Empty
+    | Some ("metric" | "meta") -> `Metrics
+    | Some ("span" | "span_meta") -> `Spans
+    | Some ("prof" | "prof_round" | "prof_meta") -> `Profile
+    | Some _ -> `Trace
   in
-  let read_meta_kind kind file =
-    let ic = open_in file in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        let meta = ref None in
-        (try
-           while true do
-             let line = input_line ic in
-             if
-               !meta = None
-               && Obs.Metrics.json_str line "kind" = Some kind
-             then meta := Some line
-           done
-         with End_of_file -> ());
-        !meta)
-  in
-  let read_meta = read_meta_kind "meta" in
-  let pp_meta_line line =
-    let get f = Option.value ~default:0 (Obs.Metrics.json_int line f) in
+  let pp_meta_line l =
+    let get f = Option.value ~default:0 (Obs.Jsonl.int_opt l f) in
     Format.printf
       "  run: algo=%s n=%d arq=%d rounds=%d messages=%d words=%d \
        max_message_words=%d@."
-      (Option.value ~default:"?" (Obs.Metrics.json_str line "algo"))
+      (Option.value ~default:"?" (Obs.Jsonl.str_opt l "algo"))
       (get "n") (get "arq") (get "rounds") (get "messages") (get "words")
       (get "max_message_words")
   in
@@ -1173,7 +1147,7 @@ let report_cmd =
   in
   let report_metrics ~top ~audit_bounds ~strict file =
     let samples = Obs.Metrics.load file in
-    let meta = read_meta file in
+    let meta = Obs.Jsonl.find ~kind:"meta" file in
     Format.printf "metrics report: %s@." file;
     Option.iter pp_meta_line meta;
     Obs.Report.pp_phase_table Format.std_formatter samples;
@@ -1233,17 +1207,15 @@ let report_cmd =
           Format.eprintf
             "spanner_cli: report --audit-bounds: %s has no meta header@." file;
           exit 1
-      | Some line -> (
+      | Some l -> (
           match
-            ( Obs.Metrics.json_int line "n",
-              Obs.Metrics.json_int line "d",
-              Obs.Metrics.json_float line "eps" )
+            ( Obs.Jsonl.int_opt l "n",
+              Obs.Jsonl.int_opt l "d",
+              Obs.Jsonl.float_opt l "eps" )
           with
           | Some n, Some d, Some eps ->
               let plan = Spanner.Plan.make ~n ~d ~eps () in
-              let get f =
-                Option.value ~default:0 (Obs.Metrics.json_int line f)
-              in
+              let get f = Option.value ~default:0 (Obs.Jsonl.int_opt l f) in
               let stats =
                 {
                   Distnet.Sim.rounds = get "rounds";
@@ -1261,7 +1233,7 @@ let report_cmd =
               let report =
                 Spanner.Audit.run
                   ~arq:(get "arq" = 1)
-                  ?spanner_edges:(Obs.Metrics.json_int line "spanner_edges")
+                  ?spanner_edges:(Obs.Jsonl.int_opt l "spanner_edges")
                   ~phase_rounds ~plan ~stats ()
               in
               Format.printf "%a" Spanner.Audit.pp report;
@@ -1277,13 +1249,13 @@ let report_cmd =
   let report_profile ~top file =
     let rows, rounds = Obs.Prof.load file in
     Format.printf "profile report: %s@." file;
-    Option.iter pp_meta_line (read_meta_kind "prof_meta" file);
+    Option.iter pp_meta_line (Obs.Jsonl.find ~kind:"prof_meta" file);
     Obs.Report.pp_profile_table ~top Format.std_formatter (rows, rounds)
   in
   let report_spans ~top ~critical_path ~perfetto ~counters file =
     let records = Obs.Span.load file in
     Format.printf "spans report: %s@." file;
-    Option.iter pp_meta_line (read_meta_kind "span_meta" file);
+    Option.iter pp_meta_line (Obs.Jsonl.find ~kind:"span_meta" file);
     let count p = List.length (List.filter p records) in
     let messages =
       count (fun (s : Obs.Span.record) -> s.Obs.Span.kind = Obs.Span.Message)
@@ -1331,7 +1303,7 @@ let report_cmd =
       else
         List.concat_map
           (fun (file, k) ->
-            if k = `Profile then snd (Obs.Prof.load file) else [])
+            if k = `Profile then snd (reading_log Obs.Prof.load file) else [])
           kinds
     in
     List.iter
@@ -1354,45 +1326,26 @@ let report_cmd =
             file;
           exit 1
         end;
-        try
-          match kind with
-          | `Metrics -> report_metrics ~top ~audit_bounds ~strict file
-          | `Spans ->
-              if audit_bounds then begin
-                Format.eprintf
-                  "spanner_cli: report --audit-bounds needs a metrics file, \
-                   but %s is a spans file@."
-                  file;
-                exit 1
-              end;
-              report_spans ~top ~critical_path ~perfetto ~counters file
-          | `Profile ->
-              if audit_bounds then begin
-                Format.eprintf
-                  "spanner_cli: report --audit-bounds needs a metrics file, \
-                   but %s is a profile@."
-                  file;
-                exit 1
-              end;
-              if not merge_counters then report_profile ~top file
-          | `Trace ->
-              if audit_bounds then begin
-                Format.eprintf
-                  "spanner_cli: report --audit-bounds needs a metrics file, \
-                   but %s is a trace@."
-                  file;
-                exit 1
-              end;
-              report_trace ~top file
-          | `Empty -> Format.printf "%s: empty file@." file
-        with
-        (* a corrupt line is a user-facing error, not a crash *)
-        | Failure msg ->
-            Format.eprintf "spanner_cli: %s@." msg;
-            exit 1
-        | (Distnet.Trace.Parse_error _ | Obs.Prof.Parse_error _) as e ->
-            Format.eprintf "spanner_cli: %s@." (Printexc.to_string e);
-            exit 1)
+        if audit_bounds && kind <> `Metrics then begin
+          Format.eprintf
+            "spanner_cli: report --audit-bounds needs a metrics file, but %s \
+             is %s@."
+            file
+            (match kind with
+            | `Spans -> "a spans file"
+            | `Profile -> "a profile"
+            | `Empty -> "empty"
+            | _ -> "a trace");
+          exit 1
+        end;
+        reading_log
+          (function
+            | `Metrics -> report_metrics ~top ~audit_bounds ~strict file
+            | `Spans -> report_spans ~top ~critical_path ~perfetto ~counters file
+            | `Profile -> if not merge_counters then report_profile ~top file
+            | `Trace -> report_trace ~top file
+            | `Empty -> Format.printf "%s: empty file@." file)
+          kind)
       kinds
   in
   Cmd.v
@@ -1486,53 +1439,6 @@ let serve_cmd =
             "Build compact-routing tables even for a pure distance workload \
              (they are built automatically when the workload has routes).")
   in
-  let edge_drop =
-    Arg.(
-      value
-      & opt string ""
-      & info [ "edge-drop" ] ~docv:"SPEC"
-          ~doc:
-            "Churn while serving: edges going down, e.g. 3-7@10,5-9@20.  Any \
-             churn flag switches serve into the swap flow: serve fresh, mark \
-             the snapshot stale, rebuild under the churn plan in the \
-             background, publish the next generation atomically, keep \
-             serving.")
-  in
-  let edge_up =
-    Arg.(
-      value
-      & opt string ""
-      & info [ "edge-up" ] ~docv:"SPEC"
-          ~doc:"Churn: edges coming (back) up, same U-V@ROUND syntax.")
-  in
-  let partition =
-    Arg.(
-      value
-      & opt string ""
-      & info [ "partition" ] ~docv:"LINKS"
-          ~doc:"Churn: cut all listed links at once, e.g. 3-7,5-9.")
-  in
-  let partition_round =
-    Arg.(
-      value
-      & opt int 1
-      & info [ "partition-round" ] ~docv:"R"
-          ~doc:"Round at which the --partition cut happens.")
-  in
-  let heal_round =
-    Arg.(
-      value
-      & opt int 0
-      & info [ "heal-round" ] ~docv:"R"
-          ~doc:"Heal the --partition at round R (0: never heals).")
-  in
-  let join =
-    Arg.(
-      value
-      & opt string ""
-      & info [ "join" ] ~docv:"SPEC"
-          ~doc:"Churn: late node joins, e.g. 4@25.")
-  in
   let audit_samples =
     Arg.(
       value
@@ -1559,31 +1465,8 @@ let serve_cmd =
           ~doc:"Print the per-generation serve table from the metrics sink.")
   in
   let run kind n p seed input d eps k queries zipf route_frac workload_in
-      workload_out workload_seed snapshot_in snapshot_out routing_flag
-      edge_drop edge_up partition partition_round heal_round join
+      workload_out workload_seed snapshot_in snapshot_out routing_flag churn
       audit_samples metrics_file metrics_summary =
-    let churn =
-      List.map
-        (fun (r, u, v) -> Distnet.Fault.Edge_down { round = r; u; v })
-        (parse_edge_events "edge-drop" edge_drop)
-      @ List.map
-          (fun (r, u, v) -> Distnet.Fault.Edge_up { round = r; u; v })
-          (parse_edge_events "edge-up" edge_up)
-      @ (match parse_links partition with
-        | [] -> []
-        | links ->
-            [
-              Distnet.Fault.Partition
-                {
-                  round = partition_round;
-                  edges = links;
-                  heal = (if heal_round > 0 then Some heal_round else None);
-                };
-            ])
-      @ List.map
-          (fun (v, r) -> Distnet.Fault.Join { round = r; node = v })
-          (parse_crashes join)
-    in
     let reg =
       if metrics_file <> None || metrics_summary then Obs.Metrics.create ()
       else Obs.Metrics.disabled
@@ -1750,13 +1633,16 @@ let serve_cmd =
          "Freeze the skeleton into a read-optimized snapshot and answer a \
           query workload against it: distance and route queries, exact \
           latency percentiles, staleness accounting, and atomic snapshot \
-          swaps under churn.")
+          swaps under churn.  Any churn flag switches serve into the swap \
+          flow: serve fresh, mark the snapshot stale, rebuild under the \
+          churn plan in the background, publish the next generation \
+          atomically, keep serving.")
     Term.(
       const run $ kind_arg $ n_arg $ p_arg $ seed_arg $ input_arg $ d_arg
       $ eps_arg $ oracle_k_arg $ queries $ zipf $ route_frac $ workload_in
       $ workload_out $ workload_seed $ snapshot_in_arg $ snapshot_out
-      $ routing_flag $ edge_drop $ edge_up $ partition $ partition_round
-      $ heal_round $ join $ audit_samples $ metrics_file $ metrics_summary)
+      $ routing_flag $ churn_arg $ audit_samples $ metrics_file
+      $ metrics_summary)
 
 let query_cmd =
   let snapshot_in =
@@ -1908,13 +1794,6 @@ let sweep_cmd =
       & info [ "shrink-evals" ] ~docv:"N"
           ~doc:"Candidate-run budget per shrink.")
   in
-  let arq_backoff =
-    Arg.(
-      value
-      & opt float Distnet.Reliable.default_config.Distnet.Reliable.backoff
-      & info [ "arq-backoff" ] ~docv:"F"
-          ~doc:"ARQ retransmit-timer growth factor, as in simulate.")
-  in
   let pp_outcome ppf (r : Scenario.Sweep.report) =
     match r.Scenario.Sweep.outcome with
     | Scenario.Sweep.Certified o ->
@@ -1923,11 +1802,7 @@ let sweep_cmd =
         Format.fprintf ppf "FAIL (%s)" (Scenario.Sweep.failure_tag f)
   in
   let run specs samples out_dir json_file metrics_file replay profile_file
-      shrink_evals arq_backoff =
-    if arq_backoff <> Distnet.Reliable.default_config.Distnet.Reliable.backoff
-    then
-      Distnet.Reliable.set_config
-        { Distnet.Reliable.default_config with backoff = arq_backoff };
+      shrink_evals () =
     match replay with
     | Some file -> (
         match Scenario.Compile.load file with
@@ -2062,7 +1937,7 @@ let sweep_cmd =
           replayable plan file.")
     Term.(
       const run $ specs $ samples $ out_dir $ json_file $ metrics_file
-      $ replay $ profile_file $ shrink_evals $ arq_backoff)
+      $ replay $ profile_file $ shrink_evals $ arq_backoff_arg)
 
 (* ------------------------------------------------------------------ *)
 (* experiment *)

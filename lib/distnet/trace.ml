@@ -83,8 +83,7 @@ let events t = List.rev t.rev_events
 let length t = t.length
 
 (* ------------------------------------------------------------------ *)
-(* JSON lines.  The format is small and fixed, so both the printer and
-   the parser are hand-rolled: no JSON dependency. *)
+(* JSON lines (see Obs.Jsonl) *)
 
 let event_to_json e =
   let extra =
@@ -102,144 +101,58 @@ let stats_to_json s =
     s.rounds s.messages s.words s.max_message_words
 
 let save ?stats t file =
-  let oc = open_out file in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      List.iter
-        (fun e ->
-          output_string oc (event_to_json e);
-          output_char oc '\n')
-        (events t);
-      match stats with
-      | Some s ->
-          output_string oc (stats_to_json s);
-          output_char oc '\n'
-      | None -> ())
+  Obs.Jsonl.save file ~header:[] (fun put ->
+      List.iter (fun e -> put (event_to_json e)) (events t);
+      Option.iter (fun s -> put (stats_to_json s)) stats)
 
-(* Minimal field extraction from one of our own JSON lines. *)
-
-let find_sub line needle =
-  let nl = String.length needle and ll = String.length line in
-  let rec at i =
-    if i + nl > ll then None
-    else if String.sub line i nl = needle then Some (i + nl)
-    else at (i + 1)
-  in
-  at 0
-
-let int_field line name =
-  match find_sub line (Printf.sprintf {|"%s":|} name) with
-  | None -> None
-  | Some start ->
-      let stop = ref start in
-      let ll = String.length line in
-      while
-        !stop < ll
-        && (match line.[!stop] with '0' .. '9' | '-' -> true | _ -> false)
-      do
-        incr stop
-      done;
-      if !stop = start then None
-        (* [int_of_string_opt] so an overflowing or malformed run of
-           digits surfaces as a missing field, not a bare [Failure]. *)
-      else int_of_string_opt (String.sub line start (!stop - start))
-
-let str_field line name =
-  match find_sub line (Printf.sprintf {|"%s":"|} name) with
-  | None -> None
-  | Some start -> (
-      match String.index_from_opt line start '"' with
-      | None -> None
-      | Some stop -> Some (String.sub line start (stop - start)))
-
-exception Parse_error of { file : string; line : int; msg : string }
-
-let () =
-  Printexc.register_printer (function
-    | Parse_error { file; line; msg } ->
-        Some (Printf.sprintf "Trace.Parse_error(%s: line %d: %s)" file line msg)
-    | _ -> None)
-
-let parse_line ~file lineno line =
-  let fail msg =
-    raise
-      (Parse_error
-         { file; line = lineno; msg = Printf.sprintf "%s: %s" msg line })
-  in
-  let int name =
-    match int_field line name with
-    | Some v -> v
-    | None -> fail (Printf.sprintf "missing field %S" name)
-  in
-  match str_field line "kind" with
-  | None -> fail "missing field \"kind\""
-  | Some "stats" ->
-      `Stats
-        {
-          rounds = int "rounds";
-          messages = int "messages";
-          words = int "words";
-          max_message_words = int "max_message_words";
-        }
-  | Some kind_s ->
-      let kind =
-        match kind_s with
-        | "send" -> Send
-        | "deliver" -> Deliver
-        | "drop" -> (
-            match str_field line "reason" with
-            | Some "src-crashed" -> Drop Src_crashed
-            | Some "dst-crashed" -> Drop Dst_crashed
-            | Some "link-down" -> Drop Link_down
-            | Some "not-joined" -> Drop Not_joined
-            | Some "stale-incarnation" -> Drop Stale
-            | _ -> Drop Loss)
-        | "dup" -> Dup
-        | "delay" -> Delay (int "delay")
-        | "crash" -> Crash
-        | "restart" -> Restart
-        | "edge_down" -> Edge_down
-        | "edge_up" -> Edge_up
-        | "partition" -> Partition
-        | "heal" -> Heal
-        | "join" -> Join
-        | other -> fail (Printf.sprintf "unknown kind %S" other)
-      in
-      `Event
-        {
-          round = int "round";
-          kind;
-          src = int "src";
-          dst = int "dst";
-          words = int "words";
-        }
+let kind_of_line (l : Obs.Jsonl.line) =
+  match l.kind with
+  | "send" -> Send
+  | "deliver" -> Deliver
+  | "drop" -> (
+      let r = Obs.Jsonl.str l "reason" in
+      match
+        List.find_opt
+          (fun x -> reason_name x = r)
+          [ Loss; Src_crashed; Dst_crashed; Link_down; Not_joined; Stale ]
+      with
+      | Some x -> Drop x
+      | None -> Obs.Jsonl.fail l (Printf.sprintf "unknown drop reason %S" r))
+  | "dup" -> Dup
+  | "delay" -> Delay (Obs.Jsonl.int l "delay")
+  | "crash" -> Crash
+  | "restart" -> Restart
+  | "edge_down" -> Edge_down
+  | "edge_up" -> Edge_up
+  | "partition" -> Partition
+  | "heal" -> Heal
+  | "join" -> Join
+  | other -> Obs.Jsonl.fail l (Printf.sprintf "unknown kind %S" other)
 
 let iter_file file f =
-  let ic = open_in file in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let stats = ref None and lineno = ref 0 in
-      (try
-         while true do
-           let line = input_line ic in
-           incr lineno;
-           (* Tolerate CRLF line endings and blank (or whitespace-only)
-              lines, trailing ones in particular — both show up when a
-              trace has been round-tripped through editors or scp. *)
-           let line =
-             let l = String.length line in
-             if l > 0 && line.[l - 1] = '\r' then String.sub line 0 (l - 1)
-             else line
-           in
-           if String.trim line <> "" then
-             match parse_line ~file !lineno line with
-             | `Event e -> f e
-             | `Stats s -> stats := Some s
-         done
-       with End_of_file -> ());
-      !stats)
+  let stats = ref None in
+  Obs.Jsonl.iter file (fun l ->
+      let int = Obs.Jsonl.int l in
+      if l.kind = "stats" then
+        stats :=
+          Some
+            {
+              rounds = int "rounds";
+              messages = int "messages";
+              words = int "words";
+              max_message_words = int "max_message_words";
+            }
+      else
+        let kind = kind_of_line l in
+        f
+          {
+            round = int "round";
+            kind;
+            src = int "src";
+            dst = int "dst";
+            words = int "words";
+          });
+  !stats
 
 let load file =
   let rev_events = ref [] in

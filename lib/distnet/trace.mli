@@ -66,29 +66,20 @@ val events : t -> event list
 
 val length : t -> int
 
-(** {1 Persistence (JSON lines)} *)
+(** {1 Persistence (JSON lines, see {!Obs.Jsonl})} *)
 
 val save : ?stats:stats -> t -> string -> unit
 (** [save ?stats t file] writes one JSON object per line; when given,
     the final line records the run's statistics so a replay can be
     checked against them. *)
 
-exception Parse_error of { file : string; line : int; msg : string }
-(** A line that is not a trace event: truncated mid-record, garbage,
-    an unknown kind, or a malformed/overflowing integer field.  The
-    structured fields name the file and 1-based line number so callers
-    can report (or skip past) the exact spot; a printer is registered,
-    so an uncaught one still renders readably. *)
-
 val iter_file : string -> (event -> unit) -> stats option
 (** Stream a file written by {!save}: call the function on every event
     in file order, without materializing the event list — aggregation
     over a large trace runs in constant memory.  Returns the stats
-    line when one is present.  Blank (or whitespace-only) lines and
-    CRLF line endings are tolerated, so a trace survives editor or
-    transfer round-trips.
-    @raise Parse_error on a line that is not a trace event, naming the
-    file and line number. *)
+    line when one is present.
+    @raise Obs.Jsonl.Parse_error on a line that is not a trace event
+    or stats line, naming the file and line number. *)
 
 val load : string -> event list * stats option
 (** [iter_file] materialized: the event list in file order, plus the

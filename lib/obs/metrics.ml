@@ -198,7 +198,7 @@ let find samples ?labels name =
     samples
 
 (* ------------------------------------------------------------------ *)
-(* JSON lines.  Hand-rolled like Trace: the format is small and fixed. *)
+(* JSON lines (see Jsonl) *)
 
 let labels_to_json labels =
   "{"
@@ -231,174 +231,36 @@ let to_json s =
         head h.count h.sum h.hmin h.hmax buckets
 
 let save ?(extra = []) t file =
-  let oc = open_out file in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      List.iter
-        (fun line ->
-          output_string oc line;
-          output_char oc '\n')
-        extra;
-      List.iter
-        (fun s ->
-          output_string oc (to_json s);
-          output_char oc '\n')
-        (snapshot t))
-
-(* Field extraction from one of our own JSON lines (same approach as
-   Trace: substring scan, no JSON dependency). *)
-
-let find_sub line needle =
-  let nl = String.length needle and ll = String.length line in
-  let rec at i =
-    if i + nl > ll then None
-    else if String.sub line i nl = needle then Some (i + nl)
-    else at (i + 1)
-  in
-  at 0
-
-let json_int line name =
-  match find_sub line (Printf.sprintf {|"%s":|} name) with
-  | None -> None
-  | Some start ->
-      let stop = ref start in
-      let ll = String.length line in
-      while
-        !stop < ll
-        && (match line.[!stop] with '0' .. '9' | '-' -> true | _ -> false)
-      do
-        stop := !stop + 1
-      done;
-      if !stop = start then None
-      else Some (int_of_string (String.sub line start (!stop - start)))
-
-let json_float line name =
-  match find_sub line (Printf.sprintf {|"%s":|} name) with
-  | None -> None
-  | Some start ->
-      let stop = ref start in
-      let ll = String.length line in
-      while
-        !stop < ll
-        &&
-        match line.[!stop] with
-        | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-        | _ -> false
-      do
-        stop := !stop + 1
-      done;
-      if !stop = start then None
-      else float_of_string_opt (String.sub line start (!stop - start))
-
-let json_str line name =
-  match find_sub line (Printf.sprintf {|"%s":"|} name) with
-  | None -> None
-  | Some start -> (
-      match String.index_from_opt line start '"' with
-      | None -> None
-      | Some stop -> Some (String.sub line start (stop - start)))
-
-(* Parse the labels object: our own writer emits only simple keys and
-   values (no escapes), so a quote scan suffices. *)
-let parse_labels line =
-  match find_sub line {|"labels":{|} with
-  | None -> []
-  | Some start -> (
-      match String.index_from_opt line (start - 1) '}' with
-      | None -> []
-      | Some stop ->
-          let body = String.sub line start (stop - start) in
-          if String.trim body = "" then []
-          else
-            String.split_on_char ',' body
-            |> List.filter_map (fun kv ->
-                   match String.split_on_char ':' kv with
-                   | [ k; v ] ->
-                       let unq s =
-                         let s = String.trim s in
-                         let l = String.length s in
-                         if l >= 2 && s.[0] = '"' && s.[l - 1] = '"' then
-                           String.sub s 1 (l - 2)
-                         else s
-                       in
-                       Some (unq k, unq v)
-                   | _ -> None))
-
-let parse_buckets line =
-  match find_sub line {|"buckets":[|} with
-  | None -> [||]
-  | Some start -> (
-      match String.index_from_opt line start ']' with
-      | None -> [||]
-      | Some stop ->
-          let body = String.sub line start (stop - start) in
-          let arr = Array.make num_buckets 0 in
-          if String.trim body <> "" then
-            List.iteri
-              (fun i s ->
-                if i < num_buckets then arr.(i) <- int_of_string (String.trim s))
-              (String.split_on_char ',' body);
-          arr)
+  Jsonl.save file ~header:extra (fun put ->
+      List.iter (fun s -> put (to_json s)) (snapshot t))
 
 let load file =
-  let ic = open_in file in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let rev = ref [] and lineno = ref 0 in
-      let fail msg line =
-        failwith
-          (Printf.sprintf "Metrics.load: %s: line %d: %s: %s" file !lineno msg
-             line)
-      in
-      (try
-         while true do
-           let line = input_line ic in
-           lineno := !lineno + 1;
-           let line =
-             let l = String.length line in
-             if l > 0 && line.[l - 1] = '\r' then String.sub line 0 (l - 1)
-             else line
-           in
-           if String.trim line <> "" && json_str line "kind" = Some "metric"
-           then begin
-             let name =
-               match json_str line "name" with
-               | Some n -> n
-               | None -> fail "missing field \"name\"" line
-             in
-             let labels = parse_labels line in
-             let value =
-               match json_str line "type" with
-               | Some "counter" -> (
-                   match json_int line "value" with
-                   | Some v -> Counter v
-                   | None -> fail "missing field \"value\"" line)
-               | Some "gauge" -> (
-                   match json_int line "value" with
-                   | Some v -> Gauge v
-                   | None -> fail "missing field \"value\"" line)
-               | Some "histogram" ->
-                   let req f =
-                     match json_int line f with
-                     | Some v -> v
-                     | None ->
-                         fail (Printf.sprintf "missing field %S" f) line
-                   in
-                   Histogram
-                     {
-                       count = req "count";
-                       sum = req "sum";
-                       hmin = req "min";
-                       hmax = req "max";
-                       buckets = parse_buckets line;
-                       samples = [||];
-                     }
-               | _ -> fail "missing or unknown \"type\"" line
-             in
-             rev := { name; labels; value } :: !rev
-           end
-         done
-       with End_of_file -> ());
-      List.rev !rev)
+  let rev = ref [] in
+  Jsonl.iter file (fun l ->
+      if l.kind = "metric" then begin
+        let int = Jsonl.int l in
+        let value =
+          match Jsonl.str l "type" with
+          | "counter" -> Counter (int "value")
+          | "gauge" -> Gauge (int "value")
+          | "histogram" ->
+              let buckets = Array.make num_buckets 0 in
+              List.iteri
+                (fun i c -> if i < num_buckets then buckets.(i) <- c)
+                (Jsonl.ints l "buckets");
+              Histogram
+                {
+                  count = int "count";
+                  sum = int "sum";
+                  hmin = int "min";
+                  hmax = int "max";
+                  buckets;
+                  samples = [||];
+                }
+          | other -> Jsonl.fail l (Printf.sprintf "unknown type %S" other)
+        in
+        rev :=
+          { name = Jsonl.str l "name"; labels = Jsonl.pairs l "labels"; value }
+          :: !rev
+      end);
+  List.rev !rev

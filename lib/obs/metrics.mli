@@ -119,19 +119,7 @@ val save : ?extra:string list -> t -> string -> unit
     line per instrument. *)
 
 val load : string -> sample list
-(** Parse a file of {!to_json} lines.  Lines whose ["kind"] is not
-    ["metric"] (e.g. a meta header) are skipped; blank lines and CRLF
-    endings are tolerated like {!Distnet.Trace.load}.
-    @raise Failure on a malformed metric line, naming file and line. *)
-
-(** {1 JSON field helpers}
-
-    Shared single-line field extraction (same hand-rolled format as
-    the trace log — no JSON dependency), exposed so the CLI can read
-    and write its own meta lines consistently. *)
-
-val json_int : string -> string -> int option
-(** [json_int line field] *)
-
-val json_float : string -> string -> float option
-val json_str : string -> string -> string option
+(** Parse a file of {!to_json} lines.  Lines of another ["kind"]
+    (e.g. a meta header) are skipped.
+    @raise Jsonl.Parse_error on a malformed line, naming file and
+    line. *)

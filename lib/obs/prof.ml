@@ -249,15 +249,7 @@ let round_samples = function
   | Reg r -> List.rev r.rev_rounds
 
 (* ------------------------------------------------------------------ *)
-(* JSON lines *)
-
-exception Parse_error of { file : string; line : int; msg : string }
-
-let () =
-  Printexc.register_printer (function
-    | Parse_error { file; line; msg } ->
-        Some (Printf.sprintf "Prof.Parse_error(%s: line %d: %s)" file line msg)
-    | _ -> None)
+(* JSON lines (see Jsonl) *)
 
 let row_to_json r =
   Printf.sprintf
@@ -270,101 +262,48 @@ let round_to_json (s : round_sample) =
     s.round s.heap_words s.r_minor_words s.r_minors
 
 let save ?(extra = []) t file =
-  let oc = open_out file in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      List.iter
-        (fun line ->
-          output_string oc line;
-          output_char oc '\n')
-        extra;
-      List.iter
-        (fun r ->
-          output_string oc (row_to_json r);
-          output_char oc '\n')
-        (rows t);
-      List.iter
-        (fun s ->
-          output_string oc (round_to_json s);
-          output_char oc '\n')
-        (round_samples t))
+  Jsonl.save file ~header:extra (fun put ->
+      List.iter (fun r -> put (row_to_json r)) (rows t);
+      List.iter (fun s -> put (round_to_json s)) (round_samples t))
 
 type item = Row of row | Round of round_sample
 
 let iter_file file f =
-  let ic = open_in file in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let lineno = ref 0 in
-      let fail msg line =
-        raise
-          (Parse_error
-             {
-               file;
-               line = !lineno;
-               msg = Printf.sprintf "%s: %s" msg line;
-             })
-      in
-      try
-        while true do
-          let raw = input_line ic in
-          incr lineno;
-          let line =
-            let n = String.length raw in
-            if n > 0 && raw.[n - 1] = '\r' then String.sub raw 0 (n - 1)
-            else raw
+  Jsonl.iter file (fun l ->
+      let int = Jsonl.int l in
+      match l.kind with
+      | "prof" ->
+          let kind =
+            match Jsonl.str l "rk" with
+            | "phase" -> Phase
+            | "region" -> Region
+            | other -> Jsonl.fail l (Printf.sprintf "unknown row kind %S" other)
           in
-          if String.trim line <> "" then
-            let int k =
-              match Metrics.json_int line k with
-              | Some v -> v
-              | None -> fail (Printf.sprintf "missing field %S" k) line
-            in
-            match Metrics.json_str line "kind" with
-            | Some "prof" ->
-                let kind =
-                  match Metrics.json_str line "rk" with
-                  | Some "phase" -> Phase
-                  | Some "region" -> Region
-                  | Some other ->
-                      fail (Printf.sprintf "unknown row kind %S" other) line
-                  | None -> fail {|missing field "rk"|} line
-                in
-                let name =
-                  match Metrics.json_str line "name" with
-                  | Some n -> n
-                  | None -> fail {|missing field "name"|} line
-                in
-                f
-                  (Row
-                     {
-                       kind;
-                       name;
-                       count = int "count";
-                       wall_ns = int "wall_ns";
-                       self_ns = int "self_ns";
-                       minor_words = int "minor";
-                       self_minor_words = int "self_minor";
-                       major_words = int "major";
-                       self_major_words = int "self_major";
-                       minors = int "minors";
-                       majors = int "majors";
-                     })
-            | Some "prof_round" ->
-                f
-                  (Round
-                     {
-                       round = int "round";
-                       heap_words = int "heap";
-                       r_minor_words = int "minor";
-                       r_minors = int "minors";
-                     })
-            | Some _ -> ()  (* meta header or foreign line: skip *)
-            | None -> fail {|missing field "kind"|} line
-        done
-      with End_of_file -> ())
+          f
+            (Row
+               {
+                 kind;
+                 name = Jsonl.str l "name";
+                 count = int "count";
+                 wall_ns = int "wall_ns";
+                 self_ns = int "self_ns";
+                 minor_words = int "minor";
+                 self_minor_words = int "self_minor";
+                 major_words = int "major";
+                 self_major_words = int "self_major";
+                 minors = int "minors";
+                 majors = int "majors";
+               })
+      | "prof_round" ->
+          f
+            (Round
+               {
+                 round = int "round";
+                 heap_words = int "heap";
+                 r_minor_words = int "minor";
+                 r_minors = int "minors";
+               })
+      | _ -> ())
 
 let load file =
   let rev_rows = ref [] and rev_rounds = ref [] in

@@ -124,13 +124,7 @@ val rows : t -> row list
 val round_samples : t -> round_sample list
 (** Round samples in recording order. *)
 
-(** {1 Persistence (JSON lines)}
-
-    Same hand-rolled single-line JSON as Trace/Metrics/Span, and the
-    same structured parse-error contract as {!Distnet.Trace}: a
-    malformed line raises {!Parse_error} naming file and line. *)
-
-exception Parse_error of { file : string; line : int; msg : string }
+(** {1 Persistence (JSON lines, see {!Jsonl})} *)
 
 val row_to_json : row -> string
 val round_to_json : round_sample -> string
@@ -144,7 +138,8 @@ type item = Row of row | Round of round_sample
 val iter_file : string -> (item -> unit) -> unit
 (** Stream a profile file without materializing it.  Lines whose
     ["kind"] is neither ["prof"] nor ["prof_round"] (e.g. a meta
-    header) are skipped; blank lines and CRLF endings are tolerated.
-    @raise Parse_error on a malformed line. *)
+    header) are skipped.
+    @raise Jsonl.Parse_error on a malformed line, naming file and
+    line. *)
 
 val load : string -> row list * round_sample list

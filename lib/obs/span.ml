@@ -155,7 +155,7 @@ let records = function
   | Reg r -> List.init r.len (fun i -> r.arr.(i))
 
 (* ------------------------------------------------------------------ *)
-(* JSON lines                                                          *)
+(* JSON lines (see Jsonl)                                              *)
 
 let to_json s =
   let b = Buffer.create 160 in
@@ -180,92 +180,39 @@ let to_json s =
   Buffer.contents b
 
 let save ?(extra = []) t file =
-  let oc = open_out file in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      List.iter
-        (fun line ->
-          output_string oc line;
-          output_char oc '\n')
-        extra;
+  Jsonl.save file ~header:extra (fun put ->
       match t with
       | Disabled -> ()
       | Reg r ->
           for i = 0 to r.len - 1 do
-            output_string oc (to_json r.arr.(i));
-            output_char oc '\n'
+            put (to_json r.arr.(i))
           done)
 
 let iter_file file f =
-  let ic = open_in file in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let lineno = ref 0 in
-      let fail msg line =
-        failwith
-          (Printf.sprintf "Span.load: %s: line %d: %s: %s" file !lineno msg
-             line)
-      in
-      let req msg = function Some v -> v | None -> raise (Failure msg) in
-      try
-        while true do
-          let raw = input_line ic in
-          incr lineno;
-          let line =
-            let n = String.length raw in
-            if n > 0 && raw.[n - 1] = '\r' then String.sub raw 0 (n - 1)
-            else raw
-          in
-          if String.trim line <> "" then
-            match Metrics.json_str line "kind" with
-            | Some "span" -> (
-                try
-                  let int k =
-                    req (Printf.sprintf "missing field %S" k)
-                      (Metrics.json_int line k)
-                  in
-                  let kind =
-                    match Metrics.json_str line "sk" with
-                    | Some n -> (
-                        match kind_of_name n with
-                        | Some k -> k
-                        | None ->
-                            raise
-                              (Failure (Printf.sprintf "unknown span kind %S" n)))
-                    | None -> raise (Failure {|missing field "sk"|})
-                  in
-                  let name =
-                    Option.value ~default:"" (Metrics.json_str line "name")
-                  in
-                  let parent =
-                    Option.value ~default:(-1) (Metrics.json_int line "parent")
-                  in
-                  let ls = Option.value ~default:0 (Metrics.json_int line "ls") in
-                  let ld = Option.value ~default:0 (Metrics.json_int line "ld") in
-                  let status =
-                    match Metrics.json_str line "status" with
-                    | Some "open" -> Open
-                    | Some "delivered" -> Delivered
-                    | Some "dropped" ->
-                        Dropped
-                          (Option.value ~default:""
-                             (Metrics.json_str line "reason"))
-                    | Some s ->
-                        raise (Failure (Printf.sprintf "unknown status %S" s))
-                    | None -> raise (Failure {|missing field "status"|})
-                  in
-                  f
-                    { id = int "id"; kind; name; parent; src = int "src";
-                      dst = int "dst"; words = int "words";
-                      start_round = int "start"; stop_round = int "stop";
-                      ls; ld; status }
-                with Failure msg -> fail msg line)
-            | Some _ -> ()  (* meta header or foreign line: skip *)
-            | None -> fail {|missing field "kind"|} line
-        done
-      with End_of_file -> ())
+  Jsonl.iter file (fun l ->
+      if l.kind = "span" then begin
+        let int = Jsonl.int l in
+        let opt name default = Option.value ~default (Jsonl.int_opt l name) in
+        let kind =
+          let n = Jsonl.str l "sk" in
+          match kind_of_name n with
+          | Some k -> k
+          | None -> Jsonl.fail l (Printf.sprintf "unknown span kind %S" n)
+        in
+        let status =
+          match Jsonl.str l "status" with
+          | "open" -> Open
+          | "delivered" -> Delivered
+          | "dropped" -> Dropped (Jsonl.str l "reason")
+          | s -> Jsonl.fail l (Printf.sprintf "unknown status %S" s)
+        in
+        f
+          { id = int "id"; kind;
+            name = Option.value ~default:"" (Jsonl.str_opt l "name");
+            parent = opt "parent" (-1); src = int "src"; dst = int "dst";
+            words = int "words"; start_round = int "start";
+            stop_round = int "stop"; ls = opt "ls" 0; ld = opt "ld" 0; status }
+      end)
 
 let load file =
   let acc = ref [] in

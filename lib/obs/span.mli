@@ -112,8 +112,8 @@ val save : ?extra:string list -> t -> string -> unit
 
 val iter_file : string -> (record -> unit) -> unit
 (** Stream a file written by {!save} in constant memory.  Lines whose
-    ["kind"] is not ["span"] (e.g. a meta header) are skipped; blank
-    lines and CRLF endings are tolerated like {!Distnet.Trace}.
-    @raise Failure on a malformed span line, naming file and line. *)
+    ["kind"] is not ["span"] (e.g. a meta header) are skipped.
+    @raise Jsonl.Parse_error on a malformed line, naming file and
+    line. *)
 
 val load : string -> record list

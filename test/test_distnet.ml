@@ -365,7 +365,7 @@ let test_trace_parse_error_truncated () =
       let seen = ref 0 in
       match Trace.iter_file path (fun _ -> incr seen) with
       | _ -> Alcotest.fail "expected Parse_error on the truncated tail"
-      | exception Trace.Parse_error { file; line; msg } ->
+      | exception Obs.Jsonl.Parse_error { file; line; msg } ->
           checkb "file named" true (file = path);
           checki "events before the bad line were streamed" 2 !seen;
           checki "1-based line number" 3 line;
@@ -383,7 +383,7 @@ let test_trace_parse_error_garbage () =
         close_out oc;
         match Trace.iter_file path (fun _ -> ()) with
         | _ -> Alcotest.failf "expected Parse_error for %S" content
-        | exception Trace.Parse_error e ->
+        | exception Obs.Jsonl.Parse_error e ->
             checki "line number" line e.line
       in
       (* garbage line in the middle *)
@@ -396,6 +396,13 @@ let test_trace_parse_error_garbage () =
       (* overflowing integer surfaces as a missing field, not a crash *)
       check_fails ~line:1
         "{\"round\":99999999999999999999,\"kind\":\"send\",\"src\":0,\"dst\":1,\"words\":2}\n";
+      (* a drop always names its reason: a missing or unknown one is
+         not read as a loss *)
+      check_fails ~line:2
+        "{\"round\":0,\"kind\":\"send\",\"src\":0,\"dst\":1,\"words\":2}\n\
+         {\"round\":0,\"kind\":\"drop\",\"src\":0,\"dst\":1,\"words\":2}\n";
+      check_fails ~line:1
+        "{\"round\":0,\"kind\":\"drop\",\"src\":0,\"dst\":1,\"words\":2,\"reason\":\"gremlins\"}\n";
       (* blank/CRLF lines stay tolerated: no error here *)
       let oc = open_out path in
       output_string oc

@@ -148,7 +148,7 @@ let expect_parse_error ~line content k =
   output_string oc content;
   close_out oc;
   (match P.load file with
-  | exception P.Parse_error e ->
+  | exception Obs.Jsonl.Parse_error e ->
       checks "file named" file e.file;
       checki (k ^ ": line") line e.line
   | _ -> Alcotest.fail (k ^ ": expected Parse_error"));
