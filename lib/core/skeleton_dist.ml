@@ -6,6 +6,16 @@ module Trace = Distnet.Trace
 module Reliable = Distnet.Reliable
 module Recovery = Distnet.Recovery
 
+(* Int-keyed tables: the same hash and bucket layout as the polymorphic
+   [Hashtbl], hence the same iteration order, without polymorphic
+   compare on every probe. *)
+module Itbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash = Hashtbl.hash
+end)
+
 type recovery_report = {
   crashed : int;
   orphaned : int;
@@ -124,10 +134,25 @@ let words = function
 (* Mutable per-node state.  Everything a node reads during the protocol
    is either local, carried by a received message, or part of the
    globally-known schedule — the driver below only sequences phases.
-   The [*_waiting] tables are each phase's explicit completion state:
-   a phase ends when every live node's table for it has drained, which
+   The [*_waiting] sets are each phase's explicit completion state:
+   a phase ends when every live node's set for it has drained, which
    (unlike running the network to quiescence) still works when a
-   message can be lost or its sender can crash mid-phase. *)
+   message can be lost or its sender can crash mid-phase.
+
+   The per-call scratch is allocated once per node and emptied in
+   place ([Itbl.reset], [Queue.clear], [Array.fill]) at each call.
+   The sets nothing iterates ([ex_waiting], [nb_dead]) are flags
+   aligned with [nb], so the per-message paths neither hash nor
+   allocate for them.  Iteration order is observable in two places,
+   so it must match a fresh table's: [nb] lists the neighbors in the
+   order a neighbor -> edge table built over the CSR row iterates
+   them, and that order sequences the exchange, death-notice and
+   keep-all sends; [nb_cl]'s order sequences [die_offer]'s queue and
+   the center's merge, and with them the [Die_up]/[Final_down]
+   batches.  A reset table shrinks back to its initial size, so it
+   iterates like a fresh one only if both were created with the same
+   size: [fresh_node] uses the sizes a call used to create the tables
+   with. *)
 type node = {
   id : int;
   mutable alive : bool;
@@ -137,24 +162,26 @@ type node = {
   mutable p1_children : int list;
   mutable p2 : int;  (** parent towards the cluster's center *)
   mutable p2_children : int list;
-  nb_dead : (int, unit) Hashtbl.t;
-  nb_edge : (int, int) Hashtbl.t;  (** neighbor -> incident edge id *)
+  nb_dead : bool array;  (** [nb.(i)] written off: suspected or announced dead *)
+  nb : int array;  (** neighbors, in neighbor -> edge table order *)
+  nb_e : int array;  (** [nb_e.(i)]: the edge to [nb.(i)] *)
   (* per-call scratch *)
-  mutable nb_cl : (int, int * int) Hashtbl.t;  (** neighbor -> (cl, fu) *)
-  mutable ex_waiting : (int, unit) Hashtbl.t;  (** exchange: peers awaited *)
+  nb_cl : (int * int) Itbl.t;  (** neighbor -> (cl, fu) *)
+  ex_waiting : bool array;  (** exchange: [nb.(i)] still awaited *)
+  mutable ex_pending : int;  (** how many [ex_waiting] entries are set *)
   mutable deciding : bool;
-  mutable cv_waiting : (int, unit) Hashtbl.t;  (** convergecast: children awaited *)
+  cv_waiting : unit Itbl.t;  (** convergecast: children awaited *)
   mutable report_sent : bool;
   mutable best : (int * int * int) option;  (** edge, target cl, target fu *)
   mutable best_peer : int;  (** crossing neighbor of my own candidate *)
   mutable best_from : int;  (** child that supplied [best]; -1 = self *)
   mutable wave_done : bool;
   mutable is_dying : bool;
-  mutable die_queue : (int * int) Queue.t;
-  mutable die_sent : (int, int) Hashtbl.t;  (** cl -> best edge forwarded *)
-  mutable die_waiting : (int, unit) Hashtbl.t;  (** dying: children awaited *)
+  die_queue : (int * int) Queue.t;
+  die_sent : int Itbl.t;  (** cl -> best edge forwarded *)
+  die_waiting : unit Itbl.t;  (** dying: children awaited *)
   mutable die_done_sent : bool;
-  mutable fin_queue : int Queue.t;
+  fin_queue : int Queue.t;
   mutable fin_src_done : bool;
   mutable fin_done_sent : bool;
   mutable fin_aborting : bool;
@@ -163,15 +190,33 @@ type node = {
   mutable rp_root : int;  (** my fragment's repair root; -1 = attached *)
   mutable rp_parent : int;  (** parent within the repair forest *)
   mutable rp_children : int list;
-  mutable rp_nb : (int, int) Hashtbl.t;  (** neighbor -> fragment root *)
-  mutable rp_waiting : (int, unit) Hashtbl.t;  (** repair exchange: acks awaited *)
-  mutable rp_cv_waiting : (int, unit) Hashtbl.t;  (** repair convergecast *)
+  rp_nb : int Itbl.t;  (** neighbor -> fragment root *)
+  rp_waiting : unit Itbl.t;  (** repair exchange: acks awaited *)
+  rp_cv_waiting : unit Itbl.t;  (** repair convergecast *)
   mutable rp_report_sent : bool;
   mutable rp_best : (int * int) option;  (** edge, crossing peer (-1 from child) *)
   mutable rp_best_from : int;  (** child that supplied [rp_best]; -1 = self *)
 }
 
-let fresh_node id =
+(* [v]'s neighbors and edges in the order a table filled from its
+   CSR row iterates them — the order every per-neighbor send loop of
+   the protocol has always used. *)
+let neighbor_order g v =
+  let tbl = Itbl.create 4 in
+  Graph.iter_neighbors g v (fun w e -> Itbl.replace tbl w e);
+  let nb = Array.make (Itbl.length tbl) 0 in
+  let nb_e = Array.make (Itbl.length tbl) 0 in
+  let i = ref 0 in
+  Itbl.iter
+    (fun w e ->
+      nb.(!i) <- w;
+      nb_e.(!i) <- e;
+      incr i)
+    tbl;
+  (nb, nb_e)
+
+let fresh_node g id =
+  let nb, nb_e = neighbor_order g id in
   {
     id;
     alive = true;
@@ -181,12 +226,14 @@ let fresh_node id =
     p1_children = [];
     p2 = -1;
     p2_children = [];
-    nb_dead = Hashtbl.create 4;
-    nb_edge = Hashtbl.create 4;
-    nb_cl = Hashtbl.create 4;
-    ex_waiting = Hashtbl.create 4;
+    nb_dead = Array.make (Array.length nb) false;
+    nb;
+    nb_e;
+    nb_cl = Itbl.create 8;
+    ex_waiting = Array.make (Array.length nb) false;
+    ex_pending = 0;
     deciding = false;
-    cv_waiting = Hashtbl.create 4;
+    cv_waiting = Itbl.create 4;
     report_sent = false;
     best = None;
     best_peer = -1;
@@ -194,8 +241,8 @@ let fresh_node id =
     wave_done = false;
     is_dying = false;
     die_queue = Queue.create ();
-    die_sent = Hashtbl.create 4;
-    die_waiting = Hashtbl.create 4;
+    die_sent = Itbl.create 4;
+    die_waiting = Itbl.create 4;
     die_done_sent = false;
     fin_queue = Queue.create ();
     fin_src_done = false;
@@ -205,25 +252,74 @@ let fresh_node id =
     rp_root = -1;
     rp_parent = -1;
     rp_children = [];
-    rp_nb = Hashtbl.create 1;
-    rp_waiting = Hashtbl.create 1;
-    rp_cv_waiting = Hashtbl.create 1;
+    rp_nb = Itbl.create 4;
+    rp_waiting = Itbl.create 4;
+    rp_cv_waiting = Itbl.create 4;
     rp_report_sent = false;
     rp_best = None;
     rp_best_from = -1;
   }
 
+(* [f i w e] for every neighbour [w = nd.nb.(i)], joined by edge [e]. *)
+let iter_nb nd f =
+  for i = 0 to Array.length nd.nb - 1 do
+    f i nd.nb.(i) nd.nb_e.(i)
+  done
+
+(* [w]'s position in [nd.nb], or -1 when [w] is not a neighbour. *)
+let nb_index nd w =
+  let i = ref 0 and d = Array.length nd.nb in
+  while !i < d && nd.nb.(!i) <> w do
+    incr i
+  done;
+  if !i < d then !i else -1
+
+let is_dead nd w =
+  let i = nb_index nd w in
+  i >= 0 && nd.nb_dead.(i)
+
+let mark_dead nd w =
+  let i = nb_index nd w in
+  if i >= 0 then nd.nb_dead.(i) <- true
+
+(* [w]'s exchange arrived, or [w] is gone: stop waiting for it. *)
+let heard_exchange nd w =
+  let i = nb_index nd w in
+  if i >= 0 && nd.ex_waiting.(i) then begin
+    nd.ex_waiting.(i) <- false;
+    nd.ex_pending <- nd.ex_pending - 1
+  end
+
+(* Empty a node's per-call scratch in place for the next call. *)
+let reset_call_scratch nd =
+  Itbl.reset nd.nb_cl;
+  Array.fill nd.ex_waiting 0 (Array.length nd.ex_waiting) false;
+  nd.ex_pending <- 0;
+  nd.deciding <- false;
+  Itbl.reset nd.cv_waiting;
+  nd.report_sent <- false;
+  nd.best <- None;
+  nd.best_peer <- -1;
+  nd.best_from <- -1;
+  nd.wave_done <- false;
+  nd.is_dying <- false;
+  Queue.clear nd.die_queue;
+  Itbl.reset nd.die_sent;
+  Itbl.reset nd.die_waiting;
+  nd.die_done_sent <- false;
+  Queue.clear nd.fin_queue;
+  nd.fin_src_done <- false;
+  nd.fin_done_sent <- false;
+  nd.fin_aborting <- false
+
 let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
     ?(spans = Obs.Span.disabled) ?phase_round_limit ~plan ~sampling g =
   let n = Graph.n g in
-  let nodes = Array.init n fresh_node in
+  let nodes = Array.init n (fresh_node g) in
   Array.iter
     (fun nd -> nd.cl_fu <- Sampling.first_unsampled sampling nd.id)
     nodes;
-  Array.iter
-    (fun nd ->
-      Graph.iter_neighbors g nd.id (fun w e -> Hashtbl.replace nd.nb_edge w e))
-    nodes;
+  let edge_to nd w = Graph.edge_id g nd.id w in
   let use_arq = not (Fault.is_none faults) in
   let spanner = Edge_set.create g in
   let aborts = ref 0 in
@@ -369,7 +465,7 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
       nd.p2 <- target;
       parent.(nd.id) <- target;
       parent_edge.(nd.id) <-
-        (if target >= 0 then Hashtbl.find nd.nb_edge target else -1)
+        (if target >= 0 then edge_to nd target else -1)
     end
   in
 
@@ -382,7 +478,7 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
     nd.p2 <- target;
     parent.(nd.id) <- target;
     parent_edge.(nd.id) <-
-      (if target >= 0 then Hashtbl.find nd.nb_edge target else -1)
+      (if target >= 0 then edge_to nd target else -1)
   in
 
   (* Forward the fragment-local minimum up the repair tree once every
@@ -391,7 +487,7 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
     if
       !repair_mode && nd.rp_root >= 0
       && (not nd.rp_report_sent)
-      && Hashtbl.length nd.rp_cv_waiting = 0
+      && Itbl.length nd.rp_cv_waiting = 0
       && nd.rp_parent >= 0
     then begin
       nd.rp_report_sent <- true;
@@ -426,10 +522,8 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
      degrades; stretch does not. *)
   let rp_do_keep_all nd =
     kept_all.(nd.id) <- true;
-    Hashtbl.iter
-      (fun w e ->
-        if present_now w && !edge_up_now e then keep ~who:nd.id e)
-      nd.nb_edge;
+    iter_nb nd (fun _ w e ->
+        if present_now w && !edge_up_now e then keep ~who:nd.id e);
     List.iter (fun c -> emit ~src:nd.id ~dst:c Repair_keep_all) nd.rp_children
   in
 
@@ -460,18 +554,16 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
       set_p2 nd (-1);
       orphan_detached.(nd.id) <- true;
       kept_all.(nd.id) <- true;
-      Hashtbl.iter
-        (fun w e ->
-          if not (Hashtbl.mem nd.nb_dead w) then
+      iter_nb nd (fun i _ e ->
+          if not nd.nb_dead.(i) then
             if not (Edge_set.mem spanner e) then begin
               Edge_set.add spanner e;
               contributed.(nd.id) <- contributed.(nd.id) + 1;
               incr recovered_edges
-            end)
-        nd.nb_edge;
+            end);
       List.iter
         (fun c ->
-          if not (Hashtbl.mem nd.nb_dead c) then emit ~src:nd.id ~dst:c Orphan)
+          if not (is_dead nd c) then emit ~src:nd.id ~dst:c Orphan)
         (List.sort_uniq compare (nd.p1_children @ nd.p2_children))
     end
 
@@ -481,9 +573,9 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
     if
       nd.deciding && (not nd.report_sent)
       && (not nd.orphaned)
-      && Hashtbl.length nd.cv_waiting = 0
+      && Itbl.length nd.cv_waiting = 0
       && nd.p1 >= 0
-      && not (Hashtbl.mem nd.nb_dead nd.p1)
+      && not (is_dead nd nd.p1)
     then begin
       nd.report_sent <- true;
       match nd.best with
@@ -499,19 +591,19 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
     incr suspicion_events;
     Recovery.Detector.suspect det w;
     let nd = nodes.(by) in
-    Hashtbl.replace nd.nb_dead w ();
-    Hashtbl.remove nd.ex_waiting w;
-    Hashtbl.remove nd.nb_cl w;
-    if Hashtbl.mem nd.cv_waiting w then begin
-      Hashtbl.remove nd.cv_waiting w;
+    mark_dead nd w;
+    heard_exchange nd w;
+    Itbl.remove nd.nb_cl w;
+    if Itbl.mem nd.cv_waiting w then begin
+      Itbl.remove nd.cv_waiting w;
       cv_maybe_forward nd
     end;
-    Hashtbl.remove nd.die_waiting w;
+    Itbl.remove nd.die_waiting w;
     nd.p1_children <- List.filter (fun c -> c <> w) nd.p1_children;
     nd.p2_children <- List.filter (fun c -> c <> w) nd.p2_children;
-    Hashtbl.remove nd.rp_waiting w;
-    if Hashtbl.mem nd.rp_cv_waiting w then begin
-      Hashtbl.remove nd.rp_cv_waiting w;
+    Itbl.remove nd.rp_waiting w;
+    if Itbl.mem nd.rp_cv_waiting w then begin
+      Itbl.remove nd.rp_cv_waiting w;
       rp_maybe_forward nd
     end;
     nd.rp_children <- List.filter (fun c -> c <> w) nd.rp_children;
@@ -528,7 +620,7 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
         | _ ->
             nd.best <- Some (e, cl, fu);
             nd.best_from <- from));
-    Hashtbl.remove nd.cv_waiting from;
+    Itbl.remove nd.cv_waiting from;
     cv_maybe_forward nd
   in
 
@@ -550,7 +642,7 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
            parent that can never answer.  Fall back to the orphan abort
            — the path to the new cluster root is gone. *)
         let adoptee = if nd.best_from < 0 then nd.best_peer else nd.best_from in
-        if Hashtbl.mem nd.nb_dead adoptee then do_orphan nd
+        if is_dead nd adoptee then do_orphan nd
         else begin
           adopt_cluster nd ~cl:new_cl ~fu:new_fu;
           if nd.best_from < 0 then begin
@@ -577,15 +669,15 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
      forwarded; intermediate dedup is best-effort, the center's merge is
      authoritative. *)
   let die_offer nd (cl, e) =
-    match Hashtbl.find_opt nd.die_sent cl with
+    match Itbl.find_opt nd.die_sent cl with
     | Some e' when e' <= e -> ()
     | _ ->
-        Hashtbl.replace nd.die_sent cl e;
+        Itbl.replace nd.die_sent cl e;
         Queue.add (cl, e) nd.die_queue
   in
 
   (* The center's authoritative per-cluster minimum, rebuilt each call. *)
-  let center_best = Array.make n (Hashtbl.create 0) in
+  let center_best = Array.make n (Itbl.create 0) in
 
   (* Profiling category per message family: handler cost lands in one
      region per protocol mechanism (exchange / convergecast / wave /
@@ -620,8 +712,8 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
     (match m with
     | Exchange { cl; fu } ->
         if nd.alive && not nd.orphaned then begin
-          Hashtbl.replace nd.nb_cl src (cl, fu);
-          Hashtbl.remove nd.ex_waiting src
+          Itbl.replace nd.nb_cl src (cl, fu);
+          heard_exchange nd src
         end
     | Report_none ->
         if nd.alive && not nd.orphaned then merge_report nd ~from:src None
@@ -657,12 +749,12 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
             (* Center: authoritative merge. *)
             List.iter
               (fun (cl, e) ->
-                match Hashtbl.find_opt center_best.(nd.id) cl with
+                match Itbl.find_opt center_best.(nd.id) cl with
                 | Some e' when e' <= e -> ()
-                | _ -> Hashtbl.replace center_best.(nd.id) cl e)
+                | _ -> Itbl.replace center_best.(nd.id) cl e)
               entries
           else List.iter (die_offer nd) entries;
-          if finished then Hashtbl.remove nd.die_waiting src
+          if finished then Itbl.remove nd.die_waiting src
         end
     | Final_down { edges; finished } ->
         if nd.alive && not nd.orphaned then begin
@@ -681,10 +773,10 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
           kept_all.(nd.id) <- true;
           (* Keep every incident crossing edge, as the paper's escape
              hatch prescribes. *)
-          Hashtbl.iter
+          Itbl.iter
             (fun w (cl, _) ->
               if cl <> nd.cl_center then
-                keep ~who:nd.id (Hashtbl.find nd.nb_edge w))
+                keep ~who:nd.id (edge_to nd w))
             nd.nb_cl
         end
     | Dead ->
@@ -695,19 +787,19 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
            notice from our own tree parent means it exited while we
            still depend on it — the orphan-register race — so recover. *)
         Recovery.Detector.note_death det src;
-        Hashtbl.replace nd.nb_dead src ();
-        Hashtbl.remove nd.ex_waiting src;
+        mark_dead nd src;
+        heard_exchange nd src;
         (* Forget its advertised cluster too: a pre-crash Exchange must
            not leave a dead edge looking like a viable hook candidate. *)
-        Hashtbl.remove nd.nb_cl src;
+        Itbl.remove nd.nb_cl src;
         nd.p2_children <- List.filter (fun c -> c <> src) nd.p2_children;
         nd.p1_children <- List.filter (fun c -> c <> src) nd.p1_children;
         if nd.alive && not nd.orphaned then begin
-          if Hashtbl.mem nd.cv_waiting src then begin
-            Hashtbl.remove nd.cv_waiting src;
+          if Itbl.mem nd.cv_waiting src then begin
+            Itbl.remove nd.cv_waiting src;
             cv_maybe_forward nd
           end;
-          Hashtbl.remove nd.die_waiting src;
+          Itbl.remove nd.die_waiting src;
           if nd.p1 = src || nd.p2 = src then do_orphan nd
         end
     | Probe -> ()  (* the transport-level ack is the whole answer *)
@@ -717,13 +809,13 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
        engine's business — a message that arrives was deliverable. *)
     | Repair_id { root } ->
         if !repair_mode then begin
-          Hashtbl.replace nd.rp_nb src root;
+          Itbl.replace nd.rp_nb src root;
           emit ~src:nd.id ~dst:src (Repair_ack { root = nd.rp_root })
         end
     | Repair_ack { root } ->
         if !repair_mode then begin
-          Hashtbl.replace nd.rp_nb src root;
-          Hashtbl.remove nd.rp_waiting src
+          Itbl.replace nd.rp_nb src root;
+          Itbl.remove nd.rp_waiting src
         end
     | Repair_report { edge } ->
         if !repair_mode then begin
@@ -732,12 +824,12 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
           | _ ->
               nd.rp_best <- Some (edge, -1);
               nd.rp_best_from <- src);
-          Hashtbl.remove nd.rp_cv_waiting src;
+          Itbl.remove nd.rp_cv_waiting src;
           rp_maybe_forward nd
         end
     | Repair_none ->
         if !repair_mode then begin
-          Hashtbl.remove nd.rp_cv_waiting src;
+          Itbl.remove nd.rp_cv_waiting src;
           rp_maybe_forward nd
         end
     | Repair_on_path -> if !repair_mode then rp_start_wave nd
@@ -768,7 +860,7 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
       let waiting_on =
         List.sort_uniq compare (probes ())
         |> List.filter (fun (v, w) ->
-               w >= 0 && not (Hashtbl.mem nodes.(v).nb_dead w))
+               w >= 0 && not (is_dead nodes.(v) w))
       in
       (* A phase with no probe set (notify: a pure transport drain)
          still names the culprits: the ARQ links that never fell idle
@@ -797,7 +889,7 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
         let targets =
           List.sort_uniq compare (probes ())
           |> List.filter (fun (v, w) ->
-                 w >= 0 && not (Hashtbl.mem nodes.(v).nb_dead w))
+                 w >= 0 && not (is_dead nodes.(v) w))
         in
         if targets = [] then stuck ();
         List.iter (fun (v, w) -> emit ~src:v ~dst:w Probe) targets
@@ -822,43 +914,26 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
     (* Phase 1: exchange cluster identities over live links. *)
     Array.iter
       (fun nd ->
-        if nd.alive then begin
-          nd.nb_cl <- Hashtbl.create 8;
-          nd.ex_waiting <- Hashtbl.create 8;
-          nd.deciding <- false;
-          nd.cv_waiting <- Hashtbl.create 4;
-          nd.report_sent <- false;
-          nd.best <- None;
-          nd.best_peer <- -1;
-          nd.best_from <- -1;
-          nd.wave_done <- false;
-          nd.is_dying <- false;
-          nd.die_queue <- Queue.create ();
-          nd.die_sent <- Hashtbl.create 4;
-          nd.die_waiting <- Hashtbl.create 4;
-          nd.die_done_sent <- false;
-          nd.fin_queue <- Queue.create ();
-          nd.fin_src_done <- false;
-          nd.fin_done_sent <- false;
-          nd.fin_aborting <- false
-        end)
+        if nd.alive then reset_call_scratch nd)
       nodes;
     Array.iter
       (fun nd ->
-        if is_live nd then
-          Hashtbl.iter
-            (fun w _ ->
-              if not (Hashtbl.mem nd.nb_dead w) then begin
-                Hashtbl.replace nd.ex_waiting w ();
-                emit ~src:nd.id ~dst:w
-                  (Exchange { cl = nd.cl_center; fu = nd.cl_fu })
+        if is_live nd then begin
+          let m = Exchange { cl = nd.cl_center; fu = nd.cl_fu } in
+          iter_nb nd (fun i w _ ->
+              if not nd.nb_dead.(i) then begin
+                if not nd.ex_waiting.(i) then begin
+                  nd.ex_waiting.(i) <- true;
+                  nd.ex_pending <- nd.ex_pending + 1
+                end;
+                emit ~src:nd.id ~dst:w m
               end)
-            nd.nb_edge)
+        end)
       nodes;
     run_phase "exchange"
       ~complete:(fun () ->
         Array.for_all
-          (fun nd -> (not (is_live nd)) || Hashtbl.length nd.ex_waiting = 0)
+          (fun nd -> (not (is_live nd)) || nd.ex_pending = 0)
           nodes)
       ~probes:(fun () ->
         (* Self-resolving (every awaited peer was also sent to), but a
@@ -867,7 +942,9 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
         Array.to_list nodes
         |> List.concat_map (fun nd ->
                if is_live nd then
-                 Hashtbl.fold (fun w () acc -> (nd.id, w) :: acc) nd.ex_waiting []
+                 Array.to_list nd.nb
+                 |> List.filteri (fun i _ -> nd.ex_waiting.(i))
+                 |> List.map (fun w -> (nd.id, w))
                else []))
       ();
     (* The exchange boundary is the recovery point: what a node knows
@@ -889,10 +966,10 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
       (fun nd ->
         if is_live nd && nd.cl_fu <= k then begin
           nd.deciding <- true;
-          Hashtbl.iter
+          Itbl.iter
             (fun w (cl, fu) ->
               if cl <> nd.cl_center && fu > k then begin
-                let e = Hashtbl.find nd.nb_edge w in
+                let e = edge_to nd w in
                 match nd.best with
                 | Some (e', _, _) when e' <= e -> ()
                 | _ ->
@@ -902,7 +979,7 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
               end)
             nd.nb_cl;
           List.iter
-            (fun c -> Hashtbl.replace nd.cv_waiting c ())
+            (fun c -> Itbl.replace nd.cv_waiting c ())
             nd.p1_children
         end)
       nodes;
@@ -912,15 +989,15 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
         Array.for_all
           (fun nd ->
             (not (is_live nd)) || (not nd.deciding)
-            || (Hashtbl.length nd.cv_waiting = 0
+            || (Itbl.length nd.cv_waiting = 0
                && (nd.p1 < 0 || nd.report_sent
-                  || Hashtbl.mem nd.nb_dead nd.p1)))
+                  || is_dead nd nd.p1)))
           nodes)
       ~probes:(fun () ->
         Array.to_list nodes
         |> List.concat_map (fun nd ->
                if is_live nd && nd.deciding then
-                 Hashtbl.fold (fun w () acc -> (nd.id, w) :: acc) nd.cv_waiting []
+                 Itbl.fold (fun w () acc -> (nd.id, w) :: acc) nd.cv_waiting []
                else []))
       ();
     (* The deciding centers, snapshotted before the wave can rewrite
@@ -948,7 +1025,7 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
     Array.iter
       (fun nd ->
         if is_live nd && nd.deciding && nd.p1 < 0 then begin
-          if Hashtbl.length nd.cv_waiting <> 0 then
+          if Itbl.length nd.cv_waiting <> 0 then
             failwith "Skeleton_dist: convergecast incomplete at decision time";
           match nd.best with
           | Some _ -> start_wave nd
@@ -981,7 +1058,7 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
     List.iter
       (fun (src, dst, m) ->
         let nd = nodes.(src) in
-        if is_live nd && not (Hashtbl.mem nd.nb_dead dst) then
+        if is_live nd && not (is_dead nd dst) then
           emit ~src ~dst m)
       (List.rev !notifications);
     notifications := [];
@@ -991,25 +1068,25 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
     Array.iter
       (fun nd ->
         if is_live nd && nd.is_dying then begin
-          List.iter (fun c -> Hashtbl.replace nd.die_waiting c ()) nd.p1_children;
+          List.iter (fun c -> Itbl.replace nd.die_waiting c ()) nd.p1_children;
           if nd.p1 < 0 then begin
-            center_best.(nd.id) <- Hashtbl.create 16;
+            center_best.(nd.id) <- Itbl.create 16;
             (* The center's own incidences go straight into the merge. *)
-            Hashtbl.iter
+            Itbl.iter
               (fun w (cl, _) ->
                 if cl <> nd.cl_center then begin
-                  let e = Hashtbl.find nd.nb_edge w in
-                  match Hashtbl.find_opt center_best.(nd.id) cl with
+                  let e = edge_to nd w in
+                  match Itbl.find_opt center_best.(nd.id) cl with
                   | Some e' when e' <= e -> ()
-                  | _ -> Hashtbl.replace center_best.(nd.id) cl e
+                  | _ -> Itbl.replace center_best.(nd.id) cl e
                 end)
               nd.nb_cl
           end
           else
-            Hashtbl.iter
+            Itbl.iter
               (fun w (cl, _) ->
                 if cl <> nd.cl_center then
-                  die_offer nd (cl, Hashtbl.find nd.nb_edge w))
+                  die_offer nd (cl, edge_to nd w))
               nd.nb_cl
         end)
       nodes;
@@ -1018,7 +1095,7 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
         Array.for_all
           (fun nd ->
             (not (is_live nd)) || (not nd.is_dying)
-            || Hashtbl.length nd.die_waiting = 0
+            || Itbl.length nd.die_waiting = 0
                && (nd.p1 < 0 || nd.die_done_sent))
           nodes)
       ~tick:(fun () ->
@@ -1027,7 +1104,7 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
             if
               is_live nd && nd.is_dying && nd.p1 >= 0
               && (not nd.die_done_sent)
-              && (not (Hashtbl.mem nd.nb_dead nd.p1))
+              && (not (is_dead nd nd.p1))
               && !link_idle_ref nd.id nd.p1
             then begin
               let batch = ref [] in
@@ -1037,7 +1114,7 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
                 incr count
               done;
               let finished =
-                Hashtbl.length nd.die_waiting = 0 && Queue.is_empty nd.die_queue
+                Itbl.length nd.die_waiting = 0 && Queue.is_empty nd.die_queue
               in
               if !batch <> [] || finished then begin
                 emit ~src:nd.id ~dst:nd.p1
@@ -1050,7 +1127,7 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
         Array.to_list nodes
         |> List.concat_map (fun nd ->
                if is_live nd && nd.is_dying then
-                 Hashtbl.fold (fun w () acc -> (nd.id, w) :: acc) nd.die_waiting []
+                 Itbl.fold (fun w () acc -> (nd.id, w) :: acc) nd.die_waiting []
                else []))
       ();
     (* Phase 5: centers resolve — abort or broadcast the chosen edges. *)
@@ -1058,20 +1135,20 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
       (fun nd ->
         if is_live nd && nd.is_dying && nd.p1 < 0 then begin
           let best = center_best.(nd.id) in
-          if Hashtbl.length best > call.Plan.abort_q then begin
+          if Itbl.length best > call.Plan.abort_q then begin
             incr aborts;
             nd.fin_aborting <- true;
             kept_all.(nd.id) <- true;
             (* The center keeps its own crossing edges too. *)
-            Hashtbl.iter
+            Itbl.iter
               (fun w (cl, _) ->
                 if cl <> nd.cl_center then
-                  keep ~who:nd.id (Hashtbl.find nd.nb_edge w))
+                  keep ~who:nd.id (edge_to nd w))
               nd.nb_cl;
             nd.fin_src_done <- true
           end
           else begin
-            Hashtbl.iter
+            Itbl.iter
               (fun _ e ->
                 let u, v = Graph.edge_endpoints g e in
                 if u = nd.id || v = nd.id then keep ~who:nd.id e;
@@ -1162,10 +1239,8 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
           (* A node cannot know a neighbor died in this very call, so
              simultaneous deaths cost one wasted notice per link — the
              real protocol pays the same. *)
-          Hashtbl.iter
-            (fun w _ ->
-              if not (Hashtbl.mem nd.nb_dead w) then emit ~src:nd.id ~dst:w Dead)
-            nd.nb_edge)
+          iter_nb nd (fun i w _ ->
+              if not nd.nb_dead.(i) then emit ~src:nd.id ~dst:w Dead))
         !newly_dead;
       run_phase "death-notices"
         ~complete:(fun () -> !idle_ref ())
@@ -1230,9 +1305,9 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
     (* 2. Roots: live nodes whose hook to their parent is unusable.
        Hook-edge ids are snapshotted first — re-rooting rewrites
        [parent_edge]. *)
-    let hook_edges = Hashtbl.create 16 in
+    let hook_edges = Itbl.create 16 in
     for v = 0 to n - 1 do
-      if live v && parent.(v) >= 0 then Hashtbl.replace hook_edges parent_edge.(v) ()
+      if live v && parent.(v) >= 0 then Itbl.replace hook_edges parent_edge.(v) ()
     done;
     let roots = ref [] in
     for v = 0 to n - 1 do
@@ -1283,14 +1358,12 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
     let substitute v =
       let nd = nodes.(v) in
       let best = ref (-1) in
-      Hashtbl.iter
-        (fun w e ->
+      iter_nb nd (fun _ w e ->
           if
             live w && edge_up e
             && (not (Edge_set.mem spanner e))
             && (!best < 0 || e < !best)
-          then best := e)
-        nd.nb_edge;
+          then best := e);
       if !best >= 0 then begin
         calls_alive.(v) <- calls_alive.(v) + 1;
         keep ~who:v !best;
@@ -1299,7 +1372,7 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
     in
     List.iter
       (fun e ->
-        if not (Hashtbl.mem hook_edges e) then begin
+        if not (Itbl.mem hook_edges e) then begin
           let u, v = Graph.edge_endpoints g e in
           if live u && live v then begin
             substitute u;
@@ -1313,9 +1386,8 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
     Array.iter
       (fun nd ->
         if live nd.id then
-          Hashtbl.iter
-            (fun w e -> if live w && edge_up e then Hashtbl.remove nd.nb_dead w)
-            nd.nb_edge)
+          iter_nb nd (fun i w e ->
+              if live w && edge_up e then nd.nb_dead.(i) <- false))
       nodes;
     repair_mode := true;
     (* Rebuild the repair forest from the witness labels (protocol
@@ -1327,9 +1399,9 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
           nd.rp_root <- -1;
           nd.rp_parent <- -1;
           nd.rp_children <- [];
-          nd.rp_nb <- Hashtbl.create 4;
-          nd.rp_waiting <- Hashtbl.create 4;
-          nd.rp_cv_waiting <- Hashtbl.create 4;
+          Itbl.reset nd.rp_nb;
+          Itbl.reset nd.rp_waiting;
+          Itbl.reset nd.rp_cv_waiting;
           nd.rp_report_sent <- false;
           nd.rp_best <- None;
           nd.rp_best_from <- -1)
@@ -1371,25 +1443,23 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
       List.iter
         (fun v ->
           let nd = nodes.(v) in
-          Hashtbl.iter
-            (fun w e ->
+          iter_nb nd (fun _ w e ->
               if live w && edge_up e then begin
-                Hashtbl.replace nd.rp_waiting w ();
+                Itbl.replace nd.rp_waiting w ();
                 emit ~src:v ~dst:w (Repair_id { root = nd.rp_root })
-              end)
-            nd.nb_edge)
+              end))
         members;
       run_phase "repair-exchange"
         ~complete:(fun () ->
           List.for_all
             (fun v ->
-              (not (live v)) || Hashtbl.length nodes.(v).rp_waiting = 0)
+              (not (live v)) || Itbl.length nodes.(v).rp_waiting = 0)
             members)
         ~probes:(fun () ->
           List.concat_map
             (fun v ->
               if live v then
-                Hashtbl.fold
+                Itbl.fold
                   (fun w () acc -> (v, w) :: acc)
                   nodes.(v).rp_waiting []
               else [])
@@ -1401,11 +1471,11 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
       List.iter
         (fun v ->
           let nd = nodes.(v) in
-          Hashtbl.iter
+          Itbl.iter
             (fun w root_w ->
               if root_w <> nd.rp_root && (root_w < 0 || root_w < nd.rp_root)
               then begin
-                let e = Hashtbl.find nd.nb_edge w in
+                let e = edge_to nd w in
                 match nd.rp_best with
                 | Some (e', _) when e' <= e -> ()
                 | _ ->
@@ -1414,7 +1484,7 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
               end)
             nd.rp_nb;
           List.iter
-            (fun c -> Hashtbl.replace nd.rp_cv_waiting c ())
+            (fun c -> Itbl.replace nd.rp_cv_waiting c ())
             nd.rp_children)
         members;
       List.iter (fun v -> rp_maybe_forward nodes.(v)) members;
@@ -1425,14 +1495,14 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
               (not (live v))
               ||
               let nd = nodes.(v) in
-              Hashtbl.length nd.rp_cv_waiting = 0
+              Itbl.length nd.rp_cv_waiting = 0
               && (nd.rp_parent < 0 || nd.rp_report_sent))
             members)
         ~probes:(fun () ->
           List.concat_map
             (fun v ->
               if live v then
-                Hashtbl.fold
+                Itbl.fold
                   (fun w () acc -> (v, w) :: acc)
                   nodes.(v).rp_cv_waiting []
               else [])
@@ -1497,13 +1567,11 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
         comp.(v) <- v;
         while not (Queue.is_empty q) do
           let u = Queue.pop q in
-          Hashtbl.iter
-            (fun w e ->
+          iter_nb nodes.(u) (fun _ w e ->
               if live w && edge_up e && comp.(w) < 0 then begin
                 comp.(w) <- v;
                 Queue.add w q
               end)
-            nodes.(u).nb_edge
         done
       end
     done;
@@ -1610,31 +1678,14 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
       | None -> ());
       nd.alive <- false;
       nd.orphaned <- false;
-      nd.is_dying <- false;
       nd.p1_children <- [];
       nd.p2_children <- [];
-      Hashtbl.reset nd.nb_dead;
-      nd.nb_cl <- Hashtbl.create 4;
-      nd.ex_waiting <- Hashtbl.create 4;
-      nd.deciding <- false;
-      nd.cv_waiting <- Hashtbl.create 4;
-      nd.report_sent <- false;
-      nd.best <- None;
-      nd.best_peer <- -1;
-      nd.best_from <- -1;
-      nd.wave_done <- false;
-      nd.die_queue <- Queue.create ();
-      nd.die_sent <- Hashtbl.create 4;
-      nd.die_waiting <- Hashtbl.create 4;
-      nd.die_done_sent <- false;
-      nd.fin_queue <- Queue.create ();
-      nd.fin_src_done <- false;
-      nd.fin_done_sent <- false;
-      nd.fin_aborting <- false;
+      Array.fill nd.nb_dead 0 (Array.length nd.nb_dead) false;
+      reset_call_scratch nd;
       Graph.iter_neighbors g v (fun w _ ->
           R.reset_peer states.(w) ~round v;
           suspects_seen.(w) <- List.length (R.suspected states.(w));
-          if (not (proto_dead w)) && not (Hashtbl.mem nodes.(w).nb_dead v)
+          if (not (proto_dead w)) && not (is_dead nodes.(w) v)
           then on_suspect ~by:w v)
     in
     pump_ref :=

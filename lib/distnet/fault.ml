@@ -44,16 +44,14 @@ type action =
    within a round. *)
 type dynamics = {
   schedule : (int * action) list;
-  joins : (int, int) Hashtbl.t;  (* node -> first round it is present *)
   last_round : int;  (* latest scheduled round, 0 when static *)
 }
 
-let no_dynamics = { schedule = []; joins = Hashtbl.create 1; last_round = 0 }
+let no_dynamics = { schedule = []; last_round = 0 }
 
 let dynamics_of_churn churn =
   if churn = [] then no_dynamics
   else begin
-    let joins = Hashtbl.create 8 in
     let acts =
       List.concat_map
         (function
@@ -64,62 +62,88 @@ let dynamics_of_churn churn =
               match heal with
               | None -> [ cut ]
               | Some h -> [ cut; (h, Act_heal { links = edges }) ])
-          | Join { round; node } ->
-              Hashtbl.replace joins node round;
-              [ (round, Act_join node) ])
+          | Join { round; node } -> [ (round, Act_join node) ])
         churn
     in
     let schedule = List.stable_sort (fun (r, _) (r', _) -> compare r r') acts in
     let last_round = List.fold_left (fun acc (r, _) -> max acc r) 0 schedule in
-    { schedule; joins; last_round }
+    { schedule; last_round }
   end
 
-(* Scripted fates are keyed by (round, src, dst); the engine processes
-   at most one fresh message per directed edge per round, so the key is
-   unique. *)
-type script = { fates : (int * int * int, fate) Hashtbl.t }
+let joins_of_churn churn =
+  List.filter_map
+    (function Join { round; node } -> Some (node, round) | _ -> None)
+    churn
 
-type t =
-  | None_
+(* Per-node event rounds, dense by node id.  [crashed], [incarnation]
+   and [joined] run per message in the engine and per node per round
+   in the skeleton's ARQ pump, so they are two bounds checks and one
+   array read.  An id with no entry — beyond the array, negative, or
+   holding the sentinel — has no event: [never] for a crash or restart
+   (a round that never comes), [always] for a join (present from the
+   start).  The sorted schedules are derived from these arrays. *)
+let never = max_int
+let always = min_int
+
+type node_rounds = {
+  crash_at : int array;  (* earliest listed crash round *)
+  restart_at : int array;
+  join_at : int array;  (* first round the node is present *)
+}
+
+let no_node_rounds = { crash_at = [||]; restart_at = [||]; join_at = [||] }
+
+let round_at a ~absent v =
+  if v >= 0 && v < Array.length a then Array.unsafe_get a v else absent
+
+(* [(node, round)] entries into a dense array; [keep old r] decides
+   whether a repeated entry overrides the earlier one.  Negative ids
+   are dropped: they read as "no event" anyway. *)
+let dense ~absent ?(keep = fun _ _ -> true) entries =
+  let size = List.fold_left (fun acc (v, _) -> max acc (v + 1)) 0 entries in
+  let a = Array.make size absent in
+  List.iter
+    (fun (v, r) -> if v >= 0 && (a.(v) = absent || keep a.(v) r) then a.(v) <- r)
+    entries;
+  a
+
+let node_rounds ~crashes ~restarts ~joins =
+  {
+    crash_at = dense ~absent:never ~keep:(fun old r -> r < old) crashes;
+    restart_at = dense ~absent:never restarts;
+    join_at = dense ~absent:always joins;
+  }
+
+let schedule_of a ~absent =
+  let acc = ref [] in
+  for v = Array.length a - 1 downto 0 do
+    if a.(v) <> absent then acc := (a.(v), v) :: !acc
+  done;
+  List.stable_sort (fun (r, _) (r', _) -> compare r r') !acc
+
+type fates =
+  | No_faults
   | Random of {
       rng : Util.Prng.t;
       spec : spec;
       profile : (int * float) array;  (* sorted drop_profile, for search *)
-      crashed_at : (int, int) Hashtbl.t;
-      restarted_at : (int, int) Hashtbl.t;
-      dyn : dynamics;
     }
-  | Scripted of {
-      script : script;
-      crashed_at : (int, int) Hashtbl.t;
-      restarted_at : (int, int) Hashtbl.t;
-      dyn : dynamics;
-    }
+  | Scripted of (int * int * int, fate) Hashtbl.t
+      (* keyed by (round, src, dst): the engine processes at most one
+         fresh message per directed edge per round, so the key is
+         unique *)
 
-let none = None_
-let is_none = function None_ -> true | _ -> false
+type t = { fates : fates; nodes : node_rounds; dyn : dynamics }
 
-let crash_table crashes =
-  let tbl = Hashtbl.create 8 in
-  List.iter
-    (fun (v, r) ->
-      match Hashtbl.find_opt tbl v with
-      | Some r' when r' <= r -> ()
-      | _ -> Hashtbl.replace tbl v r)
-    crashes;
-  tbl
-
-let restart_table restarts =
-  let tbl = Hashtbl.create 8 in
-  List.iter (fun (v, r) -> Hashtbl.replace tbl v r) restarts;
-  tbl
+let none = { fates = No_faults; nodes = no_node_rounds; dyn = no_dynamics }
+let is_none t = match t.fates with No_faults -> true | _ -> false
 
 (* Restart rejections follow the churn discipline: every error names
    the offending event's index in the listed plan and the field at
    fault.  A restart is only meaningful for a node that crashed, and
    only strictly after its crash round — the node must have been down
    for at least one round for the incarnation to change. *)
-let validate_restarts ?graph ~crashed_at restarts =
+let validate_restarts ?graph ~crash_at restarts =
   let seen = Hashtbl.create 8 in
   List.iteri
     (fun i (v, r) ->
@@ -135,11 +159,11 @@ let validate_restarts ?graph ~crashed_at restarts =
           reject "node references vertex %d outside this %d-vertex graph" v
             (Graphlib.Graph.n g)
       | _ -> if v < 0 then reject "node references vertex %d" v);
-      (match Hashtbl.find_opt crashed_at v with
-      | None ->
+      (match round_at crash_at ~absent:never v with
+      | rc when rc = never ->
           reject "node %d has no crash entry (only crashed nodes can restart)"
             v
-      | Some rc ->
+      | rc ->
           if r <= rc then
             reject "restart round %d not after node %d's crash round %d" r v
               rc);
@@ -263,7 +287,10 @@ let make ~seed ?graph spec =
                "Fault.make: crash references vertex %d outside this %d-vertex \
                 graph"
                v (Graphlib.Graph.n g))
-      | _ -> ());
+      | _ ->
+          if v < 0 then
+            invalid_arg
+              (Printf.sprintf "Fault.make: crash references vertex %d" v));
       if Hashtbl.mem seen_crash v then
         invalid_arg
           (Printf.sprintf "Fault.make: duplicate crash entry for node %d" v);
@@ -271,17 +298,22 @@ let make ~seed ?graph spec =
     spec.crashes;
   validate_churn ?graph spec.churn;
   validate_drop_profile spec.drop_profile;
-  let crashed_at = crash_table spec.crashes in
-  validate_restarts ?graph ~crashed_at spec.restarts;
-  Random
-    {
-      rng = Util.Prng.create ~seed;
-      spec;
-      profile = Array.of_list spec.drop_profile;
-      crashed_at;
-      restarted_at = restart_table spec.restarts;
-      dyn = dynamics_of_churn spec.churn;
-    }
+  let nodes =
+    node_rounds ~crashes:spec.crashes ~restarts:spec.restarts
+      ~joins:(joins_of_churn spec.churn)
+  in
+  validate_restarts ?graph ~crash_at:nodes.crash_at spec.restarts;
+  {
+    fates =
+      Random
+        {
+          rng = Util.Prng.create ~seed;
+          spec;
+          profile = Array.of_list spec.drop_profile;
+        };
+    nodes;
+    dyn = dynamics_of_churn spec.churn;
+  }
 
 let scripted events =
   let fates = Hashtbl.create 256 in
@@ -327,13 +359,16 @@ let scripted events =
       | Trace.Heal ->
           ())
     events;
-  Scripted
-    {
-      script = { fates };
-      crashed_at = crash_table !crashes;
-      restarted_at = restart_table !restarts;
-      dyn = dynamics_of_churn (List.rev !rev_churn);
-    }
+  let churn = List.rev !rev_churn in
+  {
+    fates = Scripted fates;
+    nodes =
+      (* [restarts] is in reverse trace order and the last entry wins:
+         a node's first recorded restart is the one replayed. *)
+      node_rounds ~crashes:!crashes ~restarts:!restarts
+        ~joins:(joins_of_churn churn);
+    dyn = dynamics_of_churn churn;
+  }
 
 let churn_of_trace events =
   List.filter_map
@@ -348,13 +383,13 @@ let churn_of_trace events =
     events
 
 let fate t ~round ~src ~dst =
-  match t with
-  | None_ -> pass
-  | Scripted { script; _ } -> (
-      match Hashtbl.find_opt script.fates (round, src, dst) with
+  match t.fates with
+  | No_faults -> pass
+  | Scripted fates -> (
+      match Hashtbl.find_opt fates (round, src, dst) with
       | Some f -> f
       | None -> pass)
-  | Random { rng; spec; profile; _ } ->
+  | Random { rng; spec; profile } ->
       (* Fixed draw order, one decision chain per message: the engine
          calls this exactly once per processed message in deterministic
          order, which keeps randomized runs reproducible from the seed. *)
@@ -381,74 +416,27 @@ let fate t ~round ~src ~dst =
         in
         if dup || delay > 0 then Pass { dup; delay } else pass
 
-let crashed_table = function
-  | None_ -> None
-  | Random { crashed_at; _ } | Scripted { crashed_at; _ } -> Some crashed_at
-
-let restarted_table = function
-  | None_ -> None
-  | Random { restarted_at; _ } | Scripted { restarted_at; _ } ->
-      Some restarted_at
-
-(* [crashed] and [incarnation] run per node per round and per message,
-   so they match on the plan and look up without boxing an option: a
-   missing entry reads as a round that never comes. *)
-let round_of tbl v =
-  match Hashtbl.find tbl v with r -> r | exception Not_found -> max_int
-
 (* Crash-recovery: a node is down on the half-open interval
    [crash_round, restart_round); without a restart entry the crash is
    permanent (crash-stop, the pre-existing semantics). *)
 let crashed t ~round v =
-  match t with
-  | None_ -> false
-  | Random { crashed_at; restarted_at; _ }
-  | Scripted { crashed_at; restarted_at; _ } ->
-      round >= round_of crashed_at v && round < round_of restarted_at v
+  round >= round_at t.nodes.crash_at ~absent:never v
+  && round < round_at t.nodes.restart_at ~absent:never v
 
 let incarnation t ~round v =
-  match t with
-  | None_ -> 0
-  | Random { restarted_at; _ } | Scripted { restarted_at; _ } ->
-      if round >= round_of restarted_at v then 1 else 0
+  if round >= round_at t.nodes.restart_at ~absent:never v then 1 else 0
 
-let crash_schedule t =
-  match crashed_table t with
-  | None -> []
-  | Some tbl ->
-      Hashtbl.fold (fun v r acc -> (r, v) :: acc) tbl []
-      |> List.sort compare
-
-let restart_schedule t =
-  match restarted_table t with
-  | None -> []
-  | Some tbl ->
-      Hashtbl.fold (fun v r acc -> (r, v) :: acc) tbl []
-      |> List.sort compare
-
-let has_restarts t =
-  match restarted_table t with
-  | None -> false
-  | Some tbl -> Hashtbl.length tbl > 0
+let joined t ~round v = round >= round_at t.nodes.join_at ~absent:always v
+let crash_schedule t = schedule_of t.nodes.crash_at ~absent:never
+let restart_schedule t = schedule_of t.nodes.restart_at ~absent:never
+let join_schedule t = schedule_of t.nodes.join_at ~absent:always
+let has_restarts t = Array.exists (fun r -> r <> never) t.nodes.restart_at
 
 let last_restart_round t =
-  match restarted_table t with
-  | None -> 0
-  | Some tbl -> Hashtbl.fold (fun _ r acc -> max acc r) tbl 0
+  Array.fold_left
+    (fun acc r -> if r <> never then max acc r else acc)
+    0 t.nodes.restart_at
 
-let dynamics = function
-  | None_ -> no_dynamics
-  | Random { dyn; _ } | Scripted { dyn; _ } -> dyn
-
-let churn_schedule t = (dynamics t).schedule
-let has_churn t = (dynamics t).schedule <> []
-let last_churn_round t = (dynamics t).last_round
-
-let join_schedule t =
-  Hashtbl.fold (fun v r acc -> (r, v) :: acc) (dynamics t).joins []
-  |> List.sort compare
-
-let joined t ~round v =
-  match Hashtbl.find_opt (dynamics t).joins v with
-  | None -> true
-  | Some r -> round >= r
+let churn_schedule t = t.dyn.schedule
+let has_churn t = t.dyn.schedule <> []
+let last_churn_round t = t.dyn.last_round

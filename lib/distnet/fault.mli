@@ -84,8 +84,8 @@ val make : seed:int -> ?graph:Graphlib.Graph.t -> spec -> t
     fresh [Util.Prng] stream.  When [graph] is given, every vertex and
     edge the crash/churn schedules reference is checked against it.
     @raise Invalid_argument if a rate is outside [0,1], [max_delay < 1]
-    while [delay > 0], a crash round is negative, the same node has two
-    crash entries, a churn event references a negative round or (given
+    while [delay > 0], a crash round or crash node is negative, the
+    same node has two crash entries, a churn event references a negative round or (given
     [graph]) a vertex or edge the graph does not have, a partition is
     empty or heals no later than it starts, a node has two join
     entries or a join round [< 1], a restart names a node without a
@@ -126,7 +126,12 @@ val fate : t -> round:int -> src:int -> dst:int -> fate
 val crashed : t -> round:int -> int -> bool
 (** [crashed t ~round v]: is [v] down at [round]?  True on the
     half-open interval [crash_round, restart_round) — or from the crash
-    round on forever when the node has no restart entry. *)
+    round on forever when the node has no restart entry.
+
+    This, {!incarnation} and {!joined} read per-node arrays: no hashing
+    and no allocation.  An id the plan does not list — including one
+    beyond the largest listed id, or a negative one — has no event:
+    never crashed, incarnation [0], joined. *)
 
 val incarnation : t -> round:int -> int -> int
 (** [incarnation t ~round v]: the incarnation of [v] current at

@@ -11,21 +11,83 @@ let pp_stats ppf s =
   Format.fprintf ppf "rounds=%d messages=%d words=%d max_msg=%d words" s.rounds
     s.messages s.words s.max_message_words
 
-(* [span] is the causal span opened at send time (-1 when span
-   recording is off); a delayed or duplicated copy keeps the id of the
-   original transmission.  [inc_src]/[inc_dst] stamp the incarnations
-   of both endpoints as of the send round: delivery discards the
-   message if either endpoint has since moved to a new incarnation
-   (both are 0 under restart-free plans). *)
+(* A message a [Delay] fate holds back: the one case that builds a
+   record per transmission.  [span] is the causal span opened at send
+   time (-1 when span recording is off); a delayed or duplicated copy
+   keeps the id of the original transmission.  [inc_src]/[inc_dst]
+   stamp the incarnations of both endpoints as of the send round:
+   delivery discards the message if either endpoint has since moved to
+   a new incarnation (both are 0 under restart-free plans). *)
 type 'msg envelope = {
   src : int;
   dst : int;
+  slot : int;
   words : int;
   span : int;
   inc_src : int;
   inc_dst : int;
   payload : 'msg;
 }
+
+(* One round's sends, struct-of-arrays: entry [i] of every array is
+   the [i]-th send, in send order, with the fields of an envelope.
+   The engine keeps two and swaps them at each [step], so a batch
+   being delivered and the sends its callbacks make never share a
+   buffer.  A batch holds at most one send per directed link, so both
+   are allocated once, with room for all 2m links.  [spans] and the
+   incarnation stamps are empty unless the engine records them. *)
+type 'msg batch = {
+  mutable len : int;
+  srcs : int array;
+  dsts : int array;
+  slots : int array;
+  lens : int array;  (** words *)
+  spans : int array;
+  incs_src : int array;
+  incs_dst : int array;
+  payloads : 'msg array;
+}
+
+(* Unused and delivered payload slots hold this immediate, so a batch
+   keeps no message alive.  It is never read back as a ['msg]: reads
+   stop at [len], and a slot is cleared only after its entry was read.
+   Being an immediate, it makes [Array.make] build an ordinary block
+   even when ['msg] is [float], and every access here is at the
+   abstract ['msg], i.e. through the generic array primitives. *)
+let vacant () : 'msg = Obj.magic 0
+
+let batch ~links ~spans ~incarnations =
+  let ints n = Array.make n 0 in
+  let opt on = ints (if on then links else 0) in
+  {
+    len = 0;
+    srcs = ints links;
+    dsts = ints links;
+    slots = ints links;
+    lens = ints links;
+    spans = opt spans;
+    incs_src = opt incarnations;
+    incs_dst = opt incarnations;
+    payloads = Array.make links (vacant ());
+  }
+
+let push b ~src ~dst ~slot ~words ~span ~inc_src ~inc_dst payload =
+  let i = b.len in
+  b.srcs.(i) <- src;
+  b.dsts.(i) <- dst;
+  b.slots.(i) <- slot;
+  b.lens.(i) <- words;
+  if Array.length b.spans > 0 then b.spans.(i) <- span;
+  if Array.length b.incs_src > 0 then begin
+    b.incs_src.(i) <- inc_src;
+    b.incs_dst.(i) <- inc_dst
+  end;
+  b.payloads.(i) <- payload;
+  b.len <- i + 1
+
+(* An optional field of entry [i], or its value when not recorded: -1
+   for a span id, 0 for an incarnation. *)
+let opt_at a i ~absent = if Array.length a > 0 then a.(i) else absent
 
 exception Link_down of { round : int; src : int; dst : int }
 
@@ -39,10 +101,6 @@ let () =
 
 type 'msg t = {
   g : Graph.t;
-  (* Directed-link slots: edge e gives slot 2e for (u -> v) and 2e+1
-     for (v -> u), with u < v.  [link] resolves (src, dst) to a slot in
-     O(1) via a per-source hashtable built once. *)
-  link : (int, int) Hashtbl.t;
   last_sent : int array;  (** per slot: round counter of the last send *)
   faults : Fault.t;
   tracer : Trace.t option;
@@ -63,7 +121,10 @@ type 'msg t = {
   mutable pending_crashes : (int * int) list;
   mutable pending_restarts : (int * int) list;
   mutable epoch : int;
-  mutable outbox : 'msg envelope list;
+  (* [outbox] takes this round's sends; [spare] is the other buffer,
+     empty between steps. *)
+  mutable outbox : 'msg batch;
+  mutable spare : 'msg batch;
   mutable rounds : int;
   mutable messages : int;
   mutable words : int;
@@ -90,22 +151,24 @@ type 'msg t = {
   prof : Obs.Prof.t;
 }
 
-let key ~n src dst = (src * n) + dst
-
 let trace t ~round kind ~src ~dst ~words =
   match t.tracer with
   | None -> ()
   | Some tr -> Trace.record tr { Trace.round; kind; src; dst; words }
 
-let edge_of_link t u v =
-  match Hashtbl.find_opt t.link (key ~n:(Graph.n t.g) u v) with
-  | Some slot -> slot / 2
-  | None ->
-      invalid_arg
-        (Printf.sprintf "Sim: churn references edge %d-%d not in the graph" u v)
+(* Directed-link slots: edge e gives slot 2e for (u -> v) and 2e+1 for
+   (v -> u), with u < v; -1 when [src]-[dst] is not a link (either end
+   out of range included).  Resolved on the graph's CSR rows. *)
+let slot_of t ~src ~dst =
+  let e = Graph.edge_id t.g src dst in
+  if e < 0 then -1 else if src < dst then 2 * e else (2 * e) + 1
 
 let flip_link t ~round ~up (u, v) =
-  t.edge_alive.(edge_of_link t u v) <- up;
+  let e = Graph.edge_id t.g u v in
+  if e < 0 then
+    invalid_arg
+      (Printf.sprintf "Sim: churn references edge %d-%d not in the graph" u v);
+  t.edge_alive.(e) <- up;
   trace t ~round
     (if up then Trace.Edge_up else Trace.Edge_down)
     ~src:u ~dst:v ~words:0
@@ -139,15 +202,13 @@ let apply_churn t ~round =
 
 let create ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
     ?(spans = Obs.Span.disabled) g =
-  let n = Graph.n g in
-  let link = Hashtbl.create (4 * Graph.m g) in
-  Graph.iter_edges g (fun e u v ->
-      Hashtbl.replace link (key ~n u v) (2 * e);
-      Hashtbl.replace link (key ~n v u) ((2 * e) + 1));
+  let buffer () =
+    batch ~links:(2 * Graph.m g) ~spans:(Obs.Span.enabled spans)
+      ~incarnations:(Fault.has_restarts faults)
+  in
   let t =
     {
       g;
-      link;
       last_sent = Array.make (Stdlib.max 1 (2 * Graph.m g)) (-1);
       faults;
       tracer;
@@ -160,7 +221,8 @@ let create ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
       pending_crashes = Fault.crash_schedule faults;
       pending_restarts = Fault.restart_schedule faults;
       epoch = 0;
-      outbox = [];
+      outbox = buffer ();
+      spare = buffer ();
       rounds = 0;
       messages = 0;
       words = 0;
@@ -189,90 +251,96 @@ let edge_up t e =
   t.edge_alive.(e)
 
 let link_up t ~src ~dst =
-  match Hashtbl.find_opt t.link (key ~n:(Graph.n t.g) src dst) with
-  | Some slot -> t.edge_alive.(slot / 2)
-  | None ->
-      invalid_arg
-        (Printf.sprintf "Sim.link_up: %d -> %d is not a network link" src dst)
+  let slot = slot_of t ~src ~dst in
+  if slot < 0 then
+    invalid_arg
+      (Printf.sprintf "Sim.link_up: %d -> %d is not a network link" src dst);
+  t.edge_alive.(slot / 2)
 
 let joined t v = Fault.joined t.faults ~round:t.rounds v
 
 let send t ~src ~dst ~words payload =
   if words < 1 then invalid_arg "Sim.send: words must be >= 1";
-  match Hashtbl.find_opt t.link (key ~n:(Graph.n t.g) src dst) with
-  | None ->
+  let slot = slot_of t ~src ~dst in
+  if slot < 0 then
+    invalid_arg
+      (Printf.sprintf "Sim.send: round %d: %d -> %d is not a network link"
+         t.rounds src dst);
+  if Fault.crashed t.faults ~round:t.rounds src then
+    (* A crashed node cannot put anything on the wire; the refusal is
+       silent so fault-oblivious drivers need no special case. *)
+    trace t ~round:t.rounds (Trace.Drop Trace.Src_crashed) ~src ~dst ~words
+  else if t.dynamic && not (Fault.joined t.faults ~round:t.rounds src) then
+    (* Likewise a node that has not joined yet. *)
+    trace t ~round:t.rounds (Trace.Drop Trace.Not_joined) ~src ~dst ~words
+  else if t.dynamic && not t.edge_alive.(slot / 2) then
+    (* Unlike a crash, a down link is visible to the sender (its NIC
+       reports no carrier), so the refusal is loud: churn-aware callers
+       check {!link_up} first and treat down as loss. *)
+    raise (Link_down { round = t.rounds; src; dst })
+  else begin
+    if t.last_sent.(slot) = t.epoch then
       invalid_arg
-        (Printf.sprintf "Sim.send: round %d: %d -> %d is not a network link"
-           t.rounds src dst)
-  | Some slot ->
-      if Fault.crashed t.faults ~round:t.rounds src then
-        (* A crashed node cannot put anything on the wire; the refusal
-           is silent so fault-oblivious drivers need no special case. *)
-        trace t ~round:t.rounds (Trace.Drop Trace.Src_crashed) ~src ~dst ~words
-      else if t.dynamic && not (Fault.joined t.faults ~round:t.rounds src) then
-        (* Likewise a node that has not joined yet. *)
-        trace t ~round:t.rounds (Trace.Drop Trace.Not_joined) ~src ~dst ~words
-      else if t.dynamic && not t.edge_alive.(slot / 2) then
-        (* Unlike a crash, a down link is visible to the sender (its
-           NIC reports no carrier), so the refusal is loud: churn-aware
-           callers check {!link_up} first and treat down as loss. *)
-        raise (Link_down { round = t.rounds; src; dst })
-      else begin
-        if t.last_sent.(slot) = t.epoch then
-          invalid_arg
-            (Printf.sprintf
-               "Sim.send: round %d: %d already sent to %d this round" t.rounds
-               src dst);
-        t.last_sent.(slot) <- t.epoch;
-        Obs.Prof.enter t.prof "sim_send";
-        trace t ~round:t.rounds Trace.Send ~src ~dst ~words;
-        if Obs.Metrics.enabled t.metrics then begin
-          let c =
-            match t.link_load.(slot) with
-            | Some c -> c
-            | None ->
-                let c =
-                  Obs.Metrics.counter t.metrics "link_words"
-                    ~labels:
-                      [ ("src", string_of_int src); ("dst", string_of_int dst) ]
-                in
-                t.link_load.(slot) <- Some c;
-                c
-          in
-          Obs.Metrics.add c words
-        end;
-        let span = Obs.Span.message t.spans ~round:t.rounds ~src ~dst ~words in
-        let inc_src, inc_dst =
-          if t.restarting then
-            ( Fault.incarnation t.faults ~round:t.rounds src,
-              Fault.incarnation t.faults ~round:t.rounds dst )
-          else (0, 0)
-        in
-        t.outbox <- { src; dst; words; span; inc_src; inc_dst; payload } :: t.outbox;
-        Obs.Prof.leave t.prof
-      end
+        (Printf.sprintf "Sim.send: round %d: %d already sent to %d this round"
+           t.rounds src dst);
+    t.last_sent.(slot) <- t.epoch;
+    Obs.Prof.enter t.prof "sim_send";
+    trace t ~round:t.rounds Trace.Send ~src ~dst ~words;
+    if Obs.Metrics.enabled t.metrics then begin
+      let c =
+        match t.link_load.(slot) with
+        | Some c -> c
+        | None ->
+            let c =
+              Obs.Metrics.counter t.metrics "link_words"
+                ~labels:[ ("src", string_of_int src); ("dst", string_of_int dst) ]
+            in
+            t.link_load.(slot) <- Some c;
+            c
+      in
+      Obs.Metrics.add c words
+    end;
+    let span = Obs.Span.message t.spans ~round:t.rounds ~src ~dst ~words in
+    let inc_src, inc_dst =
+      if t.restarting then
+        ( Fault.incarnation t.faults ~round:t.rounds src,
+          Fault.incarnation t.faults ~round:t.rounds dst )
+      else (0, 0)
+    in
+    push t.outbox ~src ~dst ~slot ~words ~span ~inc_src ~inc_dst payload;
+    Obs.Prof.leave t.prof
+  end
 
-let quiescent t = t.outbox = [] && t.delayed_count = 0
+let quiescent t = t.outbox.len = 0 && t.delayed_count = 0
 
 (* Every message (or duplicate copy) put on the wire is charged to the
    statistics at the step that processes it — delivered, lost, or held
    back alike: transmission is the cost the network pays.  With the
    loss-free plan this is exactly the seed engine's delivery-time
    accounting. *)
-let charge t (e : 'msg envelope) =
+let charge t words =
   t.messages <- t.messages + 1;
-  t.words <- t.words + e.words;
-  if e.words > t.max_message_words then t.max_message_words <- e.words;
-  if e.words > t.window_max then t.window_max <- e.words
+  t.words <- t.words + words;
+  if words > t.max_message_words then t.max_message_words <- words;
+  if words > t.window_max then t.window_max <- words
 
 let take_window_max t =
   let m = t.window_max in
   t.window_max <- 0;
   m
 
+(* Delivery order within a round: the held messages due now, in the
+   order they were held; then the batch in send order, a duplicate
+   right after its original.  [Fault.fate] is drawn once per batch
+   entry, in that order. *)
 let step t deliver =
-  let batch = List.rev t.outbox in
-  t.outbox <- [];
+  (* Close this round's batch before anything can raise: an aborted
+     step loses its batch rather than replaying it later. *)
+  let b = t.outbox in
+  let len = b.len in
+  b.len <- 0;
+  t.outbox <- t.spare;
+  t.spare <- b;
   t.epoch <- t.epoch + 1;
   t.rounds <- t.rounds + 1;
   let round = t.rounds in
@@ -297,29 +365,26 @@ let step t deliver =
   if t.dynamic then apply_churn t ~round;
   let count = ref 0 in
   let delivered_w = ref 0 and dropped_w = ref 0 and held_w = ref 0 in
-  let deliver_now (e : 'msg envelope) =
-    if Fault.crashed t.faults ~round e.dst then begin
-      dropped_w := !dropped_w + e.words;
-      trace t ~round (Trace.Drop Trace.Dst_crashed) ~src:e.src ~dst:e.dst
-        ~words:e.words;
-      Obs.Span.drop t.spans ~round ~reason:"dst-crashed" e.span
+  let deliver_now ~src ~dst ~slot ~words ~span ~inc_src ~inc_dst payload =
+    if Fault.crashed t.faults ~round dst then begin
+      dropped_w := !dropped_w + words;
+      trace t ~round (Trace.Drop Trace.Dst_crashed) ~src ~dst ~words;
+      Obs.Span.drop t.spans ~round ~reason:"dst-crashed" span
     end
-    else if t.dynamic && not t.edge_alive.(edge_of_link t e.src e.dst) then begin
-      dropped_w := !dropped_w + e.words;
-      trace t ~round (Trace.Drop Trace.Link_down) ~src:e.src ~dst:e.dst
-        ~words:e.words;
-      Obs.Span.drop t.spans ~round ~reason:"link-down" e.span
+    else if t.dynamic && not t.edge_alive.(slot / 2) then begin
+      dropped_w := !dropped_w + words;
+      trace t ~round (Trace.Drop Trace.Link_down) ~src ~dst ~words;
+      Obs.Span.drop t.spans ~round ~reason:"link-down" span
     end
-    else if t.dynamic && not (Fault.joined t.faults ~round e.dst) then begin
-      dropped_w := !dropped_w + e.words;
-      trace t ~round (Trace.Drop Trace.Not_joined) ~src:e.src ~dst:e.dst
-        ~words:e.words;
-      Obs.Span.drop t.spans ~round ~reason:"not-joined" e.span
+    else if t.dynamic && not (Fault.joined t.faults ~round dst) then begin
+      dropped_w := !dropped_w + words;
+      trace t ~round (Trace.Drop Trace.Not_joined) ~src ~dst ~words;
+      Obs.Span.drop t.spans ~round ~reason:"not-joined" span
     end
     else if
       t.restarting
-      && (Fault.incarnation t.faults ~round e.src <> e.inc_src
-         || Fault.incarnation t.faults ~round e.dst <> e.inc_dst)
+      && (Fault.incarnation t.faults ~round src <> inc_src
+         || Fault.incarnation t.faults ~round dst <> inc_dst)
     then begin
       (* The message crossed a crash/restart boundary in flight: it was
          sent by, or addressed to, an incarnation that is no longer
@@ -327,19 +392,18 @@ let step t deliver =
          traffic (and nobody should hear a ghost), so the engine
          discards it like a loss — but with its own reason, so replay
          and audit can tell them apart. *)
-      dropped_w := !dropped_w + e.words;
-      trace t ~round (Trace.Drop Trace.Stale) ~src:e.src ~dst:e.dst
-        ~words:e.words;
-      Obs.Span.drop t.spans ~round ~reason:"stale-incarnation" e.span
+      dropped_w := !dropped_w + words;
+      trace t ~round (Trace.Drop Trace.Stale) ~src ~dst ~words;
+      Obs.Span.drop t.spans ~round ~reason:"stale-incarnation" span
     end
     else begin
       incr count;
-      delivered_w := !delivered_w + e.words;
-      trace t ~round Trace.Deliver ~src:e.src ~dst:e.dst ~words:e.words;
+      delivered_w := !delivered_w + words;
+      trace t ~round Trace.Deliver ~src ~dst ~words;
       (* First delivery wins: a duplicate copy of an already delivered
          span leaves the span untouched. *)
-      Obs.Span.deliver t.spans ~round e.span;
-      deliver ~dst:e.dst ~src:e.src e.payload
+      Obs.Span.deliver t.spans ~round span;
+      deliver ~dst ~src payload
     end
   in
   let hold (e : 'msg envelope) ~until =
@@ -349,40 +413,49 @@ let step t deliver =
     t.delayed_count <- t.delayed_count + 1
   in
   Obs.Prof.enter t.prof "sim_deliver";
-  (* Held-back messages whose delay expires this round arrive first. *)
   (match Hashtbl.find_opt t.delayed round with
   | None -> ()
   | Some held ->
       Hashtbl.remove t.delayed round;
       let held = List.rev held in
       t.delayed_count <- t.delayed_count - List.length held;
-      List.iter deliver_now held);
-  List.iter
-    (fun (e : 'msg envelope) ->
-      match Fault.fate t.faults ~round ~src:e.src ~dst:e.dst with
-      | Fault.Lost ->
-          charge t e;
-          dropped_w := !dropped_w + e.words;
-          trace t ~round (Trace.Drop Trace.Loss) ~src:e.src ~dst:e.dst
-            ~words:e.words;
-          Obs.Span.drop t.spans ~round ~reason:"loss" e.span
-      | Fault.Pass { dup; delay } ->
-          charge t e;
-          if dup then begin
-            charge t e;
-            trace t ~round Trace.Dup ~src:e.src ~dst:e.dst ~words:e.words
-          end;
-          if delay > 0 then begin
-            trace t ~round (Trace.Delay delay) ~src:e.src ~dst:e.dst
-              ~words:e.words;
-            hold e ~until:(round + delay);
-            if dup then hold e ~until:(round + delay)
-          end
-          else begin
-            deliver_now e;
-            if dup then deliver_now e
-          end)
-    batch;
+      List.iter
+        (fun (e : 'msg envelope) ->
+          deliver_now ~src:e.src ~dst:e.dst ~slot:e.slot ~words:e.words
+            ~span:e.span ~inc_src:e.inc_src ~inc_dst:e.inc_dst e.payload)
+        held);
+  for i = 0 to len - 1 do
+    let src = b.srcs.(i) and dst = b.dsts.(i) and words = b.lens.(i) in
+    let payload = b.payloads.(i) in
+    b.payloads.(i) <- vacant ();
+    match Fault.fate t.faults ~round ~src ~dst with
+    | Fault.Lost ->
+        charge t words;
+        dropped_w := !dropped_w + words;
+        trace t ~round (Trace.Drop Trace.Loss) ~src ~dst ~words;
+        Obs.Span.drop t.spans ~round ~reason:"loss"
+          (opt_at b.spans i ~absent:(-1))
+    | Fault.Pass { dup; delay } ->
+        let slot = b.slots.(i) and span = opt_at b.spans i ~absent:(-1) in
+        let inc_src = opt_at b.incs_src i ~absent:0
+        and inc_dst = opt_at b.incs_dst i ~absent:0 in
+        charge t words;
+        if dup then begin
+          charge t words;
+          trace t ~round Trace.Dup ~src ~dst ~words
+        end;
+        if delay > 0 then begin
+          trace t ~round (Trace.Delay delay) ~src ~dst ~words;
+          let e = { src; dst; slot; words; span; inc_src; inc_dst; payload } in
+          hold e ~until:(round + delay);
+          if dup then hold e ~until:(round + delay)
+        end
+        else begin
+          deliver_now ~src ~dst ~slot ~words ~span ~inc_src ~inc_dst payload;
+          if dup then
+            deliver_now ~src ~dst ~slot ~words ~span ~inc_src ~inc_dst payload
+        end
+  done;
   Obs.Prof.leave t.prof;
   if Obs.Metrics.enabled t.metrics then begin
     Obs.Metrics.observe t.h_delivered !delivered_w;
@@ -404,16 +477,17 @@ let budget_exhausted t where =
   (* Like the send errors, the exception names the round and — when a
      message is still queued — the endpoints it was travelling between,
      so a stuck protocol is diagnosable from the message alone. *)
+  let b = t.outbox in
   let in_flight =
-    match t.outbox with
-    | { src; dst; _ } :: _ ->
-        Printf.sprintf ", %d in flight (head %d -> %d)"
-          (List.length t.outbox + t.delayed_count)
-          src dst
-    | [] ->
-        if t.delayed_count > 0 then
-          Printf.sprintf ", %d held back" t.delayed_count
-        else ""
+    if b.len > 0 then
+      (* The head is the latest send. *)
+      Printf.sprintf ", %d in flight (head %d -> %d)"
+        (b.len + t.delayed_count)
+        b.srcs.(b.len - 1)
+        b.dsts.(b.len - 1)
+    else if t.delayed_count > 0 then
+      Printf.sprintf ", %d held back" t.delayed_count
+    else ""
   in
   invalid_arg
     (Format.asprintf "%s: round %d: budget exhausted (%a)%s" where t.rounds

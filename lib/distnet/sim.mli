@@ -70,7 +70,9 @@ val create :
     behavior (deliveries, statistics, errors) is identical to the
     fault-free engine; [tracer] defaults to no recording.  Churn
     actions scheduled for round 0 are applied immediately, so they
-    constrain the protocol's initial sends.
+    constrain the protocol's initial sends.  The engine's two send
+    buffers are allocated here, with room for one message per
+    directed link.
 
     [metrics] (default {!Obs.Metrics.disabled}) records, per {!step},
     histograms [sim_round_delivered_words] / [sim_round_dropped_words]
@@ -97,7 +99,8 @@ val round : 'msg t -> int
     tracer read this instead of threading their own counter. *)
 
 val send : 'msg t -> src:int -> dst:int -> words:int -> 'msg -> unit
-(** Enqueue a message for delivery at the next {!step}.  If [src] has
+(** Enqueue a message for delivery at the next {!step}.  The link is
+    resolved on the graph's adjacency rows, in O(min degree).  If [src] has
     crash-stopped (or has not joined yet), the message is silently
     discarded (and traced as a drop) — a dead or absent node cannot
     put anything on the wire.
@@ -124,7 +127,16 @@ val step : 'msg t -> (dst:int -> src:int -> 'msg -> unit) -> int
     message under the fault plan, deliver the surviving ones (and any
     held-back message whose delay expires this round) through the
     callback in deterministic order, and return the number delivered.
-    Counts as one round even when nothing was queued. *)
+    Counts as one round even when nothing was queued.
+
+    The order: first the held-back messages due this round, in the
+    order they were held; then the messages queued for this round, in
+    send order, a duplicate right after its original.  The fate of
+    each queued message is drawn once, in that order.  A {!send} made
+    from inside the callback is queued for the next step; the callback
+    must not call [step] itself.  No message is allocated or hashed on
+    the way: queued messages live in two reusable buffers, swapped at
+    each step, and only a held-back message gets a record of its own. *)
 
 val quiescent : 'msg t -> bool
 (** No messages queued or held back for a later round. *)

@@ -94,22 +94,24 @@ let fold_neighbors t u ~init ~f =
   iter_neighbors t u (fun v e -> acc := f !acc v e);
   !acc
 
-let find_edge t a b =
-  if a < 0 || a >= t.n || b < 0 || b >= t.n || a = b then None
-  else begin
-    let a, b = if degree t a <= degree t b then (a, b) else (b, a) in
-    let found = ref None in
-    (try
-       iter_neighbors t a (fun v e ->
-           if v = b then begin
-             found := Some e;
-             raise Exit
-           end)
-     with Exit -> ());
-    !found
-  end
+(* Scan [a]'s CSR row for [b]: the joining edge id, or -1. *)
+let scan_row t a b =
+  let i = ref t.adj_off.(a) and stop = t.adj_off.(a + 1) in
+  while !i < stop && t.adj_v.(!i) <> b do
+    incr i
+  done;
+  if !i < stop then t.adj_e.(!i) else -1
 
-let mem_edge t a b = Option.is_some (find_edge t a b)
+let edge_id t a b =
+  if a < 0 || a >= t.n || b < 0 || b >= t.n || a = b then -1
+  else if degree t a <= degree t b then scan_row t a b
+  else scan_row t b a
+
+let find_edge t a b =
+  let e = edge_id t a b in
+  if e < 0 then None else Some e
+
+let mem_edge t a b = edge_id t a b >= 0
 
 let iter_edges t f =
   for e = 0 to m t - 1 do

@@ -48,9 +48,13 @@ val edge : t -> int -> edge
 val edge_endpoints : t -> int -> int * int
 (** [edge_endpoints g e] is [(u, v)] with [u < v]. *)
 
+val edge_id : t -> int -> int -> int
+(** Edge identifier joining two vertices, or [-1] when they are not
+    adjacent — including when either is out of range.  Scans the CSR
+    row of the lower-degree endpoint: O(min degree), no allocation. *)
+
 val find_edge : t -> int -> int -> int option
-(** Edge identifier joining two vertices, if present.  Runs in
-    O(min degree). *)
+(** {!edge_id} as an option. *)
 
 val mem_edge : t -> int -> int -> bool
 

@@ -20,7 +20,17 @@ let test_send_requires_link () =
   (* The diagnostic names the round and both endpoints. *)
   Alcotest.check_raises "non-neighbor rejected"
     (Invalid_argument "Sim.send: round 0: 0 -> 2 is not a network link")
-    (fun () -> Sim.send t ~src:0 ~dst:2 ~words:1 ())
+    (fun () -> Sim.send t ~src:0 ~dst:2 ~words:1 ());
+  (* Out-of-range endpoints are not links either, even where an
+     arithmetic key would map them onto one (on 0-1-2, -1 * 3 + 4 is
+     the key of 0 -> 1). *)
+  let t3 = Sim.create (Gen.path 3) in
+  Alcotest.check_raises "out-of-range send rejected"
+    (Invalid_argument "Sim.send: round 0: -1 -> 4 is not a network link")
+    (fun () -> Sim.send t3 ~src:(-1) ~dst:4 ~words:1 ());
+  Alcotest.check_raises "out-of-range link_up rejected"
+    (Invalid_argument "Sim.link_up: -1 -> 4 is not a network link")
+    (fun () -> ignore (Sim.link_up t3 ~src:(-1) ~dst:4))
 
 let test_send_one_per_edge_per_round () =
   let g = Gen.path 4 in
@@ -439,6 +449,140 @@ let test_budget_failure_reports_stats () =
       checkb "reports words" true (contains "words=10");
       checkb "reports in-flight endpoints" true (contains "in flight (head ")
 
+(* The engine's delivery-order contract, pinned under a scripted plan:
+   within a round, the held messages due now come first in the order
+   they were held, then the round's batch in send order, a duplicate
+   right after its original; a send made from inside the callback goes
+   out the next round. *)
+let test_delivery_order_contract () =
+  let g = Gen.path 4 in
+  let ev round kind src dst = { Trace.round; kind; src; dst; words = 1 } in
+  let faults =
+    Fault.scripted
+      [ ev 1 (Trace.Delay 2) 1 2; ev 1 Trace.Dup 2 3; ev 1 (Trace.Delay 2) 3 2 ]
+  in
+  let t = Sim.create ~faults g in
+  let log = ref [] in
+  let deliver ~dst ~src m =
+    log := Printf.sprintf "r%d %d->%d %s" (Sim.round t) src dst m :: !log;
+    match m with
+    | "a" -> Sim.send t ~src:dst ~dst:src ~words:1 "a'"
+    | "a'" -> Sim.send t ~src:dst ~dst:1 ~words:1 "f"
+    | _ -> ()
+  in
+  List.iter
+    (fun (src, dst, m) -> Sim.send t ~src ~dst ~words:1 m)
+    [ (0, 1, "a"); (1, 2, "b"); (2, 3, "c"); (3, 2, "d") ];
+  Sim.run_until_quiescent t deliver;
+  Alcotest.(check (list string))
+    "delivery sequence"
+    [
+      "r1 0->1 a";
+      "r1 2->3 c";
+      "r1 2->3 c";
+      "r2 1->0 a'";
+      "r3 1->2 b";
+      "r3 3->2 d";
+      "r3 0->1 f";
+    ]
+    (List.rev !log);
+  Alcotest.check stats_testable "every copy charged once"
+    { Sim.rounds = 3; messages = 7; words = 7; max_message_words = 1 }
+    (Sim.stats t)
+
+(* The budget failure's full text: the count covers queued and held
+   messages, and the head is the latest send. *)
+let test_budget_text_contract () =
+  let g = Gen.path 4 in
+  let faults =
+    Fault.scripted
+      [ { Trace.round = 1; kind = Trace.Delay 2; src = 0; dst = 1; words = 2 } ]
+  in
+  let t = Sim.create ~faults g in
+  let ignore_all ~dst:_ ~src:_ _ = () in
+  Sim.send t ~src:0 ~dst:1 ~words:2 "held";
+  ignore (Sim.step t ignore_all);
+  List.iter
+    (fun (src, dst) -> Sim.send t ~src ~dst ~words:1 "x")
+    [ (1, 2); (3, 2); (2, 1) ];
+  Alcotest.check_raises "queued + held, head = latest send"
+    (Invalid_argument
+       "Sim.run_until_quiescent: round 1: budget exhausted (rounds=1 \
+        messages=1 words=2 max_msg=2 words), 4 in flight (head 2 -> 1)")
+    (fun () -> Sim.run_until_quiescent ~max_rounds:0 t ignore_all);
+  ignore (Sim.step t ignore_all);
+  Alcotest.check_raises "held only"
+    (Invalid_argument
+       "Sim.run_until_quiescent: round 2: budget exhausted (rounds=2 \
+        messages=4 words=5 max_msg=2 words), 1 held back")
+    (fun () -> Sim.run_until_quiescent ~max_rounds:0 t ignore_all)
+
+(* [crashed], [incarnation] and [joined] agree with the schedules on
+   every listed node and round, and read "no event" — up, incarnation
+   0, joined — beyond the largest listed id and for negative ids. *)
+let prop_fault_node_queries_match_schedules =
+  QCheck.Test.make ~name:"node queries agree with the schedules" ~count:200
+    QCheck.(pair (int_range 1 40) small_nat)
+    (fun (n, seed) ->
+      let rng = Util.Prng.create ~seed in
+      let crashes = ref [] and restarts = ref [] and joins = ref [] in
+      for v = 0 to n - 1 do
+        if Util.Prng.bernoulli rng 0.3 then begin
+          let rc = Util.Prng.int rng 30 in
+          crashes := (v, rc) :: !crashes;
+          if Util.Prng.bernoulli rng 0.5 then
+            restarts := (v, rc + 1 + Util.Prng.int rng 20) :: !restarts
+        end;
+        if Util.Prng.bernoulli rng 0.2 then
+          joins := Fault.Join { round = 1 + Util.Prng.int rng 30; node = v } :: !joins
+      done;
+      let f =
+        Fault.make ~seed
+          {
+            Fault.default_spec with
+            Fault.crashes = !crashes;
+            restarts = !restarts;
+            churn = !joins;
+          }
+      in
+      let crash = Fault.crash_schedule f
+      and restart = Fault.restart_schedule f
+      and join = Fault.join_schedule f in
+      let swap = List.map (fun (v, r) -> (r, v)) in
+      let sorted l = List.sort compare l in
+      let at sched v = List.find_map (fun (r, w) -> if w = v then Some r else None) sched in
+      let reached sched ~round v =
+        match at sched v with Some r -> round >= r | None -> false
+      in
+      let agrees v =
+        List.for_all
+          (fun round ->
+            Fault.crashed f ~round v
+            = (reached crash ~round v && not (reached restart ~round v))
+            && Fault.incarnation f ~round v
+               = (if reached restart ~round v then 1 else 0)
+            && Fault.joined f ~round v
+               = (match at join v with Some r -> round >= r | None -> true))
+          (List.init 61 Fun.id)
+      in
+      let absent v =
+        List.for_all
+          (fun round ->
+            (not (Fault.crashed f ~round v))
+            && Fault.incarnation f ~round v = 0
+            && Fault.joined f ~round v)
+          [ 0; 1; 29; 60; 1_000_000 ]
+      in
+      crash = sorted (swap !crashes)
+      && restart = sorted (swap !restarts)
+      && join
+         = sorted
+             (List.map
+                (function Fault.Join { round; node } -> (round, node) | _ -> assert false)
+                !joins)
+      && List.for_all agrees (List.init n Fun.id)
+      && List.for_all absent [ n; n + 7; max_int; -1; -n; min_int ])
+
 let prop_zero_fault_plan_identical =
   QCheck.Test.make ~name:"zero-rate fault plan = seed engine" ~count:25
     QCheck.(int_range 2 60)
@@ -624,6 +768,8 @@ let test_fault_make_rejects_invalid_plans () =
     { Fault.default_spec with Fault.crashes = [ (1, -2) ] };
   expect "Fault.make: crash references vertex 99 outside this 4-vertex graph"
     { Fault.default_spec with Fault.crashes = [ (99, 5) ] };
+  expect ~with_graph:false "Fault.make: crash references vertex -1"
+    { Fault.default_spec with Fault.crashes = [ (-1, 5) ] };
   (* Churn rejections name the offending event index, constructor and
      field, so a long sampled plan points at its own bad entry. *)
   expect
@@ -1076,6 +1222,11 @@ let suite =
         Alcotest.test_case "budget failure reports stats" `Quick
           test_budget_failure_reports_stats;
         QCheck_alcotest.to_alcotest prop_zero_fault_plan_identical;
+        Alcotest.test_case "delivery order contract" `Quick
+          test_delivery_order_contract;
+        Alcotest.test_case "budget text contract" `Quick
+          test_budget_text_contract;
+        QCheck_alcotest.to_alcotest prop_fault_node_queries_match_schedules;
       ] );
     ( "distnet.reliable",
       [
