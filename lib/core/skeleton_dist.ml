@@ -1622,37 +1622,33 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
   else begin
     (* Faulty network: every link runs the Reliable stop-and-wait ARQ,
        whose abandoned transmissions double as the failure detector.
-       The protocol state lives in [nodes]; the wrapped inner protocol
-       is just a mailbox that dispatches deliveries and drains the
-       outbox the phase driver fills. *)
-    let outbox : (int * msg) list array = Array.make n [] in
-    let module P = struct
-      type state = int
+       The protocol state lives in [nodes]; the node program only hands
+       deliveries to [dispatch].  Every send — the phase driver's and
+       the dispatcher's alike — waits in the sender's outbox until its
+       next visit. *)
+    let module R = Reliable.Make (struct
+      type state = unit
       type message = msg
 
       let message_words = words
-      let init _ v = (v, [])
+      let init _ _ = ((), [])
 
-      let receive _ ~round:_ v st inbox =
+      let receive _ ~round:_ v () inbox =
         List.iter (fun (src, m) -> dispatch ~dst:v ~src m) inbox;
-        let outs = List.rev outbox.(v) in
-        outbox.(v) <- [];
-        (st, outs)
-    end in
-    let module R = Reliable.Make (P) in
-    R.use_metrics metrics;
-    R.use_spans spans;
-    let net : R.message Sim.t = Sim.create ~faults ?tracer ~metrics ~spans g in
+        ((), [])
+    end) in
+    let rt = R.create ~faults ?tracer ~metrics ~spans g in
+    let net = R.net rt in
     let dynamic = Fault.has_churn faults in
     round_now := (fun () -> Sim.round net);
     stats_now := (fun () -> Sim.stats net);
     window_now := (fun () -> Sim.take_window_max net);
     edge_up_now := Sim.edge_up net;
-    let states = Array.init n (fun v -> fst (R.init g v)) in
-    let inboxes : (int * R.message) list array = Array.make n [] in
+    for v = 0 to n - 1 do
+      R.start rt v
+    done;
     let suspects_seen = Array.make n 0 in
-    let visited = Array.make n 0 in
-    emit_ref := (fun ~src ~dst m -> outbox.(src) <- (dst, m) :: outbox.(src));
+    emit_ref := R.send rt;
     (* Crash-recovery: when a node's restart round arrives, revive it.
        The reborn node is engine-live but protocol-dead ([proto_dead]):
        its transport pumps and its probes ack, but it rejoins the
@@ -1666,9 +1662,7 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
        ripened into a suspicion died with the reset. *)
     let pending_revives = ref (Fault.restart_schedule faults) in
     let revive ~round v =
-      inboxes.(v) <- [];
-      outbox.(v) <- [];
-      states.(v) <- fst (R.init g v);
+      R.start rt v;
       suspects_seen.(v) <- 0;
       let nd = nodes.(v) in
       (match Recovery.Checkpoints.restore ckpt v with
@@ -1683,84 +1677,44 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
       Array.fill nd.nb_dead 0 (Array.length nd.nb_dead) false;
       reset_call_scratch nd;
       Graph.iter_neighbors g v (fun w _ ->
-          R.reset_peer states.(w) ~round v;
-          suspects_seen.(w) <- List.length (R.suspected states.(w));
+          let ep = R.endpoint rt w in
+          R.reset_peer ep ~round v;
+          suspects_seen.(w) <- List.length (R.suspected ep);
           if (not (proto_dead w)) && not (is_dead nodes.(w) v)
           then on_suspect ~by:w v)
     in
+    let rec landed round =
+      match !pending_revives with
+      | (r, v) :: rest when r <= round ->
+          pending_revives := rest;
+          revive ~round v;
+          landed round
+      | _ -> ()
+    in
+    (* Fold freshly abandoned transmissions into the detector; only a
+       visited node's flush can have abandoned one. *)
+    let fold_suspicions v =
+      let s = R.suspected (R.endpoint rt v) in
+      let len = List.length s in
+      if len > suspects_seen.(v) then begin
+        let fresh = ref [] and extra = ref (len - suspects_seen.(v)) in
+        List.iter
+          (fun w ->
+            if !extra > 0 then begin
+              fresh := w :: !fresh;
+              decr extra
+            end)
+          s;
+        suspects_seen.(v) <- len;
+        List.iter (fun w -> on_suspect ~by:v w) !fresh
+      end
+    in
     pump_ref :=
       (fun () ->
-        ignore
-          (Sim.step net (fun ~dst ~src m ->
-               inboxes.(dst) <- (src, m) :: inboxes.(dst)));
-        let round = Sim.round net in
-        (if restarting then
-           match !pending_revives with
-           | (r, _) :: _ when r <= round ->
-               let landed, rest =
-                 List.partition (fun (r, _) -> r <= round) !pending_revives
-               in
-               pending_revives := rest;
-               List.iter (fun (_, v) -> revive ~round v) landed
-           | _ -> ());
-        (* Visit only the nodes with something to do: mail, an outbox
-           the phase driver filled, or an ARQ timer due.  Any other
-           [R.receive] is a no-op — the mailbox dispatches and drains
-           nothing, and the flush neither sends nor arms a timer.
-           Ascending order keeps every [Sim.send], and so every fault
-           draw, where a sweep over all nodes would put it. *)
-        let visits = ref 0 in
-        for v = 0 to n - 1 do
-          let inbox = inboxes.(v) in
-          inboxes.(v) <- [];
-          if
-            (inbox <> [] || outbox.(v) <> [] || R.due states.(v) ~round)
-            && not (crashed_now v)
-          then begin
-            visited.(!visits) <- v;
-            incr visits;
-            let _, outs = R.receive g ~round v states.(v) (List.rev inbox) in
-            (* Under churn a down link swallows the frame — the ARQ
-               retransmits, and persistent downtime ripens into a
-               suspicion exactly like a crashed peer. *)
-            List.iter
-              (fun (dst, rm) ->
-                if (not dynamic) || Sim.link_up net ~src:v ~dst then
-                  Sim.send net ~src:v ~dst ~words:(R.message_words rm) rm)
-              outs
-          end
-        done;
-        (* Fold freshly abandoned transmissions into the detector; only
-           a visited node's flush can have abandoned one. *)
-        for i = 0 to !visits - 1 do
-          let v = visited.(i) in
-          let s = R.suspected states.(v) in
-          let len = List.length s in
-          if len > suspects_seen.(v) then begin
-            let fresh = ref [] and extra = ref (len - suspects_seen.(v)) in
-            List.iter
-              (fun w ->
-                if !extra > 0 then begin
-                  fresh := w :: !fresh;
-                  decr extra
-                end)
-              s;
-            suspects_seen.(v) <- len;
-            List.iter (fun w -> on_suspect ~by:v w) !fresh
-          end
-        done);
-    idle_ref :=
-      (fun () ->
-        Sim.quiescent net
-        && Array.for_all
-             (fun (nd : node) ->
-               crashed_now nd.id
-               || ((not (R.active states.(nd.id))) && outbox.(nd.id) = []))
-             nodes);
-    link_idle_ref :=
-      (fun v w ->
-        R.link_idle states.(v) w
-        && not (List.exists (fun (d, _) -> d = w) outbox.(v)));
+        R.step rt ~landed;
+        R.iter_visited rt fold_suspicions);
+    idle_ref := (fun () -> R.idle rt ~round:(Sim.round net));
+    link_idle_ref := (fun v w -> R.link_idle (R.endpoint rt v) w);
     run_plan ();
     if dynamic || restarting then
       Obs.Prof.region (Obs.Prof.current ()) "skel_repair_drive" (fun () ->
@@ -1770,13 +1724,13 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
                 !pump_ref ()
               done)
             ());
-    Array.iteri
-      (fun v st ->
-        if not (crashed_now v) then begin
-          retransmissions := !retransmissions + R.retransmissions st;
-          dead_letters := !dead_letters + R.dead_letters st
-        end)
-      states
+    for v = 0 to n - 1 do
+      if not (crashed_now v) then begin
+        let ep = R.endpoint rt v in
+        retransmissions := !retransmissions + R.retransmissions ep;
+        dead_letters := !dead_letters + R.dead_letters ep
+      end
+    done
   end;
 
   (* ---------------- result ---------------- *)

@@ -1,6 +1,14 @@
 module Graph = Graphlib.Graph
 
+let check_root name g root =
+  let n = Graph.n g in
+  if root < 0 || root >= n then
+    invalid_arg
+      (Printf.sprintf "Protocols.%s: root %d is not a vertex (n = %d)" name
+         root n)
+
 let bfs ?faults ?tracer g ~root =
+  check_root "bfs" g root;
   let n = Graph.n g in
   let dist = Array.make n (-1) in
   let t = Sim.create ?faults ?tracer g in
@@ -9,12 +17,13 @@ let bfs ?faults ?tracer g ~root =
     Graph.iter_neighbors g v (fun w _ ->
         if dist.(w) < 0 then Sim.send t ~src:v ~dst:w ~words:1 (d + 1))
   in
-  if n > 0 then announce root 0;
+  announce root 0;
   Sim.run_until_quiescent t (fun ~dst ~src:_ d ->
       if dist.(dst) < 0 then announce dst d);
   (Sim.stats t, dist)
 
 let flood ?faults ?tracer g ~root ~payload_words =
+  check_root "flood" g root;
   let n = Graph.n g in
   let reached = Array.make n false in
   let t = Sim.create ?faults ?tracer g in
@@ -27,7 +36,7 @@ let flood ?faults ?tracer g ~root ~payload_words =
         if w <> from && not reached.(w) then
           Sim.send t ~src:v ~dst:w ~words:payload_words ())
   in
-  if n > 0 then forward root ~from:(-1);
+  forward root ~from:(-1);
   Sim.run_until_quiescent t (fun ~dst ~src () ->
       if not reached.(dst) then forward dst ~from:src);
   (Sim.stats t, reached)
@@ -35,12 +44,56 @@ let flood ?faults ?tracer g ~root ~payload_words =
 (* ------------------------------------------------------------------ *)
 (* Fault-tolerant variants: the same algorithms written as node
    programs and lifted onto the lossy network by the Reliable ARQ
-   wrapper.  BFS becomes unweighted Bellman-Ford — a node re-announces
+   runtime.  BFS becomes unweighted Bellman-Ford — a node re-announces
    whenever its distance improves — because under delay and
    retransmission the neat layer-by-layer arrival order is gone. *)
 
-let reliable_bfs ?max_rounds ?faults ?tracer ?metrics ?spans g ~root =
-  let module N = struct
+(* A run still going after this many rounds is wedged. *)
+let max_rounds = 1_000_000
+
+(* Run a node program to completion.  A node starts when it joins (at
+   round 0 unless the plan schedules a late join); a crashed node is
+   frozen and resumes with its state if the plan restarts it.  The run
+   ends when nothing is in flight, no node up in the next round has
+   work pending, no join is pending and the last restart has landed —
+   a reborn node may have timers to fire. *)
+module Run (N : Reliable.PROTOCOL) = struct
+  module R = Reliable.Make (N)
+
+  let run name ?(faults = Fault.none) ?tracer ?metrics ?spans g =
+    let n = Graph.n g in
+    let rt = R.create ~faults ?tracer ?metrics ?spans g in
+    let net = R.net rt in
+    for v = 0 to n - 1 do
+      if Fault.joined faults ~round:0 v then R.start rt v
+    done;
+    let joins = ref (Fault.join_schedule faults) in
+    let rec landed round =
+      match !joins with
+      | (r, v) :: rest when r <= round ->
+          joins := rest;
+          R.start rt v;
+          landed round
+      | _ -> ()
+    in
+    let last_restart = Fault.last_restart_round faults in
+    while
+      (not (R.idle rt ~round:(Sim.round net + 1)))
+      || !joins <> []
+      || Sim.round net < last_restart
+    do
+      if Sim.round net >= max_rounds then
+        invalid_arg
+          (Format.asprintf "Protocols.%s: round %d: budget exhausted (%a)" name
+             (Sim.round net) Sim.pp_stats (Sim.stats net));
+      R.step rt ~landed
+    done;
+    (Sim.stats net, Array.init n (R.inner rt))
+end
+
+let reliable_bfs ?faults ?tracer ?metrics ?spans g ~root =
+  check_root "reliable_bfs" g root;
+  let module Bfs = Run (struct
     type state = int (* distance from root; -1 = unknown *)
     type message = int (* "your distance is at most this" *)
 
@@ -59,17 +112,12 @@ let reliable_bfs ?max_rounds ?faults ?tracer ?metrics ?spans g ~root =
       in
       if best >= 0 && (st < 0 || best < st) then (best, announce g v best)
       else (st, [])
-  end in
-  let module R = Reliable.Make (N) in
-  Option.iter R.use_metrics metrics;
-  Option.iter R.use_spans spans;
-  let module Runner = Sim.Run_active (R) in
-  let stats, states = Runner.run ?max_rounds ?faults ?tracer ?metrics ?spans g in
-  (stats, Array.map R.inner states)
+  end) in
+  Bfs.run "reliable_bfs" ?faults ?tracer ?metrics ?spans g
 
-let reliable_flood ?max_rounds ?faults ?tracer ?metrics ?spans g ~root
-    ~payload_words =
-  let module N = struct
+let reliable_flood ?faults ?tracer ?metrics ?spans g ~root ~payload_words =
+  check_root "reliable_flood" g root;
+  let module Flood = Run (struct
     type state = bool
     type message = unit
 
@@ -86,10 +134,5 @@ let reliable_flood ?max_rounds ?faults ?tracer ?metrics ?spans g ~root
       if (not st) && inbox <> [] then
         (true, fanout g v ~except:(List.map fst inbox))
       else (st, [])
-  end in
-  let module R = Reliable.Make (N) in
-  Option.iter R.use_metrics metrics;
-  Option.iter R.use_spans spans;
-  let module Runner = Sim.Run_active (R) in
-  let stats, states = Runner.run ?max_rounds ?faults ?tracer ?metrics ?spans g in
-  (stats, Array.map R.inner states)
+  end) in
+  Flood.run "reliable_flood" ?faults ?tracer ?metrics ?spans g

@@ -2,7 +2,10 @@
     in both the paper's loss-free model and fault-tolerant (ARQ-lifted)
     form.  Used by tests (to validate the engine against sequential
     BFS), the overlay-broadcast experiment (E10), and the fault
-    experiment (E21). *)
+    experiment (E21).
+
+    Every protocol raises [Invalid_argument] naming the root and [n]
+    when [root] is not a vertex of the graph. *)
 
 val bfs :
   ?faults:Fault.t ->
@@ -31,14 +34,26 @@ val flood :
 
 (** {1 Fault-tolerant variants}
 
-    The same algorithms as self-contained node programs lifted through
-    {!Reliable.Make}: every inner message is sequenced, acknowledged,
-    and retransmitted until delivered, so both converge to the correct
-    answer under any loss/duplication/delay rates below 1 (crashed
-    nodes excepted).  Statistics include all ARQ traffic. *)
+    The same algorithms as self-contained node programs run on the
+    {!Reliable} ARQ runtime: every inner message is sequenced,
+    acknowledged, and retransmitted until delivered, so both converge
+    to the correct answer under any loss/duplication/delay rates below
+    1 (crashed nodes excepted).  Statistics include all ARQ traffic.
+
+    Under a fault plan, a node that crashes at round [r] runs nothing
+    from round [r] on: its state is frozen as of round [r - 1].  If the
+    plan restarts it at round [r'], it resumes from [r'] with that
+    frozen state, and the run is kept alive until every scheduled
+    restart has landed.  A node with join round [r] starts at round [r]
+    (its first sends go out that round); a node whose join round never
+    arrives ends in its initial state.  Under churn the node programs
+    stay oblivious — a send over a down link is simply lost.  The run
+    ends when nothing is in flight, no node up in the next round has
+    work pending, and no join or restart is still to come; a run still
+    going after 1,000,000 rounds raises [Invalid_argument] with the
+    round and the statistics so far. *)
 
 val reliable_bfs :
-  ?max_rounds:int ->
   ?faults:Fault.t ->
   ?tracer:Trace.t ->
   ?metrics:Obs.Metrics.t ->
@@ -52,7 +67,6 @@ val reliable_bfs :
     distance array equals {!bfs}'s. *)
 
 val reliable_flood :
-  ?max_rounds:int ->
   ?faults:Fault.t ->
   ?tracer:Trace.t ->
   ?metrics:Obs.Metrics.t ->

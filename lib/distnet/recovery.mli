@@ -14,12 +14,13 @@
     - {!Detector} — a crash-stop failure detector merging the two
       honest information sources a node has: transport-level suspicion
       ({!Reliable.Make.suspected}: a transmission abandoned after
-      [max_retries] means the peer is whp gone) and protocol-level
-      death notices (a [Dead] message from a peer that left the
-      algorithm gracefully).  The two are tracked separately — a
-      suspected node {e crashed} (its state is lost, its incident edges
-      may be missing from the output) while a notified node died
-      {e cleanly} (its contribution is complete).  *)
+      [max_retries] tries (see {!Reliable.default_config}) means the
+      peer is whp gone) and protocol-level death notices (a [Dead]
+      message from a peer that left the algorithm gracefully).  The
+      two are tracked separately — a suspected node {e crashed} (its
+      state is lost, its incident edges may be missing from the
+      output) while a notified node died {e cleanly} (its contribution
+      is complete).  *)
 
 (** {1 Phase-boundary checkpoints} *)
 

@@ -10,10 +10,6 @@ type config = {
 let default_config =
   { initial_rto = 3; max_rto = 32; max_retries = 12; backoff = 2. }
 
-let initial_rto = default_config.initial_rto
-let max_rto = default_config.max_rto
-let max_retries = default_config.max_retries
-
 (* One policy for every instantiation: the ARQ is a transport knob of
    the whole network, not of one protocol functor.  The default IS the
    historical constants, so runs that never touch the config stay
@@ -40,41 +36,42 @@ let set_config c =
          c.backoff);
   current_config := c
 
-module Make (P : Sim.PROTOCOL) = struct
-  (* Instruments, shared by every node of this instantiation (the
-     counts are network-wide aggregates).  They default to no-ops;
-     [use_metrics] swaps in live ones before a run. *)
-  let m_retrans =
-    ref (Obs.Metrics.counter Obs.Metrics.disabled "arq_retransmissions")
+module type PROTOCOL = sig
+  type state
+  type message
 
-  let m_dead = ref (Obs.Metrics.counter Obs.Metrics.disabled "arq_dead_letters")
-  let m_timer = ref (Obs.Metrics.counter Obs.Metrics.disabled "arq_timer_fires")
+  val message_words : message -> int
+  val init : Graph.t -> int -> state * (int * message) list
 
-  let m_ack_latency =
-    ref (Obs.Metrics.histogram Obs.Metrics.disabled "arq_ack_latency")
+  val receive :
+    Graph.t ->
+    round:int ->
+    int ->
+    state ->
+    (int * message) list ->
+    state * (int * message) list
+end
 
-  let m_backoff =
-    ref (Obs.Metrics.counter Obs.Metrics.disabled "arq_backoff_escalations")
-
-  let use_metrics m =
-    m_retrans := Obs.Metrics.counter m "arq_retransmissions";
-    m_dead := Obs.Metrics.counter m "arq_dead_letters";
-    m_timer := Obs.Metrics.counter m "arq_timer_fires";
-    m_ack_latency := Obs.Metrics.histogram m "arq_ack_latency";
-    m_backoff := Obs.Metrics.counter m "arq_backoff_escalations"
-
-  (* Causal spans, same sharing discipline as the instruments: one
-     [Arq] span per stop-and-wait exchange (first transmission →
-     acknowledgement), with each retransmission a point-event linked
-     to it, so the critical path can tell a slow hop from a lossy one. *)
-  let s_spans = ref Obs.Span.disabled
-  let use_spans s = s_spans := s
-
+module Make (P : PROTOCOL) = struct
   type message = { acks : int list; data : (int * P.message) option }
 
   let message_words { acks; data } =
     let d = match data with Some (_, m) -> 1 + P.message_words m | None -> 0 in
     Stdlib.max 1 (List.length acks + d)
+
+  (* The sinks of one run, shared by all its endpoints (the counts are
+     network-wide aggregates).  Causal spans: one [Arq] span per
+     stop-and-wait exchange (first transmission → acknowledgement),
+     with each retransmission a point-event linked to it, so the
+     critical path can tell a slow hop from a lossy one. *)
+  type sinks = {
+    spans : Obs.Span.t;
+    m_retrans : Obs.Metrics.counter;
+    m_dead : Obs.Metrics.counter;
+    m_timer : Obs.Metrics.counter;
+    m_ack_latency : Obs.Metrics.histogram;
+    m_backoff : Obs.Metrics.counter;
+  }
 
   type peer = {
     nbr : int;
@@ -90,7 +87,7 @@ module Make (P : Sim.PROTOCOL) = struct
     mutable span : int;  (** open [Arq] span of the inflight seq, or -1 *)
   }
 
-  type state = {
+  type endpoint = {
     v : int;
     mutable inner : P.state;
     peers : peer array;
@@ -100,47 +97,59 @@ module Make (P : Sim.PROTOCOL) = struct
     mutable abandoned : int list;  (** peers with >= 1 dead letter *)
     mutable wake : int;  (** earliest in-flight [deadline], [max_int] if none *)
     mutable started : bool;  (** [receive] has run: deadlines are anchored *)
+    mutable outbox : (int * P.message) list;  (** {!send}s, newest first *)
+    sinks : sinks;
   }
 
-  let inner st = st.inner
-  let retransmissions st = st.retrans
-  let dead_letters st = st.dead
-  let suspected st = st.abandoned
+  let retransmissions ep = ep.retrans
+  let dead_letters ep = ep.dead
+  let suspected ep = ep.abandoned
 
-  let link_idle st w =
-    match Hashtbl.find_opt st.index w with
+  let rec queued_to w = function
+    | [] -> false
+    | (d, _) :: rest -> d = w || queued_to w rest
+
+  let link_idle ep w =
+    (match Hashtbl.find_opt ep.index w with
     | None -> true
     | Some i ->
-        let p = st.peers.(i) in
-        p.inflight = None && Queue.is_empty p.queue
+        let p = ep.peers.(i) in
+        p.inflight = None && Queue.is_empty p.queue)
+    && not (queued_to w ep.outbox)
 
   (* Between calls a non-empty queue implies a seq in flight (every
-     flush starts the next one), so in-flight timers are all the work
-     a node can have pending. *)
-  let active st = st.wake <> max_int
-  let due st ~round = st.wake <= round || ((not st.started) && active st)
+     flush starts the next one), so in-flight timers and the outbox are
+     all the work a node can have pending. *)
+  let active ep = ep.wake <> max_int || ep.outbox <> []
 
-  let recompute_wake st =
-    st.wake <-
+  (* Must [receive] run at [round] even with no mail?  Before the first
+     [receive] any pending work is due: [init] has no round, and that
+     call anchors its timers. *)
+  let due ep ~round =
+    ep.outbox <> [] || ep.wake <= round
+    || ((not ep.started) && ep.wake <> max_int)
+
+  let recompute_wake ep =
+    ep.wake <-
       Array.fold_left
         (fun w p ->
           match p.inflight with
           | Some _ when p.deadline < w -> p.deadline
           | _ -> w)
-        max_int st.peers
+        max_int ep.peers
 
-  let peer_of st w =
-    match Hashtbl.find_opt st.index w with
-    | Some i -> st.peers.(i)
+  let peer_of ep w =
+    match Hashtbl.find_opt ep.index w with
+    | Some i -> ep.peers.(i)
     | None ->
         invalid_arg
-          (Printf.sprintf "Reliable: node %d has no neighbor %d" st.v w)
+          (Printf.sprintf "Reliable: node %d has no neighbor %d" ep.v w)
 
-  let enqueue st msgs =
-    List.iter (fun (dst, m) -> Queue.add m (peer_of st dst).queue) msgs
+  let enqueue ep msgs =
+    List.iter (fun (dst, m) -> Queue.add m (peer_of ep dst).queue) msgs
 
   (* Begin transmitting the next queued message, if any. *)
-  let start_next ~owner ~round p =
+  let start_next ep ~round p =
     match Queue.take_opt p.queue with
     | None -> None
     | Some m ->
@@ -153,8 +162,9 @@ module Make (P : Sim.PROTOCOL) = struct
         p.retries <- 0;
         p.sent_round <- round;
         p.span <-
-          (if Obs.Span.enabled !s_spans then
-             Obs.Span.open_span !s_spans ~src:owner ~dst:p.nbr Obs.Span.Arq
+          (if Obs.Span.enabled ep.sinks.spans then
+             Obs.Span.open_span ep.sinks.spans ~src:ep.v ~dst:p.nbr
+               Obs.Span.Arq
                ~name:(Printf.sprintf "seq-%d" seq)
                ~round
            else -1);
@@ -163,28 +173,29 @@ module Make (P : Sim.PROTOCOL) = struct
   (* One round of the sender side for [p]: fire the timer if its
      deadline has come, decide what data (if any) goes on the wire this
      round. *)
-  let outgoing st ~round p =
+  let outgoing ep ~round p =
+    let s = ep.sinks in
     let data =
       match p.inflight with
-      | None -> start_next ~owner:st.v ~round p
+      | None -> start_next ep ~round p
       | Some (seq, m) ->
           if round < p.deadline then None
           else if p.retries >= !current_config.max_retries then begin
             (* The peer is not answering (crashed, or the link is
                hopeless): abandon, move on. *)
-            Obs.Metrics.incr !m_timer;
+            Obs.Metrics.incr s.m_timer;
             p.inflight <- None;
-            st.dead <- st.dead + 1;
-            Obs.Metrics.incr !m_dead;
-            if not (List.mem p.nbr st.abandoned) then
-              st.abandoned <- p.nbr :: st.abandoned;
-            Obs.Span.drop !s_spans ~round ~reason:"dead-letter" p.span;
+            ep.dead <- ep.dead + 1;
+            Obs.Metrics.incr s.m_dead;
+            if not (List.mem p.nbr ep.abandoned) then
+              ep.abandoned <- p.nbr :: ep.abandoned;
+            Obs.Span.drop s.spans ~round ~reason:"dead-letter" p.span;
             p.span <- -1;
-            start_next ~owner:st.v ~round p
+            start_next ep ~round p
           end
           else begin
             Obs.Prof.enter (Obs.Prof.current ()) "arq_retransmit";
-            Obs.Metrics.incr !m_timer;
+            Obs.Metrics.incr s.m_timer;
             p.retries <- p.retries + 1;
             let c = !current_config in
             (* Truncated multiplicative backoff; [backoff = 1] is a
@@ -196,14 +207,14 @@ module Make (P : Sim.PROTOCOL) = struct
                 (Stdlib.max p.rto
                    (int_of_float (float_of_int p.rto *. c.backoff)))
             in
-            if next > p.rto then Obs.Metrics.incr !m_backoff;
+            if next > p.rto then Obs.Metrics.incr s.m_backoff;
             p.rto <- next;
             p.deadline <- round + next;
-            st.retrans <- st.retrans + 1;
-            Obs.Metrics.incr !m_retrans;
-            if Obs.Span.enabled !s_spans then
+            ep.retrans <- ep.retrans + 1;
+            Obs.Metrics.incr s.m_retrans;
+            if Obs.Span.enabled s.spans then
               ignore
-                (Obs.Span.span !s_spans ~parent:p.span ~src:st.v ~dst:p.nbr
+                (Obs.Span.span s.spans ~parent:p.span ~src:ep.v ~dst:p.nbr
                    Obs.Span.Retransmit
                    ~name:(Printf.sprintf "seq-%d" seq)
                    ~start_round:round ~stop_round:round);
@@ -218,24 +229,23 @@ module Make (P : Sim.PROTOCOL) = struct
 
   (* The timer sweep over one node's peers: starts queued sends, fires
      the timers whose deadline has come, piggybacks pending acks.  It
-     runs once per [receive], so a driver that visits only the nodes
-     with mail, an outbox or a {!due} timer pays it only there; it gets
-     its own region (with retransmissions attributed separately inside
-     it). *)
-  let flush st ~round =
+     runs once per [receive], so it is paid only at the nodes a step
+     visits; it gets its own region (with retransmissions attributed
+     separately inside it). *)
+  let flush ep ~round =
     let prof = Obs.Prof.current () in
     Obs.Prof.enter prof "arq_timer_sweep";
     let out = ref [] in
-    for i = 0 to Array.length st.peers - 1 do
-      match outgoing st ~round st.peers.(i) with
+    for i = 0 to Array.length ep.peers - 1 do
+      match outgoing ep ~round ep.peers.(i) with
       | Some m -> out := m :: !out
       | None -> ()
     done;
-    recompute_wake st;
+    recompute_wake ep;
     Obs.Prof.leave prof;
     !out
 
-  let init g v =
+  let init sinks g v =
     let nbrs = Array.of_list (Graph.neighbors g v) in
     let peers =
       Array.map
@@ -258,7 +268,7 @@ module Make (P : Sim.PROTOCOL) = struct
     let index = Hashtbl.create (Array.length nbrs) in
     Array.iteri (fun i p -> Hashtbl.replace index p.nbr i) peers;
     let inner, msgs = P.init g v in
-    let st =
+    let ep =
       {
         v;
         inner;
@@ -269,10 +279,12 @@ module Make (P : Sim.PROTOCOL) = struct
         abandoned = [];
         wake = max_int;
         started = false;
+        outbox = [];
+        sinks;
       }
     in
-    enqueue st msgs;
-    (st, flush st ~round:0)
+    enqueue ep msgs;
+    (ep, flush ep ~round:0)
 
   (* Forget everything about one peer's sessions — both directions.
      Called when the peer restarts with a fresh incarnation: its ARQ
@@ -281,15 +293,17 @@ module Make (P : Sim.PROTOCOL) = struct
      dedup table must not swallow the reborn peer's restarted sequence
      numbers.  Also clears the peer from [abandoned]: the suspicion it
      earned by dying belongs to the old incarnation.  Callers tracking
-     [suspected] deltas positionally must re-baseline after this. *)
-  let reset_peer st ~round w =
-    match Hashtbl.find_opt st.index w with
+     [suspected] deltas positionally must re-baseline after this.  The
+     outbox is not a session: what the caller sent the peer still goes
+     out. *)
+  let reset_peer ep ~round w =
+    match Hashtbl.find_opt ep.index w with
     | None -> ()
     | Some i ->
-        let p = st.peers.(i) in
+        let p = ep.peers.(i) in
         (match p.inflight with
         | Some _ ->
-            Obs.Span.drop !s_spans ~round ~reason:"session-reset" p.span
+            Obs.Span.drop ep.sinks.spans ~round ~reason:"session-reset" p.span
         | None -> ());
         p.span <- -1;
         p.inflight <- None;
@@ -300,31 +314,32 @@ module Make (P : Sim.PROTOCOL) = struct
         p.sent_round <- round;
         p.pending_acks <- [];
         Hashtbl.reset p.received;
-        st.abandoned <- List.filter (fun x -> x <> w) st.abandoned;
-        recompute_wake st
+        ep.abandoned <- List.filter (fun x -> x <> w) ep.abandoned;
+        recompute_wake ep
 
-  let receive g ~round v st inbox =
-    if not st.started then begin
+  let receive g ~round ep inbox =
+    if not ep.started then begin
       (* [init] has no round, so it armed its exchanges as of round 0.
          A node's first [receive] comes the round after it started —
          round 1 from the start, or for a late joiner the join round
          its [init] ran in — so its timers count from the round
          before. *)
-      st.started <- true;
+      ep.started <- true;
       Array.iter
         (fun p -> if p.inflight <> None then p.deadline <- p.deadline + round - 1)
-        st.peers
+        ep.peers
     end;
+    let s = ep.sinks in
     let deliveries = ref [] in
     List.iter
       (fun (w, { acks; data }) ->
-        let p = peer_of st w in
+        let p = peer_of ep w in
         List.iter
           (fun a ->
             match p.inflight with
             | Some (seq, _) when seq = a ->
-                Obs.Metrics.observe !m_ack_latency (round - p.sent_round);
-                Obs.Span.close !s_spans ~round p.span;
+                Obs.Metrics.observe s.m_ack_latency (round - p.sent_round);
+                Obs.Span.close s.spans ~round p.span;
                 p.span <- -1;
                 p.inflight <- None;
                 p.rto <- !current_config.initial_rto;
@@ -343,8 +358,136 @@ module Make (P : Sim.PROTOCOL) = struct
               deliveries := (w, payload) :: !deliveries
             end)
       inbox;
-    let inner, outs = P.receive g ~round v st.inner (List.rev !deliveries) in
-    st.inner <- inner;
-    enqueue st outs;
-    (st, flush st ~round)
+    let inner, outs = P.receive g ~round ep.v ep.inner (List.rev !deliveries) in
+    ep.inner <- inner;
+    (* The outbox goes first: it holds what was sent before this round
+       and, for a program that sends through {!send}, what the
+       deliveries just triggered. *)
+    enqueue ep (List.rev ep.outbox);
+    ep.outbox <- [];
+    enqueue ep outs;
+    flush ep ~round
+
+  (* ---------------- the runtime ---------------- *)
+
+  type t = {
+    g : Graph.t;
+    net : message Sim.t;
+    faults : Fault.t;
+    dynamic : bool;
+    sinks : sinks;
+    endpoints : endpoint option array;
+    inboxes : (int * message) list array;
+    deliver : dst:int -> src:int -> message -> unit;
+    visited : int array;  (** the last step's visits, ascending *)
+    mutable visits : int;
+  }
+
+  let create ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
+      ?(spans = Obs.Span.disabled) g =
+    (* The ARQ instruments come before the engine's, in this order: a
+       metrics snapshot lists instruments in creation order (and a
+       record's fields are not evaluated in the order written). *)
+    let m_retrans = Obs.Metrics.counter metrics "arq_retransmissions" in
+    let m_dead = Obs.Metrics.counter metrics "arq_dead_letters" in
+    let m_timer = Obs.Metrics.counter metrics "arq_timer_fires" in
+    let m_ack_latency = Obs.Metrics.histogram metrics "arq_ack_latency" in
+    let m_backoff = Obs.Metrics.counter metrics "arq_backoff_escalations" in
+    let sinks =
+      { spans; m_retrans; m_dead; m_timer; m_ack_latency; m_backoff }
+    in
+    let net = Sim.create ~faults ?tracer ~metrics ~spans g in
+    let n = Graph.n g in
+    let inboxes = Array.make n [] in
+    {
+      g;
+      net;
+      faults;
+      dynamic = Fault.has_churn faults;
+      sinks;
+      endpoints = Array.make n None;
+      inboxes;
+      deliver = (fun ~dst ~src m -> inboxes.(dst) <- (src, m) :: inboxes.(dst));
+      visited = Array.make n 0;
+      visits = 0;
+    }
+
+  let net rt = rt.net
+
+  let endpoint rt v =
+    match rt.endpoints.(v) with
+    | Some ep -> ep
+    | None -> invalid_arg (Printf.sprintf "Reliable: node %d not started" v)
+
+  let inner rt v =
+    match rt.endpoints.(v) with
+    | Some ep -> ep.inner
+    | None -> (fst (init rt.sinks rt.g v)).inner
+
+  let send rt ~src ~dst m =
+    let ep = endpoint rt src in
+    ep.outbox <- (dst, m) :: ep.outbox
+
+  (* Node programs are churn-oblivious: a frame over a down link never
+     makes it onto the wire — loss, as far as the ARQ can tell, and
+     persistent downtime ripens into a suspicion like a crashed peer. *)
+  let rec post rt v = function
+    | [] -> ()
+    | (dst, m) :: rest ->
+        if (not rt.dynamic) || Sim.link_up rt.net ~src:v ~dst then
+          Sim.send rt.net ~src:v ~dst ~words:(message_words m) m;
+        post rt v rest
+
+  let start rt v =
+    let ep, frames = init rt.sinks rt.g v in
+    rt.endpoints.(v) <- Some ep;
+    if not (Fault.crashed rt.faults ~round:(Sim.round rt.net) v) then
+      post rt v frames
+
+  (* Visit only the up nodes with mail or due work: any other [receive]
+     is a no-op, since the program sends nothing without deliveries
+     and the flush neither sends nor arms a timer.  Ascending order
+     keeps every [Sim.send], and so every fault draw, where a sweep
+     over all nodes would put it. *)
+  let step rt ~landed =
+    ignore (Sim.step rt.net rt.deliver);
+    let round = Sim.round rt.net in
+    landed round;
+    rt.visits <- 0;
+    for v = 0 to Array.length rt.endpoints - 1 do
+      let inbox = rt.inboxes.(v) in
+      rt.inboxes.(v) <- [];
+      match rt.endpoints.(v) with
+      | Some ep
+        when (inbox <> [] || due ep ~round)
+             && not (Fault.crashed rt.faults ~round v) ->
+          rt.visited.(rt.visits) <- v;
+          rt.visits <- rt.visits + 1;
+          post rt v (receive rt.g ~round ep (List.rev inbox))
+      | _ -> ()
+    done
+
+  let iter_visited rt f =
+    for i = 0 to rt.visits - 1 do
+      f rt.visited.(i)
+    done
+
+  (* Does [v] keep the run going at [round]: started, up, and with
+     work pending? *)
+  let busy rt ~round v =
+    match rt.endpoints.(v) with
+    | Some ep -> active ep && not (Fault.crashed rt.faults ~round v)
+    | None -> false
+
+  (* A loop, not an [Array.for_all] closure: it runs every round and
+     must not allocate. *)
+  let idle rt ~round =
+    Sim.quiescent rt.net
+    &&
+    let n = Array.length rt.endpoints in
+    let v = ref 0 in
+    while !v < n && not (busy rt ~round !v) do
+      incr v
+    done;
+    !v = n
 end

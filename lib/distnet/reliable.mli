@@ -1,8 +1,8 @@
-(** Reliable delivery over a lossy network: an ack/retransmit wrapper
-    that lifts any {!Sim.PROTOCOL} node program onto a faulty network
-    unchanged.
+(** Reliable delivery over a lossy network: the one ARQ runtime.  It
+    lifts a node program ({!PROTOCOL}) onto a faulty {!Sim} network
+    unchanged, and drives the run round by round.
 
-    Per directed neighbor link the wrapper runs stop-and-wait ARQ:
+    Per directed neighbor link the runtime runs stop-and-wait ARQ:
     outgoing inner-protocol messages are queued FIFO, transmitted one
     at a time with a sequence number, and retransmitted on a timeout
     with exponential backoff until acknowledged.  Acknowledgements are
@@ -16,19 +16,20 @@
     words — so [Sim.stats] keeps honest word accounting including
     every retransmission.
 
-    A transmission abandoned after {!max_retries} unacknowledged tries
-    (e.g. to a crashed neighbor) is counted in {!dead_letters}; this
-    bounds the run when a peer is gone forever.
+    A transmission abandoned after the policy's [max_retries]
+    unacknowledged tries ({!default_config}: 12), e.g. to a crashed
+    neighbor, is counted in {!Make.dead_letters}; this bounds the run
+    when a peer is gone forever.
 
     Timers are absolute: a seq sent or retransmitted at round [r] with
-    timeout [rto] times out at round [r + rto], the round its
-    [receive] must run to fire it.  Between rounds a node keeps the
-    earliest such deadline, so a driver can ask {!Make.due} and skip a
-    node that has no mail, no outbound message and no timer due: the
-    skipped [receive] would have sent nothing and armed nothing.  The
-    clock keeps running while a node is down; a node frozen by a crash
-    and resumed (as {!Sim.Run_active} does) fires its overdue timers
-    on its first round back. *)
+    timeout [rto] times out at round [r + rto], the round its node must
+    be visited to fire it.  Between rounds each node keeps the earliest
+    such deadline, so {!Make.step} visits only the nodes with mail or
+    due work; a skipped visit would have sent nothing and armed
+    nothing.  The clock keeps running while a node is down: a node
+    frozen by a crash and resumed with its state fires its overdue
+    timers on its first round back, while a node started again
+    ({!Make.start}) begins afresh. *)
 
 (** Retransmission policy (rounds are the time unit). *)
 
@@ -57,87 +58,145 @@ val config : unit -> config
 
 val set_config : config -> unit
 (** Install a policy for subsequent runs.  Affects every {!Make}
-    instantiation; call before [Sim.create]/[run], not mid-run: an
+    instantiation; call before {!Make.create}, not mid-run: an
     in-flight exchange keeps the deadline it was armed with, so a
     mid-run change would mix policies.
     @raise Invalid_argument naming the offending field if the config
     violates the bounds above. *)
 
-val initial_rto : int
-(** First timeout of {!default_config}: [3] rounds. *)
+(** A node program: the code one node runs, round by round. *)
+module type PROTOCOL = sig
+  type state
+  type message
 
-val max_rto : int
-(** Backoff ceiling of {!default_config}: [32] rounds. *)
+  val message_words : message -> int
 
-val max_retries : int
-(** Retransmissions before a message is abandoned, by default: [12]. *)
+  val init : Graphlib.Graph.t -> int -> state * (int * message) list
+  (** [init g v] is the initial state of node [v] and the messages it
+      sends in the round it starts (neighbor, payload). *)
 
-module Make (P : Sim.PROTOCOL) : sig
-  include Sim.ACTIVE_PROTOCOL
+  val receive :
+    Graphlib.Graph.t ->
+    round:int ->
+    int ->
+    state ->
+    (int * message) list ->
+    state * (int * message) list
+  (** [receive g ~round v st inbox] handles one round at node [v]:
+      [inbox] lists (sender, payload) delivered this round.  The
+      program must be {e message-driven}: with an empty [inbox] it
+      sends nothing.  That is what lets the runtime skip a node with
+      no mail. *)
+end
 
-  val use_metrics : Obs.Metrics.t -> unit
-  (** Route this instantiation's instruments into the given registry
-      (network-wide aggregates): counters [arq_retransmissions] /
-      [arq_dead_letters] / [arq_timer_fires] and an [arq_ack_latency]
-      histogram (rounds from a message's first transmission to its
-      acknowledgement).  Defaults to the no-op sink; call again with
-      {!Obs.Metrics.disabled} to turn recording back off.  Purely
-      observational — never changes protocol behavior. *)
+module Make (P : PROTOCOL) : sig
+  type message
+  (** An ARQ frame: piggybacked acks and at most one sequenced
+      payload. *)
 
-  val use_spans : Obs.Span.t -> unit
-  (** Route this instantiation's causal spans into the given sink: one
-      [Arq] span per stop-and-wait exchange, opened at the seq's first
+  type t
+  (** One run: the engine, an ARQ endpoint per started node, and the
+      inboxes.  Instruments and spans go to the sinks given to
+      {!create}. *)
+
+  val create :
+    ?faults:Fault.t ->
+    ?tracer:Trace.t ->
+    ?metrics:Obs.Metrics.t ->
+    ?spans:Obs.Span.t ->
+    Graphlib.Graph.t ->
+    t
+  (** A run on a fresh engine ([Sim.create] with the same arguments)
+      with no node started.  [metrics] (default
+      {!Obs.Metrics.disabled}) receives counters [arq_retransmissions] /
+      [arq_dead_letters] / [arq_timer_fires] /
+      [arq_backoff_escalations] and an [arq_ack_latency] histogram
+      (rounds from a message's first transmission to its
+      acknowledgement), created before the engine's instruments.
+      [spans] (default {!Obs.Span.disabled}) receives one [Arq] span
+      per stop-and-wait exchange, opened at the seq's first
       transmission and closed at its acknowledgement (dropped with
       reason ["dead-letter"] on abandonment), plus one [Retransmit]
       point-event per retransmission, linked via [parent] to the
-      exchange it retried.  Defaults to the no-op sink; call again
-      with {!Obs.Span.disabled} to turn recording back off.  Purely
-      observational — never changes protocol behavior. *)
+      exchange it retried.  Both are purely observational. *)
 
-  val inner : state -> P.state
-  (** The wrapped protocol's state at this node. *)
+  val net : t -> message Sim.t
+  (** The engine: round, statistics and link state. *)
 
-  val retransmissions : state -> int
+  val start : t -> int -> unit
+  (** [start rt v] gives [v] a fresh endpoint and runs [P.init]; its
+      frames go out this round unless [v] is down.  Start the nodes
+      present at round 0 before the first {!step}.  A late joiner is
+      started by {!step}'s [landed] hook in its join round, a revived
+      node again in its restart round, and is visited in that same
+      step. *)
+
+  val send : t -> src:int -> dst:int -> P.message -> unit
+  (** Queue a message from outside [P.receive] (a driver's own sends)
+      in [src]'s outbox.  The outbox goes out at [src]'s next visit,
+      ahead of what [P.receive] returns; it counts as pending work and
+      keeps the link busy ({!link_idle}).
+      @raise Invalid_argument if [src] was never started. *)
+
+  val step : t -> landed:(int -> unit) -> unit
+  (** One round: the engine delivers into the inboxes; [landed round]
+      runs (the caller starts the joins or revivals due this round);
+      then every started node that is up and has mail or due work —
+      an outbox, a timer at its deadline, or unanchored timers before
+      its first visit — runs [P.receive] behind the ARQ, in ascending
+      order, and its frames go out.  A frame over a down link is
+      dropped like a loss. *)
+
+  val iter_visited : t -> (int -> unit) -> unit
+  (** The nodes the last {!step} visited, ascending. *)
+
+  val idle : t -> round:int -> bool
+  (** No message is in flight and no started node up at [round] has
+      pending work.  Allocation-free. *)
+
+  val inner : t -> int -> P.state
+  (** Node [v]'s protocol state.  A node never started reports a fresh
+      [init] run with the run's sinks; its frames never go out. *)
+
+  type endpoint
+  (** A started node's ARQ state. *)
+
+  val endpoint : t -> int -> endpoint
+  (** @raise Invalid_argument if the node was never started. *)
+
+  val retransmissions : endpoint -> int
   (** Data retransmissions this node has performed. *)
 
-  val dead_letters : state -> int
-  (** Transmissions this node abandoned after {!max_retries}. *)
+  val dead_letters : endpoint -> int
+  (** Transmissions this node abandoned after [max_retries] tries
+      ({!config}). *)
 
-  val due : state -> round:int -> bool
-  (** Must this node's [receive] run at [round] even with an empty
-      inbox?  True when an in-flight seq's deadline is [<= round] — a
-      retransmission or a dead letter is due — and, before the node's
-      first [receive], whenever [init] put a seq in flight ([init] has
-      no round, so its timers are anchored on that first call).  A
-      [receive] with an empty inbox, nothing newly queued by the inner
-      protocol and [due = false] is a no-op: it sends nothing and
-      fires or arms no timer. *)
+  val link_idle : endpoint -> int -> bool
+  (** No message queued, in the outbox or awaiting acknowledgement
+      toward that neighbor (pending acks don't count).  Streaming
+      protocols use this to pace batch emission: offering the next
+      batch only on an idle link keeps their per-round word budget
+      honest even though the ARQ layer, not the protocol, owns the
+      wire. *)
 
-  val link_idle : state -> int -> bool
-  (** No inner message queued or awaiting acknowledgement toward that
-      neighbor (pending acks don't count).  Streaming protocols use
-      this to pace batch emission: offering the next batch only on an
-      idle link keeps their per-round word budget honest even though
-      the ARQ layer, not the protocol, owns the wire. *)
-
-  val suspected : state -> int list
+  val suspected : endpoint -> int list
   (** Neighbors to which at least one transmission was abandoned.  In
       a crash-stop fault model an abandoned transmission is (whp) a
-      crashed peer — after {!max_retries} tries the probability that
-      independent per-message loss ate every copy is negligible — so
-      this doubles as the failure detector that {!Recovery} and the
-      fault-tolerant skeleton consume. *)
+      crashed peer — after [max_retries] tries ({!config}) the
+      probability that independent per-message loss ate every copy is
+      negligible — so this doubles as the failure detector that
+      {!Recovery} and the fault-tolerant skeleton consume. *)
 
-  val reset_peer : state -> round:int -> int -> unit
-  (** [reset_peer st ~round w] forgets every ARQ session toward and
+  val reset_peer : endpoint -> round:int -> int -> unit
+  (** [reset_peer ep ~round w] forgets every ARQ session toward and
       from neighbor [w]: the in-flight transmission (its span dropped
       with reason ["session-reset"]), the send queue, sequence numbers
       (back to 0), pending and remembered acks, the receive-side dedup
-      table, and [w]'s entry in {!suspected}.  Call it on both sides
-      of a link when one endpoint restarts with a fresh incarnation —
-      the reborn node must never consume its predecessor's acks, and
-      its restarted sequence numbers must not be swallowed as
-      duplicates.  Callers that consume {!suspected} as a positional
-      delta must re-baseline their cursor afterwards.  A [w] that is
-      not a neighbor is ignored. *)
+      table, and [w]'s entry in {!suspected}.  The outbox stays.  Call
+      it on both sides of a link when one endpoint restarts with a
+      fresh incarnation — the reborn node must never consume its
+      predecessor's acks, and its restarted sequence numbers must not
+      be swallowed as duplicates.  Callers that consume {!suspected}
+      as a positional delta must re-baseline their cursor afterwards.
+      A [w] that is not a neighbor is ignored. *)
 end

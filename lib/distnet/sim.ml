@@ -242,8 +242,6 @@ let create ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
   if t.dynamic then apply_churn t ~round:0;
   t
 
-let graph t = t.g
-let faults t = t.faults
 let round t = t.rounds
 
 let edge_up t e =
@@ -256,8 +254,6 @@ let link_up t ~src ~dst =
     invalid_arg
       (Printf.sprintf "Sim.link_up: %d -> %d is not a network link" src dst);
   t.edge_alive.(slot / 2)
-
-let joined t v = Fault.joined t.faults ~round:t.rounds v
 
 let send t ~src ~dst ~words payload =
   if words < 1 then invalid_arg "Sim.send: words must be >= 1";
@@ -500,129 +496,3 @@ let run_until_quiescent ?(max_rounds = 10_000_000) t deliver =
     decr budget;
     ignore (step t deliver)
   done
-
-let add_idle_rounds t k =
-  if k < 0 then invalid_arg "Sim.add_idle_rounds: negative";
-  t.rounds <- t.rounds + k
-
-module type PROTOCOL = sig
-  type state
-  type message
-
-  val message_words : message -> int
-
-  val init : Graphlib.Graph.t -> int -> state * (int * message) list
-
-  val receive :
-    Graphlib.Graph.t ->
-    round:int ->
-    int ->
-    state ->
-    (int * message) list ->
-    state * (int * message) list
-end
-
-module type ACTIVE_PROTOCOL = sig
-  include PROTOCOL
-
-  val active : state -> bool
-end
-
-module Run_active (P : ACTIVE_PROTOCOL) = struct
-  let run ?(max_rounds = 1_000_000) ?faults ?tracer ?metrics ?spans g =
-    let n = Graph.n g in
-    let t = create ?faults ?tracer ?metrics ?spans g in
-    let faults = t.faults in
-    let states = Array.init n (fun _ -> None) in
-    let state v =
-      match states.(v) with Some st -> st | None -> assert false
-    in
-    let post v msgs =
-      List.iter
-        (fun (dst, m) ->
-          (* The runner's node programs are churn-oblivious: a send
-             over a down link simply never makes it onto the wire
-             (loss, as far as the protocol can tell). *)
-          if (not t.dynamic) || link_up t ~src:v ~dst then
-            send t ~src:v ~dst ~words:(P.message_words m) m)
-        msgs
-    in
-    (* Late joiners are initialized when their join round arrives. *)
-    let pending_joins = ref (Fault.join_schedule faults) in
-    for v = 0 to n - 1 do
-      if Fault.joined faults ~round:0 v then begin
-        let st, msgs = P.init g v in
-        states.(v) <- Some st;
-        if not (Fault.crashed faults ~round:0 v) then post v msgs
-      end
-    done;
-    let inboxes = Array.make n [] in
-    let round = ref 0 in
-    (* A node still counts as active only if it will get to act in the
-       next round — a crashed node's frozen state must not keep the
-       network alive. *)
-    let any_active () =
-      let rec go v =
-        v < n
-        && ((states.(v) <> None
-            && (not (Fault.crashed faults ~round:(!round + 1) v))
-            && P.active (state v))
-           || go (v + 1))
-      in
-      go 0
-    in
-    (* A scheduled restart must keep the run alive even while the node
-       is down and everything else is quiescent — the reborn node may
-       have timers to fire. *)
-    let last_restart = Fault.last_restart_round faults in
-    while
-      (not (quiescent t))
-      || any_active ()
-      || !pending_joins <> []
-      || !round < last_restart
-    do
-      if !round >= max_rounds then budget_exhausted t "Sim.Run";
-      incr round;
-      Array.fill inboxes 0 n [];
-      ignore
-        (step t (fun ~dst ~src m -> inboxes.(dst) <- (src, m) :: inboxes.(dst)));
-      (* Nodes whose join round arrived appear now: they were already
-         eligible for this round's deliveries, and their first sends go
-         out this round like everyone else's. *)
-      let rec join = function
-        | (r, v) :: rest when r <= !round ->
-            let st, msgs = P.init g v in
-            states.(v) <- Some st;
-            if not (Fault.crashed faults ~round:!round v) then post v msgs;
-            join rest
-        | rest -> pending_joins := rest
-      in
-      join !pending_joins;
-      for v = 0 to n - 1 do
-        if
-          states.(v) <> None
-          && not (Fault.crashed faults ~round:!round v)
-        then begin
-          let st, msgs =
-            P.receive g ~round:!round v (state v) (List.rev inboxes.(v))
-          in
-          states.(v) <- Some st;
-          post v msgs
-        end
-      done
-    done;
-    let final =
-      (* A node whose join round never arrived ends in its initial
-         state: it did not participate. *)
-      Array.mapi
-        (fun v -> function Some st -> st | None -> fst (P.init g v))
-        states
-    in
-    (stats t, final)
-end
-
-module Run (P : PROTOCOL) = Run_active (struct
-  include P
-
-  let active _ = false
-end)

@@ -8,14 +8,12 @@
     identifier, an edge identifier, or a small counter — which is the
     unit of the paper's Fig. 1 "message length" column.
 
-    Two layers are provided.  The low-level {e engine} enforces the
-    model (neighbor-only unicast, one message per directed edge per
-    round, word accounting) while an algorithm module drives rounds
-    explicitly — this is how the intricate multi-phase protocols
-    (skeleton, Fibonacci balls) are written.  The {!Run} functor wraps
-    the engine for self-contained node programs; {!Run_active} extends
-    it to protocols with internal timers (retransmission) that must
-    keep receiving rounds while the network is quiescent.
+    This module is the {e engine} alone: it enforces the model
+    (neighbor-only unicast, one message per directed edge per round,
+    word accounting) while the algorithm drives rounds explicitly with
+    {!step} — this is how the multi-phase protocols (skeleton,
+    Fibonacci balls) are written.  Node programs on a lossy network
+    run on the ARQ runtime in {!Reliable}, which drives this engine.
 
     The engine can be driven over a faulty network: {!create}'s
     [?faults] plan ({!Fault.t}) injects message loss, duplication,
@@ -50,8 +48,6 @@ type stats = Trace.stats = {
 }
 
 val pp_stats : Format.formatter -> stats -> unit
-
-(** {1 Low-level engine} *)
 
 type 'msg t
 
@@ -88,11 +84,6 @@ val create :
     refused before reaching the wire — crashed or unjoined sender —
     opens no span.  Like metrics, spans never affect behavior. *)
 
-val graph : 'msg t -> Graphlib.Graph.t
-
-val faults : 'msg t -> Fault.t
-(** The fault plan the network runs under ({!Fault.none} by default). *)
-
 val round : 'msg t -> int
 (** The current round number: 0 before the first {!step}, and during a
     delivery callback the round being delivered.  Protocols and the
@@ -117,10 +108,6 @@ val link_up : 'msg t -> src:int -> dst:int -> bool
 
 val edge_up : 'msg t -> int -> bool
 (** {!link_up} by undirected edge identifier. *)
-
-val joined : 'msg t -> int -> bool
-(** Has this node joined the network by the current round?  [true]
-    whenever the plan schedules no join for it. *)
 
 val step : 'msg t -> (dst:int -> src:int -> 'msg -> unit) -> int
 (** Advance one synchronous round: decide the fate of every queued
@@ -158,81 +145,3 @@ val take_window_max : 'msg t -> int
     to a phase by differencing {!stats} snapshots — this is the
     reset-on-read window the per-phase instrumentation uses.  Reading
     it never affects {!stats}. *)
-
-val add_idle_rounds : 'msg t -> int -> unit
-(** Account for rounds that a real execution would spend idle (e.g. a
-    fixed-length phase that ended early at quiescence but whose
-    schedule the nodes cannot cut short).  Used by protocols that
-    charge themselves the analytic schedule. *)
-
-(** {1 Node-program runner} *)
-
-module type PROTOCOL = sig
-  type state
-  type message
-
-  val message_words : message -> int
-
-  val init : Graphlib.Graph.t -> int -> state * (int * message) list
-  (** [init g v] is the initial state of node [v] and the messages it
-      sends in the first round (neighbor, payload). *)
-
-  val receive :
-    Graphlib.Graph.t ->
-    round:int ->
-    int ->
-    state ->
-    (int * message) list ->
-    state * (int * message) list
-  (** [receive g ~round v st inbox] handles one round at node [v]:
-      [inbox] lists (sender, payload) delivered this round.  Called
-      every round for every node (possibly with an empty inbox) until
-      the network is quiescent. *)
-end
-
-(** A protocol that may need rounds to keep ticking while the network
-    is quiescent — e.g. a retransmission timer waiting to fire. *)
-module type ACTIVE_PROTOCOL = sig
-  include PROTOCOL
-
-  val active : state -> bool
-  (** Does this node still have work pending (timers armed, messages
-      unacknowledged)?  The run ends when the network is quiescent and
-      no live node is active. *)
-end
-
-module Run_active (P : ACTIVE_PROTOCOL) : sig
-  val run :
-    ?max_rounds:int ->
-    ?faults:Fault.t ->
-    ?tracer:Trace.t ->
-    ?metrics:Obs.Metrics.t ->
-    ?spans:Obs.Span.t ->
-    Graphlib.Graph.t ->
-    stats * P.state array
-  (** Run the protocol to completion.  Under a fault plan, a node that
-      crashes at round [r] executes no [receive] from round [r]
-      on: its state is frozen as of round [r - 1].  If the plan
-      restarts it at round [r'], it resumes [receive] from [r'] with
-      that frozen state (protocols needing amnesia reset themselves);
-      the run is kept alive until every scheduled restart has landed.
-      A node with join round [r] is initialized at round [r] (its
-      [init] sends go out that round); under churn the node programs
-      stay oblivious — a send over a down link is simply discarded,
-      i.e. looks like loss.  A node whose join round never arrives ends
-      in its initial state.
-      @raise Invalid_argument after [max_rounds] rounds (default
-      [1_000_000]); the message reports the round and the statistics
-      accumulated so far. *)
-end
-
-module Run (P : PROTOCOL) : sig
-  val run :
-    ?max_rounds:int ->
-    ?faults:Fault.t ->
-    ?tracer:Trace.t ->
-    ?metrics:Obs.Metrics.t ->
-    ?spans:Obs.Span.t ->
-    Graphlib.Graph.t ->
-    stats * P.state array
-end

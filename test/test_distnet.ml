@@ -84,12 +84,6 @@ let test_relay_chain_rounds () =
       if dst < k then Sim.send t ~src:dst ~dst:(dst + 1) ~words:1 (hop + 1));
   checki "rounds = path length" k (Sim.stats t).Sim.rounds
 
-let test_idle_rounds () =
-  let g = Gen.path 2 in
-  let t = Sim.create g in
-  Sim.add_idle_rounds t 5;
-  checki "idle accounted" 5 (Sim.stats t).Sim.rounds
-
 (* ------------------------------------------------------------------ *)
 (* BFS protocol *)
 
@@ -133,73 +127,6 @@ let test_flood_message_count_on_tree () =
   let g = Gen.path 6 in
   let stats, _ = Protocols.flood g ~root:0 ~payload_words:1 in
   checki "one message per hop" 5 stats.Sim.messages
-
-(* ------------------------------------------------------------------ *)
-(* Node-program runner *)
-
-module Echo = struct
-  (* Each node sends its id to all neighbors in round 1 and records the
-     max id it ever hears; silence afterwards. *)
-  type state = { me : int; best : int }
-  type message = int
-
-  let message_words _ = 1
-
-  let init g v =
-    let out =
-      Graphlib.Graph.fold_neighbors g v ~init:[] ~f:(fun acc w _ -> (w, v) :: acc)
-    in
-    ({ me = v; best = v }, out)
-
-  let receive _g ~round:_ _v st inbox =
-    let best = List.fold_left (fun acc (_, x) -> Stdlib.max acc x) st.best inbox in
-    ({ st with best }, [])
-end
-
-module Echo_run = Sim.Run (Echo)
-
-let test_runner_echo () =
-  let g = Gen.cycle 8 in
-  let stats, states = Echo_run.run g in
-  Array.iteri
-    (fun v st ->
-      let expected =
-        Graphlib.Graph.fold_neighbors g v ~init:v ~f:(fun acc w _ -> Stdlib.max acc w)
-      in
-      checki "max neighbor id" expected st.Echo.best)
-    states;
-  checkb "bounded rounds" true (stats.Sim.rounds <= 2)
-
-module Max_flood = struct
-  (* Classic max-id flooding: every node forwards improvements; at
-     quiescence every node knows the global max in its component. *)
-  type state = int
-  type message = int
-
-  let message_words _ = 1
-
-  let init g v =
-    let out =
-      Graphlib.Graph.fold_neighbors g v ~init:[] ~f:(fun acc w _ -> (w, v) :: acc)
-    in
-    (v, out)
-
-  let receive g ~round:_ v st inbox =
-    let best = List.fold_left (fun acc (_, x) -> Stdlib.max acc x) st inbox in
-    if best > st then
-      ( best,
-        Graphlib.Graph.fold_neighbors g v ~init:[] ~f:(fun acc w _ ->
-            (w, best) :: acc) )
-    else (st, [])
-end
-
-module Max_run = Sim.Run (Max_flood)
-
-let test_runner_max_flood () =
-  let r = rng () in
-  let g = Gen.connected_gnp r ~n:60 ~p:0.06 in
-  let _, states = Max_run.run g in
-  Array.iter (fun st -> checki "everyone learns max" (G.n g - 1) st) states
 
 (* ------------------------------------------------------------------ *)
 (* Fault injection, reliable delivery, trace/replay *)
@@ -307,6 +234,110 @@ let test_reliable_flood_under_chaos () =
   in
   let _, reached = Protocols.reliable_flood ~faults g ~root:0 ~payload_words:4 in
   Array.iter (fun b -> checkb "all reached despite faults" true b) reached
+
+(* The ARQ under the plans that exercise the runtime's hooks — frozen
+   resume, held and duplicated frames, a down link, a late joiner —
+   with metrics and spans on.  The figures were recorded with a driver
+   that visited every node every round, so they pin that skipping idle
+   nodes changes nothing; the digests cover the whole metrics snapshot
+   and span log. *)
+let test_reliable_pinned_plans () =
+  let g = Gen.connected_gnp (Util.Prng.create ~seed:17) ~n:60 ~p:0.08 in
+  let w = List.hd (G.neighbors g 0) in
+  let d = Fault.default_spec in
+  let plans =
+    [
+      ( "crash+restart",
+        {
+          d with
+          Fault.drop = 0.1;
+          crashes = [ (5, 3) ];
+          restarts = [ (5, 15) ];
+        } );
+      ("dup+delay", { d with Fault.dup = 0.1; delay = 0.2; max_delay = 3 });
+      ( "edge churn",
+        {
+          d with
+          Fault.drop = 0.05;
+          churn =
+            [
+              Fault.Edge_down { round = 2; u = 0; v = w };
+              Fault.Edge_up { round = 12; u = 0; v = w };
+            ];
+        } );
+      ( "late joiner",
+        {
+          d with
+          Fault.drop = 0.1;
+          churn = [ Fault.Join { round = 6; node = 5 } ];
+        } );
+    ]
+  in
+  let digest lines = Digest.to_hex (Digest.string (String.concat "\n" lines)) in
+  List.iter
+    (fun (plan, proto, (rounds, messages, words, max_message_words), samples,
+          spans, metrics_md5, spans_md5) ->
+      let faults = Fault.make ~seed:3 ~graph:g (List.assoc plan plans) in
+      let m = Obs.Metrics.create () and sp = Obs.Span.create () in
+      let st =
+        if proto = "bfs" then
+          fst (Protocols.reliable_bfs ~faults ~metrics:m ~spans:sp g ~root:0)
+        else
+          fst
+            (Protocols.reliable_flood ~faults ~metrics:m ~spans:sp g ~root:0
+               ~payload_words:2)
+      in
+      let name what = Printf.sprintf "%s %s: %s" plan proto what in
+      Alcotest.check stats_testable (name "stats")
+        { Sim.rounds; messages; words; max_message_words }
+        st;
+      let snapshot = Obs.Metrics.snapshot m in
+      checki (name "samples") samples (List.length snapshot);
+      checki (name "spans") spans (Obs.Span.count sp);
+      Alcotest.(check string)
+        (name "metrics digest") metrics_md5
+        (digest (List.map Obs.Metrics.to_json snapshot));
+      Alcotest.(check string)
+        (name "spans digest") spans_md5
+        (digest (List.map Obs.Span.to_json (Obs.Span.records sp))))
+    [
+      ("crash+restart", "bfs", (51, 535, 979, 3), 276, 874,
+       "d6867bf679dd826f5646052eafa45a7e", "0cf29f0f99e3027836e20fe80d4d64db");
+      ("crash+restart", "flood", (82, 406, 851, 4), 276, 627,
+       "4059a09a4e8f131c24a57b0f1bb48dec", "0df26120280eda73a9a20f1554a45f2f");
+      ("dup+delay", "bfs", (14, 635, 1134, 3), 276, 940,
+       "f9847298a4e848a9ea25fbc0f701f8f0", "b3687b85a7b601ab7944fd733363d28a");
+      ("dup+delay", "flood", (14, 484, 1006, 4), 276, 682,
+       "1631bdff9e8429998d43ef1b91c42d5d", "ec5eeb31e6e28564900a032c46ce410a");
+      ("edge churn", "bfs", (24, 486, 888, 3), 276, 789,
+       "574c4c8a097c2305828a120349721efb", "1d5e65dc65ecd95c0c7ab1611286ef97");
+      ("edge churn", "flood", (23, 358, 726, 4), 276, 543,
+       "77712186efb70a8718668b9b0b21dd61", "444cd0245102f948c352cc8bf121f21b");
+      ("late joiner", "bfs", (26, 520, 953, 3), 276, 846,
+       "8be64212bcbd9a72f53820371a48dba9", "2f4fa6fdaf732f28bf8d1343b3b5ad6b");
+      ("late joiner", "flood", (81, 390, 807, 4), 276, 597,
+       "7ecde8fdfedf09e8e2e144cd9f4d932d", "919463d1a48916ce534a17bd8a11b40c");
+    ]
+
+let test_protocols_reject_bad_root () =
+  let g = Gen.connected_gnp (Util.Prng.create ~seed:3) ~n:60 ~p:0.08 in
+  List.iter
+    (fun root ->
+      let expect name run =
+        Alcotest.check_raises
+          (Printf.sprintf "%s root %d" name root)
+          (Invalid_argument
+             (Printf.sprintf "Protocols.%s: root %d is not a vertex (n = 60)"
+                name root))
+          run
+      in
+      expect "bfs" (fun () -> ignore (Protocols.bfs g ~root));
+      expect "flood" (fun () ->
+          ignore (Protocols.flood g ~root ~payload_words:1));
+      expect "reliable_bfs" (fun () -> ignore (Protocols.reliable_bfs g ~root));
+      expect "reliable_flood" (fun () ->
+          ignore (Protocols.reliable_flood g ~root ~payload_words:1)))
+    [ 60; 99; -1 ]
 
 let test_trace_replay_reproduces_stats () =
   let r = Util.Prng.create ~seed:2 in
@@ -739,16 +770,23 @@ let test_reliable_link_idle () =
     let receive _ ~round:_ _ () _ = ((), [])
   end in
   let module R = Distnet.Reliable.Make (P) in
-  let g = Gen.path 2 in
-  let st0, out0 = R.init g 0 in
-  checkb "first transmission on the wire" true (out0 <> []);
-  checkb "message awaiting ack -> busy" false (R.link_idle st0 1);
-  let st1, _ = R.init g 1 in
-  checkb "nothing queued -> idle" true (R.link_idle st1 0);
-  checkb "unknown neighbor -> idle" true (R.link_idle st1 7);
-  let _, acks = R.receive g ~round:1 1 st1 (List.map (fun (_, m) -> (0, m)) out0) in
-  let _ = R.receive g ~round:2 0 st0 (List.map (fun (_, m) -> (1, m)) acks) in
-  checkb "acked -> idle again" true (R.link_idle st0 1)
+  let rt = R.create (Gen.path 2) in
+  R.start rt 0;
+  R.start rt 1;
+  let idle v w = R.link_idle (R.endpoint rt v) w in
+  checkb "first transmission on the wire" false (Sim.quiescent (R.net rt));
+  checkb "message awaiting ack -> busy" false (idle 0 1);
+  checkb "nothing queued -> idle" true (idle 1 0);
+  checkb "unknown neighbor -> idle" true (idle 1 7);
+  R.send rt ~src:1 ~dst:0 ();
+  checkb "outbox -> busy" false (idle 1 0);
+  (* Round 1: node 1 acks and sends its outbox; round 2: node 0 takes
+     the ack and acks back; round 3: node 1 takes that ack. *)
+  for _ = 1 to 3 do
+    R.step rt ~landed:ignore
+  done;
+  checkb "acked -> idle again" true (idle 0 1 && idle 1 0);
+  checkb "nothing left to do" true (R.idle rt ~round:4)
 
 (* ------------------------------------------------------------------ *)
 (* Topology churn: plan validation, engine semantics, healing *)
@@ -1019,12 +1057,7 @@ let test_arq_config_default_is_historical () =
   checki "initial_rto" 3 c.Reliable.initial_rto;
   checki "max_rto" 32 c.Reliable.max_rto;
   checki "max_retries" 12 c.Reliable.max_retries;
-  checkb "backoff doubles" true (c.Reliable.backoff = 2.);
-  (* The legacy constants alias the default, so pinned traces that
-     were recorded against them stay honest. *)
-  checki "alias initial_rto" c.Reliable.initial_rto Reliable.initial_rto;
-  checki "alias max_rto" c.Reliable.max_rto Reliable.max_rto;
-  checki "alias max_retries" c.Reliable.max_retries Reliable.max_retries
+  checkb "backoff doubles" true (c.Reliable.backoff = 2.)
 
 let test_arq_set_config_rejects_invalid () =
   let expect msg c =
@@ -1070,11 +1103,12 @@ let test_arq_backoff_escalation_metric () =
 (* ARQ timers: absolute deadlines, and drivers that skip idle nodes *)
 
 let test_arq_due_schedule () =
-  (* Node 0 of a 2-path sends one message and never hears an ack.  The
-     timeout backs off 3, 6, 12, 24 and then 32 rounds; after twelve
-     retransmissions the thirteenth timeout abandons the message.  A
-     driver that calls [receive] only when [due] sends the same frames
-     in the same rounds as one that calls it every round. *)
+  (* Node 0 of a 2-path sends one message to node 1, which is down from
+     round 0 and never acks.  The timeout backs off 3, 6, 12, 24 and
+     then 32 rounds; after twelve retransmissions the thirteenth
+     timeout abandons the message.  The runtime visits node 0 only in
+     its first round, which anchors the timer [init] armed, and at each
+     timeout: every other round it is skipped. *)
   let module P = struct
     type state = unit
     type message = unit
@@ -1084,39 +1118,39 @@ let test_arq_due_schedule () =
     let receive _ ~round:_ _ () _ = ((), [])
   end in
   let module R = Reliable.Make (P) in
-  let g = Gen.path 2 in
-  let swept, _ = R.init g 0 in
-  let woken, _ = R.init g 0 in
-  (* Round 1 is the node's first round: [init] has no round, and its
-     first [receive] anchors the timer [init] armed. *)
-  checkb "first round of a node with a seq in flight is due" true
-    (R.due woken ~round:1);
-  ignore (R.receive g ~round:1 0 swept []);
-  ignore (R.receive g ~round:1 0 woken []);
-  let due = ref [] and frames = ref [] in
-  for round = 2 to 400 do
-    let sent = snd (R.receive g ~round 0 swept []) <> [] in
-    if R.due woken ~round then begin
-      due := round :: !due;
-      let sent' = snd (R.receive g ~round 0 woken []) <> [] in
-      checkb (Printf.sprintf "round %d: same frame either way" round) sent sent';
-      if sent' then frames := round :: !frames
-    end
-    else checkb (Printf.sprintf "round %d: no frame when not due" round) false sent
+  let faults =
+    Fault.make ~seed:1 { Fault.default_spec with Fault.crashes = [ (1, 0) ] }
+  in
+  let tracer = Trace.create () in
+  let rt = R.create ~faults ~tracer (Gen.path 2) in
+  R.start rt 0;
+  R.start rt 1;
+  let visits = ref [] in
+  for _ = 1 to 400 do
+    R.step rt ~landed:ignore;
+    R.iter_visited rt (fun v -> visits := (v, Sim.round (R.net rt)) :: !visits)
   done;
+  let frames =
+    List.filter_map
+      (fun (e : Trace.event) ->
+        if e.Trace.kind = Trace.Send then Some e.Trace.round else None)
+      (Trace.events tracer)
+  in
   let schedule = [ 3; 9; 21; 45; 77; 109; 141; 173; 205; 237; 269; 301; 333 ] in
   let ints = Alcotest.(list int) in
-  Alcotest.check ints "due exactly at the timeouts" schedule (List.rev !due);
-  Alcotest.check ints "a frame at each of the first twelve"
-    (List.filteri (fun i _ -> i < 12) schedule)
-    (List.rev !frames);
-  List.iter
-    (fun st ->
-      checki "twelve retransmissions" 12 (R.retransmissions st);
-      checki "one dead letter" 1 (R.dead_letters st);
-      checkb "nothing in flight" false (R.active st);
-      Alcotest.check ints "peer suspected" [ 1 ] (R.suspected st))
-    [ swept; woken ]
+  Alcotest.check
+    Alcotest.(list (pair int int))
+    "visited at the first round and exactly at the timeouts"
+    (List.map (fun r -> (0, r)) (1 :: schedule))
+    (List.rev !visits);
+  Alcotest.check ints "a frame at round 0 and each of the first twelve"
+    (0 :: List.filteri (fun i _ -> i < 12) schedule)
+    frames;
+  let ep = R.endpoint rt 0 in
+  checki "twelve retransmissions" 12 (R.retransmissions ep);
+  checki "one dead letter" 1 (R.dead_letters ep);
+  checkb "nothing in flight" true (R.idle rt ~round:401);
+  Alcotest.check ints "peer suspected" [ 1 ] (R.suspected ep)
 
 let test_arq_late_joiner_timers () =
   (* A late-joining root runs [init] and its first [receive] in its join
@@ -1146,9 +1180,9 @@ let test_arq_late_joiner_timers () =
     [ (3, 28); (6, 31) ]
 
 let test_skeleton_pump_skips_idle_nodes () =
-  (* The skeleton's ARQ pump visits only the nodes with mail, an outbox
-     or a due timer, so the per-node timer sweep runs on a small share
-     of the node-rounds; a pump that visits every node every round
+  (* The ARQ runtime visits only the nodes with mail, an outbox or a
+     due timer, so the per-node timer sweep runs on a small share of
+     the node-rounds; a driver that visits every node every round
      enters it about n times a round. *)
   let n = 250 in
   let g =
@@ -1170,16 +1204,36 @@ let test_skeleton_pump_skips_idle_nodes () =
       ~finally:(fun () -> Obs.Prof.set_current Obs.Prof.disabled)
       (fun () -> Spanner.Skeleton_dist.build ~faults ~seed:1 g)
   in
-  let sweeps =
+  let sweeps_of prof =
     List.fold_left
       (fun acc (row : Obs.Prof.row) ->
         if row.Obs.Prof.name = "arq_timer_sweep" then acc + row.Obs.Prof.count
         else acc)
       0 (Obs.Prof.rows prof)
   in
+  let sweeps = sweeps_of prof in
   let budget = n * r.Spanner.Skeleton_dist.stats.Sim.rounds / 10 in
   checkb
-    (Printf.sprintf "%d timer sweeps < n * rounds / 10 = %d" sweeps budget)
+    (Printf.sprintf "skeleton: %d timer sweeps < n * rounds / 10 = %d" sweeps
+       budget)
+    true (sweeps < budget);
+  (* The reference protocols run on the same runtime. *)
+  let prof = Obs.Prof.create () in
+  Obs.Prof.set_current prof;
+  let stats, _ =
+    Fun.protect
+      ~finally:(fun () -> Obs.Prof.set_current Obs.Prof.disabled)
+      (fun () ->
+        Protocols.reliable_bfs
+          ~faults:
+            (Fault.make ~seed:32 { Fault.default_spec with Fault.drop = 0.2 })
+          g ~root:0)
+  in
+  let sweeps = sweeps_of prof in
+  let budget = n * stats.Sim.rounds / 10 in
+  checkb
+    (Printf.sprintf "reliable_bfs: %d timer sweeps < n * rounds / 10 = %d"
+       sweeps budget)
     true (sweeps < budget)
 
 let suite =
@@ -1192,7 +1246,6 @@ let suite =
         Alcotest.test_case "positive words" `Quick test_positive_words_required;
         Alcotest.test_case "quiescence" `Quick test_quiescence;
         Alcotest.test_case "relay chain rounds" `Quick test_relay_chain_rounds;
-        Alcotest.test_case "idle rounds" `Quick test_idle_rounds;
       ] );
     ( "distnet.bfs",
       [
@@ -1205,11 +1258,6 @@ let suite =
       [
         Alcotest.test_case "reaches component" `Quick test_flood_reaches_component;
         Alcotest.test_case "tree message count" `Quick test_flood_message_count_on_tree;
-      ] );
-    ( "distnet.runner",
-      [
-        Alcotest.test_case "echo" `Quick test_runner_echo;
-        Alcotest.test_case "max flood" `Quick test_runner_max_flood;
       ] );
     ( "distnet.faults",
       [
@@ -1234,6 +1282,10 @@ let suite =
           test_reliable_bfs_loss_free_matches;
         Alcotest.test_case "bfs under 20% drop" `Quick test_reliable_bfs_under_drop;
         Alcotest.test_case "flood under chaos" `Quick test_reliable_flood_under_chaos;
+        Alcotest.test_case "pinned fault plans" `Quick
+          test_reliable_pinned_plans;
+        Alcotest.test_case "root must be a vertex" `Quick
+          test_protocols_reject_bad_root;
         QCheck_alcotest.to_alcotest prop_reliable_bfs_under_drop;
       ] );
     ( "distnet.trace",

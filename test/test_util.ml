@@ -277,37 +277,6 @@ let test_uf_chain () =
   checkb "ends connected" true (Util.Union_find.same u 0 99)
 
 (* ------------------------------------------------------------------ *)
-(* Heap *)
-
-let test_heap_sorts () =
-  let h = Util.Heap.create () in
-  let r = Util.Prng.create ~seed:9 in
-  let keys = Array.init 200 (fun _ -> Util.Prng.int r 1000) in
-  Array.iter (fun k -> Util.Heap.push h ~key:k k) keys;
-  checki "length" 200 (Util.Heap.length h);
-  let sorted = Array.copy keys in
-  Array.sort compare sorted;
-  Array.iter
-    (fun expected ->
-      match Util.Heap.pop_min h with
-      | Some (k, v) ->
-          checki "pop order" expected k;
-          checki "payload" k v
-      | None -> Alcotest.fail "heap empty too early")
-    sorted;
-  checkb "empty at end" true (Util.Heap.is_empty h)
-
-let test_heap_peek () =
-  let h = Util.Heap.create () in
-  checkb "peek empty" true (Util.Heap.peek_min h = None);
-  Util.Heap.push h ~key:5 "five";
-  Util.Heap.push h ~key:2 "two";
-  (match Util.Heap.peek_min h with
-  | Some (2, "two") -> ()
-  | _ -> Alcotest.fail "peek should see min");
-  checki "peek does not pop" 2 (Util.Heap.length h)
-
-(* ------------------------------------------------------------------ *)
 (* Bitset *)
 
 let test_bitset_basic () =
@@ -352,19 +321,6 @@ let prop_uf_union_count =
           if Util.Union_find.union u a b then incr merges)
         ops;
       Util.Union_find.count u = n - !merges)
-
-let prop_heap_matches_sort =
-  QCheck.Test.make ~name:"heap: pop sequence is sorted" ~count:100
-    QCheck.(list small_int)
-    (fun keys ->
-      let h = Util.Heap.create () in
-      List.iter (fun k -> Util.Heap.push h ~key:k ()) keys;
-      let rec drain acc =
-        match Util.Heap.pop_min h with
-        | None -> List.rev acc
-        | Some (k, ()) -> drain (k :: acc)
-      in
-      drain [] = List.sort compare keys)
 
 let prop_stats_mean_bounds =
   QCheck.Test.make ~name:"stats: min <= mean <= max" ~count:100
@@ -518,12 +474,6 @@ let suite =
         Alcotest.test_case "basic" `Quick test_uf_basic;
         Alcotest.test_case "chain" `Quick test_uf_chain;
         QCheck_alcotest.to_alcotest prop_uf_union_count;
-      ] );
-    ( "util.heap",
-      [
-        Alcotest.test_case "sorts" `Quick test_heap_sorts;
-        Alcotest.test_case "peek" `Quick test_heap_peek;
-        QCheck_alcotest.to_alcotest prop_heap_matches_sort;
       ] );
     ( "util.bitset",
       [
