@@ -8,12 +8,23 @@ module Gen = Graphlib.Gen
 module Edge_set = Graphlib.Edge_set
 module Metrics = Graphlib.Metrics
 
+(* A malformed or missing input file is a user error, not a crash: one
+   line naming the file (and the line), exit 1. *)
+let reading f x =
+  try f x with
+  | Util.Lines.Parse_error _ as e ->
+      Format.eprintf "spanner_cli: %s@." (Printexc.to_string e);
+      exit 1
+  | Sys_error msg ->
+      Format.eprintf "spanner_cli: %s@." msg;
+      exit 1
+
 (* ------------------------------------------------------------------ *)
 (* Shared graph source: either --input FILE or a generator spec. *)
 
 let load_graph ~kind ~n ~p ~seed ~input =
   match input with
-  | Some path -> Graphlib.Io.read path
+  | Some path -> reading Graphlib.Io.read path
   | None -> (
       let rng = Util.Prng.create ~seed in
       match kind with
@@ -215,8 +226,8 @@ let eval_cmd =
     Arg.(value & flag & info [ "exact" ] ~doc:"All-pairs distortion (small graphs).")
   in
   let run graph_file spanner_file exact seed =
-    let g = Graphlib.Io.read graph_file in
-    let h = Graphlib.Io.read spanner_file in
+    let g = reading Graphlib.Io.read graph_file in
+    let h = reading Graphlib.Io.read spanner_file in
     let rep =
       if exact then Metrics.exact ~g ~h
       else Metrics.sampled (Util.Prng.create ~seed) ~g ~h ~sources:8
@@ -288,66 +299,32 @@ let oracle_cmd =
 (* ------------------------------------------------------------------ *)
 (* simulate: protocols over a faulty network, with trace/replay *)
 
-let parse_crashes s =
-  (* "v@r,v@r,..." — node v crash-stops at round r. *)
-  if s = "" then []
-  else
-    String.split_on_char ',' s
-    |> List.map (fun part ->
-           let bad () =
-             failwith
-               (Printf.sprintf "bad crash spec %S (want NODE@ROUND,...)" part)
-           in
-           match String.split_on_char '@' (String.trim part) with
-           | [ v; r ] -> (
-               match (int_of_string_opt v, int_of_string_opt r) with
-               | Some v, Some r -> (v, r)
-               | _ -> bad ())
-           | _ -> bad ())
+(* A comma-separated list of the event tokens plan files use: a bad
+   one is a usage error naming the option.  Cmdliner prints a value
+   only as the default, which is always empty. *)
+let events ~what ~want read =
+  let rec parse = function
+    | [] -> Ok []
+    | part :: rest -> (
+        match read (String.trim part) with
+        | Some x -> Result.map (List.cons x) (parse rest)
+        | None ->
+            let msg = Printf.sprintf "bad %s %S (want %s,...)" what part want in
+            Error (`Msg msg))
+  in
+  Arg.conv
+    ( (fun s -> if s = "" then Ok [] else parse (String.split_on_char ',' s)),
+      fun _ _ -> () )
 
-let parse_edge_events what s =
-  (* "u-v@r,u-v@r,..." — the edge u-v changes state at round r. *)
-  if s = "" then []
-  else
-    String.split_on_char ',' s
-    |> List.map (fun part ->
-           let bad () =
-             failwith
-               (Printf.sprintf "bad %s spec %S (want U-V@ROUND,...)" what part)
-           in
-           match String.split_on_char '@' (String.trim part) with
-           | [ uv; r ] -> (
-               match (String.split_on_char '-' uv, int_of_string_opt r) with
-               | [ u; v ], Some r -> (
-                   match (int_of_string_opt u, int_of_string_opt v) with
-                   | Some u, Some v -> (r, u, v)
-                   | _ -> bad ())
-               | _ -> bad ())
-           | _ -> bad ())
-
-let parse_links s =
-  (* "u-v,u-v,..." — the links of a partition cut. *)
-  if s = "" then []
-  else
-    String.split_on_char ',' s
-    |> List.map (fun part ->
-           let bad () =
-             failwith
-               (Printf.sprintf "bad partition link %S (want U-V,...)" part)
-           in
-           match String.split_on_char '-' (String.trim part) with
-           | [ u; v ] -> (
-               match (int_of_string_opt u, int_of_string_opt v) with
-               | Some u, Some v -> (u, v)
-               | _ -> bad ())
-           | _ -> bad ())
+let node_rounds what = events ~what ~want:"NODE@ROUND" Util.Lines.node_at
+let edge_rounds what = events ~what ~want:"U-V@ROUND" Util.Lines.edge_at
 
 (* The churn flags simulate and serve share, assembled into one plan. *)
 let churn_arg =
   let edge_drop =
     Arg.(
       value
-      & opt string ""
+      & opt (edge_rounds "edge-drop") []
       & info [ "edge-drop" ] ~docv:"SPEC"
           ~doc:
             "Churn: edges going down, e.g. 3-7@10,5-9@20 (edge 3-7 goes down \
@@ -357,14 +334,14 @@ let churn_arg =
   let edge_up =
     Arg.(
       value
-      & opt string ""
+      & opt (edge_rounds "edge-up") []
       & info [ "edge-up" ] ~docv:"SPEC"
           ~doc:"Churn: edges coming (back) up, same U-V@ROUND syntax.")
   in
   let partition =
     Arg.(
       value
-      & opt string ""
+      & opt (events ~what:"partition" ~want:"U-V" Util.Lines.edge) []
       & info [ "partition" ] ~docv:"LINKS"
           ~doc:
             "Churn: cut all listed links at once, e.g. 3-7,5-9 (see \
@@ -389,7 +366,7 @@ let churn_arg =
   let join =
     Arg.(
       value
-      & opt string ""
+      & opt (node_rounds "join") []
       & info [ "join" ] ~docv:"SPEC"
           ~doc:
             "Churn: late node joins, e.g. 4@25 (node 4 only joins the network \
@@ -397,12 +374,12 @@ let churn_arg =
   in
   let churn edge_drop edge_up partition partition_round heal_round join =
     List.map
-      (fun (r, u, v) -> Distnet.Fault.Edge_down { round = r; u; v })
-      (parse_edge_events "edge-drop" edge_drop)
+      (fun (u, v, round) -> Distnet.Fault.Edge_down { round; u; v })
+      edge_drop
     @ List.map
-        (fun (r, u, v) -> Distnet.Fault.Edge_up { round = r; u; v })
-        (parse_edge_events "edge-up" edge_up)
-    @ (match parse_links partition with
+        (fun (u, v, round) -> Distnet.Fault.Edge_up { round; u; v })
+        edge_up
+    @ (match partition with
       | [] -> []
       | links ->
           [
@@ -413,9 +390,7 @@ let churn_arg =
                 heal = (if heal_round > 0 then Some heal_round else None);
               };
           ])
-    @ List.map
-        (fun (v, r) -> Distnet.Fault.Join { round = r; node = v })
-        (parse_crashes join)
+    @ List.map (fun (node, round) -> Distnet.Fault.Join { round; node }) join
   in
   Term.(
     const churn $ edge_drop $ edge_up $ partition $ partition_round
@@ -444,14 +419,6 @@ let arq_backoff_arg =
               "ARQ retransmit-timer growth factor per timeout (1 = fixed \
                interval; default 2 = classic doubling, byte-identical to \
                historical behavior)."))
-
-(* A corrupt run log is a user error, not a crash: one line naming the
-   file and the line, exit 1. *)
-let reading_log f x =
-  try f x
-  with Obs.Jsonl.Parse_error _ as e ->
-    Format.eprintf "spanner_cli: %s@." (Printexc.to_string e);
-    exit 1
 
 let simulate_cmd =
   let drop =
@@ -482,14 +449,14 @@ let simulate_cmd =
   let crash =
     Arg.(
       value
-      & opt string ""
+      & opt (node_rounds "crash") []
       & info [ "crash" ] ~docv:"SPEC"
           ~doc:"Crash-stop schedule, e.g. 3@5,9@12 (node 3 dies at round 5).")
   in
   let restart =
     Arg.(
       value
-      & opt string ""
+      & opt (node_rounds "restart") []
       & info [ "restart" ] ~docv:"SPEC"
           ~doc:
             "Crash-recovery schedule, e.g. 3@40 (node 3 restarts at round 40 \
@@ -639,7 +606,7 @@ let simulate_cmd =
     let faults, recorded =
       match replay_file with
       | Some file ->
-          let events, stored = reading_log Distnet.Trace.load file in
+          let events, stored = reading Distnet.Trace.load file in
           Format.printf "replaying %d events from %s@." (List.length events)
             file;
           (* A loss-free recording must replay over the loss-free
@@ -661,8 +628,7 @@ let simulate_cmd =
           (plan, stored)
       | None ->
           let crashes =
-            let explicit = parse_crashes crash in
-            if crash_frac <= 0. then explicit
+            if crash_frac <= 0. then crash
             else begin
               let rng = Util.Prng.create ~seed:(seed + 87) in
               let picks = ref [] in
@@ -672,7 +638,7 @@ let simulate_cmd =
                     (v, 1 + Util.Prng.int rng (Stdlib.max 1 crash_max_round))
                     :: !picks
               done;
-              explicit @ List.rev !picks
+              crash @ List.rev !picks
             end
           in
           let churn =
@@ -681,7 +647,7 @@ let simulate_cmd =
             match churn_trace with
             | None -> []
             | Some file ->
-                let events, _ = reading_log Distnet.Trace.load file in
+                let events, _ = reading Distnet.Trace.load file in
                 let churn = Distnet.Fault.churn_of_trace events in
                 Format.printf "churn plan: %d events from %s@."
                   (List.length churn) file;
@@ -694,7 +660,7 @@ let simulate_cmd =
               delay;
               max_delay;
               crashes;
-              restarts = parse_crashes restart;
+              restarts = restart;
               churn;
               drop_profile = [];
             }
@@ -1282,16 +1248,7 @@ let report_cmd =
     | None -> ()
   in
   let run files top audit_bounds strict critical_path perfetto profile_flag =
-    let kinds =
-      List.map
-        (fun file ->
-          if not (Sys.file_exists file) then begin
-            Format.eprintf "spanner_cli: no such file %s@." file;
-            exit 1
-          end;
-          (file, file_kind file))
-        files
-    in
+    let kinds = List.map (fun file -> (file, reading file_kind file)) files in
     (* A profile file given alongside a spans file under --perfetto is
        not reported on its own: its round samples become the counter
        tracks of the merged export. *)
@@ -1303,7 +1260,7 @@ let report_cmd =
       else
         List.concat_map
           (fun (file, k) ->
-            if k = `Profile then snd (reading_log Obs.Prof.load file) else [])
+            if k = `Profile then snd (reading Obs.Prof.load file) else [])
           kinds
     in
     List.iter
@@ -1338,7 +1295,7 @@ let report_cmd =
             | _ -> "a trace");
           exit 1
         end;
-        reading_log
+        reading
           (function
             | `Metrics -> report_metrics ~top ~audit_bounds ~strict file
             | `Spans -> report_spans ~top ~critical_path ~perfetto ~counters file
@@ -1483,7 +1440,7 @@ let serve_cmd =
                rebuild needs the full input graph)@.";
             exit 1
           end;
-          let snap = Serve.Snapshot.load file in
+          let snap = reading Serve.Snapshot.load file in
           Format.printf "snapshot loaded from %s@." file;
           (Serve.Snapshot.graph snap, None, fun ~routing:_ -> snap)
       | None ->
@@ -1502,7 +1459,7 @@ let serve_cmd =
     let w =
       match workload_in with
       | Some file ->
-          let w = Serve.Workload.load ~n:(Graph.n g) file in
+          let w = reading (Serve.Workload.load ~n:(Graph.n g)) file in
           Format.printf "workload: %d queries (%d routes) from %s@."
             (Array.length w)
             (Serve.Workload.route_count w)
@@ -1673,7 +1630,7 @@ let query_cmd =
           ~doc:"Sampled queries when no pairs are given.")
   in
   let run snapshot_in pairs route count seed =
-    let snap = Serve.Snapshot.load snapshot_in in
+    let snap = reading Serve.Snapshot.load snapshot_in in
     Format.printf "snapshot: %a@." Serve.Snapshot.pp snap;
     if route && not (Serve.Snapshot.has_routing snap) then begin
       Format.eprintf
@@ -1804,33 +1761,23 @@ let sweep_cmd =
   let run specs samples out_dir json_file metrics_file replay profile_file
       shrink_evals () =
     match replay with
-    | Some file -> (
-        match Scenario.Compile.load file with
-        | Error msg ->
-            Format.eprintf "spanner_cli: %s@." msg;
-            exit 1
-        | Ok plan ->
-            let r = Scenario.Sweep.run_plan plan in
-            Format.printf "plan %s sample %d: %a@." plan.Scenario.Compile.scenario
-              plan.Scenario.Compile.sample pp_outcome r;
-            Format.printf
-              "rounds %d, messages %d, words %d, spanner %d edges@."
-              r.Scenario.Sweep.rounds r.Scenario.Sweep.messages
-              r.Scenario.Sweep.words r.Scenario.Sweep.spanner_edges;
-            exit
-              (match r.Scenario.Sweep.outcome with
-              | Scenario.Sweep.Failed _ -> 3
-              | Scenario.Sweep.Certified _ -> 0))
+    | Some file ->
+        let plan = reading Scenario.Compile.load file in
+        let r = Scenario.Sweep.run_plan plan in
+        Format.printf "plan %s sample %d: %a@." plan.Scenario.Compile.scenario
+          plan.Scenario.Compile.sample pp_outcome r;
+        Format.printf "rounds %d, messages %d, words %d, spanner %d edges@."
+          r.Scenario.Sweep.rounds r.Scenario.Sweep.messages
+          r.Scenario.Sweep.words r.Scenario.Sweep.spanner_edges;
+        exit
+          (match r.Scenario.Sweep.outcome with
+          | Scenario.Sweep.Failed _ -> 3
+          | Scenario.Sweep.Certified _ -> 0)
     | None ->
         let resolve name =
           match Scenario.Spec.builtin name with
           | Some spec -> spec
-          | None -> (
-              match Scenario.Spec.load name with
-              | Ok spec -> spec
-              | Error msg ->
-                  Format.eprintf "spanner_cli: %s@." msg;
-                  exit 1)
+          | None -> reading Scenario.Spec.load name
         in
         let names =
           match specs with

@@ -101,7 +101,7 @@ let stats_to_json s =
     s.rounds s.messages s.words s.max_message_words
 
 let save ?stats t file =
-  Obs.Jsonl.save file ~header:[] (fun put ->
+  Util.Lines.save file ~header:[] (fun put ->
       List.iter (fun e -> put (event_to_json e)) (events t);
       Option.iter (fun s -> put (stats_to_json s)) stats)
 

@@ -1,6 +1,4 @@
-let to_channel g oc =
-  Printf.fprintf oc "%d %d\n" (Graph.n g) (Graph.m g);
-  Graph.iter_edges g (fun _ u v -> Printf.fprintf oc "%d %d\n" u v)
+module Lines = Util.Lines
 
 let to_buffer g b =
   Buffer.add_string b (Printf.sprintf "%d %d\n" (Graph.n g) (Graph.m g));
@@ -8,52 +6,43 @@ let to_buffer g b =
       Buffer.add_string b (Printf.sprintf "%d %d\n" u v))
 
 let write g path =
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> to_channel g oc)
+  Lines.save path
+    ~header:[ Printf.sprintf "%d %d" (Graph.n g) (Graph.m g) ]
+    (fun put ->
+      Graph.iter_edges g (fun _ u v -> put (Printf.sprintf "%d %d" u v)))
 
-(* The parser over any line source: skip blanks and '#' comments, read
-   the "[n] [m]" header, then m edge lines.  [next_line] raises
-   [End_of_file] when the source is dry. *)
-let parse next_line =
-  let read_line () =
-    let rec next () =
-      let line = String.trim (next_line ()) in
-      if line = "" || line.[0] = '#' then next () else line
-    in
-    next ()
+(* The "[n] [m]" header, then exactly m edge lines, over [lines] (a
+   {!Lines.words} iterator).  Self-loops and repeated edges are dropped
+   by [Graph.Builder]; everything else that is not an edge is an
+   error. *)
+let parse ~file lines =
+  let b = ref None and m = ref 0 and edges = ref 0 in
+  let last =
+    lines (fun (l : Lines.line) ->
+        let ints = List.map int_of_string_opt l.words in
+        match (!b, ints) with
+        | None, [ Some n; Some m' ] when n >= 0 && m' >= 0 ->
+            b := Some (Graph.Builder.create ~n);
+            m := m'
+        | None, _ -> Lines.error l {|bad header (want "N M")|}
+        | Some _, _ when !edges = !m ->
+            Lines.error l (Printf.sprintf "more than m = %d edge lines" !m)
+        | Some b, [ Some u; Some v ] ->
+            let n = Graph.Builder.n b in
+            if u < 0 || u >= n || v < 0 || v >= n then
+              Lines.error l (Printf.sprintf "vertex out of range (n = %d)" n);
+            Graph.Builder.add_edge b u v;
+            incr edges
+        | Some _, _ -> Lines.error l {|bad edge line (want "U V")|})
   in
-  let header = read_line () in
-  match String.split_on_char ' ' header with
-  | [ ns; ms ] ->
-      let n = int_of_string ns and m = int_of_string ms in
-      let b = Graph.Builder.create ~n in
-      for _ = 1 to m do
-        match String.split_on_char ' ' (read_line ()) with
-        | [ us; vs ] ->
-            Graph.Builder.add_edge b (int_of_string us) (int_of_string vs)
-        | _ -> failwith "Io.read: malformed edge line"
-      done;
-      Graph.Builder.build b
-  | _ -> failwith "Io.read: malformed header"
+  match !b with
+  | None -> Lines.fail ~file ~line:last {|missing "N M" header|}
+  | Some _ when !edges < !m ->
+      Lines.fail ~file ~line:last
+        (Printf.sprintf "only %d of m = %d edge lines" !edges !m)
+  | Some b -> Graph.Builder.build b
 
-let of_channel ic = parse (fun () -> input_line ic)
+let of_string ~file ~first s =
+  parse ~file (Lines.words_of_string ~file ~first s)
 
-let of_string s =
-  let pos = ref 0 in
-  let next_line () =
-    if !pos >= String.length s then raise End_of_file
-    else
-      let stop =
-        match String.index_from_opt s !pos '\n' with
-        | Some i -> i
-        | None -> String.length s
-      in
-      let line = String.sub s !pos (stop - !pos) in
-      pos := stop + 1;
-      line
-  in
-  parse next_line
-
-let read path =
-  let ic = open_in path in
-  Fun.protect ~finally:(fun () -> close_in ic) (fun () -> of_channel ic)
+let read path = parse ~file:path (Lines.words path)

@@ -1,19 +1,11 @@
 (* The run-log line codec.  See jsonl.mli. *)
 
-exception Parse_error of { file : string; line : int; msg : string }
-
-let () =
-  Printexc.register_printer (function
-    | Parse_error { file; line; msg } ->
-        Some (Printf.sprintf "%s: line %d: %s" file line msg)
-    | _ -> None)
+exception Parse_error = Util.Lines.Parse_error
 
 type line = { file : string; num : int; text : string; kind : string }
 
 let fail l msg =
-  raise
-    (Parse_error
-       { file = l.file; line = l.num; msg = Printf.sprintf "%s: %s" msg l.text })
+  Util.Lines.fail ~file:l.file ~line:l.num (Printf.sprintf "%s: %s" msg l.text)
 
 (* ------------------------------------------------------------------ *)
 (* Fields: a substring scan for ["name":], then the value after it.
@@ -102,42 +94,16 @@ let pairs l name =
 (* ------------------------------------------------------------------ *)
 (* Files *)
 
-(* [f num text] on every non-blank line, CR stripped. *)
-let scan file f =
-  In_channel.with_open_text file (fun ic ->
-      let rec go num =
-        match In_channel.input_line ic with
-        | None -> ()
-        | Some raw ->
-            let text =
-              if String.ends_with ~suffix:"\r" raw then
-                String.sub raw 0 (String.length raw - 1)
-              else raw
-            in
-            if String.trim text <> "" then f num text;
-            go (num + 1)
-      in
-      go 1)
-
 let iter file f =
-  scan file (fun num text ->
+  Util.Lines.scan file (fun num text ->
       match str_in text "kind" with
       | Some kind -> f { file; num; text; kind }
       | None -> fail { file; num; text; kind = "" } {|missing field "kind"|})
 
-let save file ~header put =
-  Out_channel.with_open_text file (fun oc ->
-      let line s =
-        output_string oc s;
-        output_char oc '\n'
-      in
-      List.iter line header;
-      put line)
-
 let first_kind file =
   let exception Found of string in
   match
-    scan file (fun _ text ->
+    Util.Lines.scan file (fun _ text ->
         raise (Found (Option.value ~default:"" (str_in text "kind"))))
   with
   | () -> None

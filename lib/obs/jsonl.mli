@@ -3,10 +3,12 @@
     Printers and the field scanner are hand-rolled, with no JSON
     dependency, and this is the only module that knows the format:
     {!Metrics}, {!Span}, {!Prof} and [Distnet.Trace] only map their
-    records to and from lines. *)
+    records to and from lines, and write them with
+    {!Util.Lines.save}. *)
 
 exception Parse_error of { file : string; line : int; msg : string }
-(** A line that is not a record of its log: truncated, garbage, an
+(** {!Util.Lines.Parse_error}, the one error of every text format: a
+    line that is not a record of its log — truncated, garbage, an
     unknown kind, or a missing or malformed field.  [line] is 1-based
     and [msg] ends with the line's text.  [Printexc.to_string] renders
     it as [FILE: line N: MSG]. *)
@@ -43,10 +45,6 @@ val pairs : line -> string -> (string * string) list
 val iter : string -> (line -> unit) -> unit
 (** Every non-blank line in file order; CRLF endings and blank lines
     are tolerated.  @raise Parse_error on a line without a ["kind"]. *)
-
-val save : string -> header:string list -> ((string -> unit) -> unit) -> unit
-(** [save file ~header put] writes the [header] lines, then each line
-    [put] emits. *)
 
 val first_kind : string -> string option
 (** The ["kind"] of the first non-blank line, [""] when it has none;

@@ -231,7 +231,7 @@ let to_json s =
         head h.count h.sum h.hmin h.hmax buckets
 
 let save ?(extra = []) t file =
-  Jsonl.save file ~header:extra (fun put ->
+  Util.Lines.save file ~header:extra (fun put ->
       List.iter (fun s -> put (to_json s)) (snapshot t))
 
 let load file =

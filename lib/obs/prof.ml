@@ -262,7 +262,7 @@ let round_to_json (s : round_sample) =
     s.round s.heap_words s.r_minor_words s.r_minors
 
 let save ?(extra = []) t file =
-  Jsonl.save file ~header:extra (fun put ->
+  Util.Lines.save file ~header:extra (fun put ->
       List.iter (fun r -> put (row_to_json r)) (rows t);
       List.iter (fun s -> put (round_to_json s)) (round_samples t))
 

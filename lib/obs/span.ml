@@ -180,7 +180,7 @@ let to_json s =
   Buffer.contents b
 
 let save ?(extra = []) t file =
-  Jsonl.save file ~header:extra (fun put ->
+  Util.Lines.save file ~header:extra (fun put ->
       match t with
       | Disabled -> ()
       | Reg r ->

@@ -1,5 +1,6 @@
 module Graph = Graphlib.Graph
 module Gen = Graphlib.Gen
+module Lines = Util.Lines
 
 type plan = {
   scenario : string;
@@ -253,9 +254,7 @@ let to_string plan =
         plan.workload_seed);
   Buffer.contents b
 
-let parse text =
-  let err line msg = Error (Printf.sprintf "plan file line %d: %s" line msg) in
-  let ( let* ) r f = match r with Error _ as e -> e | Ok v -> f v in
+let of_lines ~file lines =
   let plan =
     ref
       {
@@ -272,234 +271,82 @@ let parse text =
         workload_seed = 0;
       }
   in
-  let crashes = ref [] in
-  let restarts = ref [] in
-  let churn = ref [] in
+  let crashes = ref [] and restarts = ref [] and churn = ref [] in
   let seen_graph = ref false in
-  let at_round what s =
-    (* "V@R" or "U-V@R" *)
-    match String.split_on_char '@' s with
-    | [ head; r ] -> (
-        match int_of_string_opt r with
-        | None -> Error (Printf.sprintf "bad %s %S" what s)
-        | Some round -> Ok (head, round))
-    | _ -> Error (Printf.sprintf "bad %s %S (want ...@ROUND)" what s)
+  let directive (l : Lines.line) =
+    let int k = Lines.field l k int_of_string_opt in
+    let flt k = Lines.field l k float_of_string_opt in
+    let opt k parse = Lines.field_opt l k parse in
+    let tok what read s = Lines.token l what read s in
+    let p = !plan in
+    let set_fspec fspec = plan := { p with fspec } in
+    match l.words with
+    | [ "scenario"; scenario ] -> plan := { p with scenario }
+    | [ "sample"; k ] ->
+        plan := { p with sample = tok "sample" int_of_string_opt k }
+    | "graph" :: _ ->
+        let kind = Lines.field l "kind" Option.some in
+        let n = int "n" in
+        let p' = Option.value ~default:0. (opt "p" float_of_string_opt) in
+        let graph_seed = int "seed" in
+        seen_graph := true;
+        plan := { p with kind; n; p = p'; graph_seed }
+    | [ "fault_seed"; s ] ->
+        plan := { p with fault_seed = tok "fault_seed" int_of_string_opt s }
+    | [ "drop"; v ] ->
+        set_fspec { p.fspec with drop = tok "drop" float_of_string_opt v }
+    | [ "dup"; v ] ->
+        set_fspec { p.fspec with dup = tok "dup" float_of_string_opt v }
+    | "delay" :: _ ->
+        let delay = flt "p" in
+        let max_delay = Option.value ~default:3 (opt "max" int_of_string_opt) in
+        set_fspec { p.fspec with delay; max_delay }
+    | "profile" :: segs ->
+        let segment seg =
+          match String.split_on_char ':' seg with
+          | [ r; rate ] -> (
+              match (int_of_string_opt r, float_of_string_opt rate) with
+              | Some r, Some rate -> Some (r, rate)
+              | _ -> None)
+          | _ -> None
+        in
+        let drop_profile = List.map (tok "profile segment" segment) segs in
+        set_fspec { p.fspec with drop_profile }
+    | [ "crash"; s ] -> crashes := tok "crash" Lines.node_at s :: !crashes
+    | [ "restart"; s ] -> restarts := tok "restart" Lines.node_at s :: !restarts
+    | [ "down"; s ] ->
+        let u, v, round = tok "down" Lines.edge_at s in
+        churn := Distnet.Fault.Edge_down { round; u; v } :: !churn
+    | [ "up"; s ] ->
+        let u, v, round = tok "up" Lines.edge_at s in
+        churn := Distnet.Fault.Edge_up { round; u; v } :: !churn
+    | "budget" :: _ -> plan := { p with budget_rounds = Some (int "rounds") }
+    | "workload" :: _ ->
+        let queries = int "queries" in
+        let route_frac = flt "route" in
+        let workload_seed = int "seed" in
+        let zipf = opt "zipf" float_of_string_opt in
+        let w = { Serve.Workload.queries; zipf; route_frac } in
+        plan := { p with workload = Some w; workload_seed }
+    | _ ->
+        Lines.error l (Printf.sprintf "unknown directive %S" (List.hd l.words))
   in
-  let edge head =
-    match String.split_on_char '-' head with
-    | [ u; v ] -> (
-        match (int_of_string_opt u, int_of_string_opt v) with
-        | Some u, Some v -> Ok (u, v)
-        | _ -> Error (Printf.sprintf "bad edge %S" head))
-    | _ -> Error (Printf.sprintf "bad edge %S (want U-V)" head)
-  in
-  let kvs tokens =
-    List.map
-      (fun tok ->
-        match String.index_opt tok '=' with
-        | None -> (tok, "")
-        | Some i ->
-            ( String.sub tok 0 i,
-              String.sub tok (i + 1) (String.length tok - i - 1) ))
-      tokens
-  in
-  let result =
-    List.fold_left
-      (fun (lineno, acc) raw ->
-        let next r = (lineno + 1, r) in
-        match acc with
-        | Error _ -> next acc
-        | Ok () -> (
-            let l = String.trim raw in
-            if l = "" || l.[0] = '#' then next acc
-            else
-              let tokens =
-                String.split_on_char ' ' l |> List.filter (fun t -> t <> "")
-              in
-              match tokens with
-              | [] -> next acc
-              | key :: rest -> (
-                  let kv = kvs rest in
-                  let str k = List.assoc_opt k kv in
-                  let fld k parse_v =
-                    match str k with
-                    | None -> Error (Printf.sprintf "missing %s=" k)
-                    | Some v -> (
-                        match parse_v v with
-                        | Some x -> Ok x
-                        | None -> Error (Printf.sprintf "bad %s=%S" k v))
-                  in
-                  let set f = plan := f !plan in
-                  let r =
-                    match (key, rest) with
-                    | "scenario", [ name ] ->
-                        set (fun p -> { p with scenario = name });
-                        Ok ()
-                    | "sample", [ k ] -> (
-                        match int_of_string_opt k with
-                        | Some sample ->
-                            set (fun p -> { p with sample });
-                            Ok ()
-                        | None -> Error (Printf.sprintf "bad sample %S" k))
-                    | "graph", _ ->
-                        let* kind = fld "kind" Option.some in
-                        let* n = fld "n" int_of_string_opt in
-                        let* p =
-                          match str "p" with
-                          | None -> Ok 0.
-                          | Some _ -> fld "p" float_of_string_opt
-                        in
-                        let* graph_seed = fld "seed" int_of_string_opt in
-                        seen_graph := true;
-                        set (fun pl -> { pl with kind; n; p; graph_seed });
-                        Ok ()
-                    | "fault_seed", [ s ] -> (
-                        match int_of_string_opt s with
-                        | Some fault_seed ->
-                            set (fun p -> { p with fault_seed });
-                            Ok ()
-                        | None -> Error (Printf.sprintf "bad fault_seed %S" s))
-                    | "drop", [ v ] -> (
-                        match float_of_string_opt v with
-                        | Some d ->
-                            set (fun p ->
-                                { p with fspec = { p.fspec with drop = d } });
-                            Ok ()
-                        | None -> Error (Printf.sprintf "bad drop %S" v))
-                    | "dup", [ v ] -> (
-                        match float_of_string_opt v with
-                        | Some d ->
-                            set (fun p ->
-                                { p with fspec = { p.fspec with dup = d } });
-                            Ok ()
-                        | None -> Error (Printf.sprintf "bad dup %S" v))
-                    | "delay", _ ->
-                        let* d = fld "p" float_of_string_opt in
-                        let* max_delay =
-                          match str "max" with
-                          | None -> Ok 3
-                          | Some _ -> fld "max" int_of_string_opt
-                        in
-                        set (fun p ->
-                            {
-                              p with
-                              fspec = { p.fspec with delay = d; max_delay };
-                            });
-                        Ok ()
-                    | "profile", segs ->
-                        let* segments =
-                          List.fold_left
-                            (fun acc seg ->
-                              let* acc = acc in
-                              match String.split_on_char ':' seg with
-                              | [ r; rate ] -> (
-                                  match
-                                    ( int_of_string_opt r,
-                                      float_of_string_opt rate )
-                                  with
-                                  | Some r, Some rate -> Ok ((r, rate) :: acc)
-                                  | _ ->
-                                      Error
-                                        (Printf.sprintf
-                                           "bad profile segment %S" seg))
-                              | _ ->
-                                  Error
-                                    (Printf.sprintf "bad profile segment %S"
-                                       seg))
-                            (Ok []) segs
-                        in
-                        set (fun p ->
-                            {
-                              p with
-                              fspec =
-                                {
-                                  p.fspec with
-                                  drop_profile = List.rev segments;
-                                };
-                            });
-                        Ok ()
-                    | "crash", [ s ] ->
-                        let* v, round = at_round "crash" s in
-                        let* v =
-                          match int_of_string_opt v with
-                          | Some v -> Ok v
-                          | None -> Error (Printf.sprintf "bad crash %S" s)
-                        in
-                        crashes := (v, round) :: !crashes;
-                        Ok ()
-                    | "restart", [ s ] ->
-                        let* v, round = at_round "restart" s in
-                        let* v =
-                          match int_of_string_opt v with
-                          | Some v -> Ok v
-                          | None -> Error (Printf.sprintf "bad restart %S" s)
-                        in
-                        restarts := (v, round) :: !restarts;
-                        Ok ()
-                    | "down", [ s ] ->
-                        let* head, round = at_round "down" s in
-                        let* u, v = edge head in
-                        churn :=
-                          Distnet.Fault.Edge_down { round; u; v } :: !churn;
-                        Ok ()
-                    | "up", [ s ] ->
-                        let* head, round = at_round "up" s in
-                        let* u, v = edge head in
-                        churn := Distnet.Fault.Edge_up { round; u; v } :: !churn;
-                        Ok ()
-                    | "budget", _ ->
-                        let* r = fld "rounds" int_of_string_opt in
-                        set (fun p -> { p with budget_rounds = Some r });
-                        Ok ()
-                    | "workload", _ ->
-                        let* queries = fld "queries" int_of_string_opt in
-                        let* route_frac = fld "route" float_of_string_opt in
-                        let* workload_seed = fld "seed" int_of_string_opt in
-                        let* zipf =
-                          match str "zipf" with
-                          | None -> Ok None
-                          | Some _ ->
-                              let* z = fld "zipf" float_of_string_opt in
-                              Ok (Some z)
-                        in
-                        set (fun p ->
-                            {
-                              p with
-                              workload =
-                                Some
-                                  { Serve.Workload.queries; zipf; route_frac };
-                              workload_seed;
-                            });
-                        Ok ()
-                    | other, _ ->
-                        Error (Printf.sprintf "unknown directive %S" other)
-                  in
-                  match r with Ok () -> next acc | Error m -> next (err lineno m))))
-      (1, Ok ())
-      (String.split_on_char '\n' text)
-    |> snd
-  in
-  let* () = result in
-  let* () =
-    if !seen_graph then Ok () else Error "plan file: missing 'graph' line"
-  in
+  let last = lines directive in
+  if not !seen_graph then Lines.fail ~file ~line:last "missing 'graph' line";
   let p = !plan in
-  Ok
-    {
-      p with
-      fspec =
-        {
-          p.fspec with
-          crashes = List.rev !crashes;
-          restarts = List.rev !restarts;
-          churn = List.rev !churn;
-        };
-    }
+  {
+    p with
+    fspec =
+      {
+        p.fspec with
+        crashes = List.rev !crashes;
+        restarts = List.rev !restarts;
+        churn = List.rev !churn;
+      };
+  }
 
-let load path =
-  match In_channel.with_open_text path In_channel.input_all with
-  | text -> parse text
-  | exception Sys_error msg -> Error msg
+let parse ~file text = of_lines ~file (Lines.words_of_string ~file text)
+let load path = of_lines ~file:path (Lines.words path)
 
 let save plan path =
   Out_channel.with_open_text path (fun oc ->

@@ -46,9 +46,15 @@ val faults : graph:Graphlib.Graph.t -> plan -> Distnet.Fault.t
     shrinker's diff is a line diff. *)
 
 val to_string : plan -> string
-(** Canonical: [parse (to_string p) = Ok p], same bytes for the same
+(** Canonical: [parse ~file (to_string p) = p], same bytes for the same
     plan. *)
 
-val parse : string -> (plan, string) result
-val load : string -> (plan, string) result
+val parse : file:string -> string -> plan
+(** Parse [text], named [file] in errors.  @raise Util.Lines.Parse_error
+    at the first malformed line, or after the last line when there is
+    no [graph] line. *)
+
+val load : string -> plan
+(** {!parse} a plan file. *)
+
 val save : plan -> string -> unit

@@ -1,3 +1,5 @@
+module Lines = Util.Lines
+
 type loss =
   | No_loss
   | Iid of float
@@ -192,197 +194,87 @@ let to_string s =
         (fstr w.Serve.Workload.route_frac));
   Buffer.contents b
 
-(* [k=v] tokens -> assoc list; a bare token maps to itself. *)
-let kvs tokens =
-  List.map
-    (fun tok ->
-      match String.index_opt tok '=' with
-      | None -> (tok, "")
-      | Some i ->
-          ( String.sub tok 0 i,
-            String.sub tok (i + 1) (String.length tok - i - 1) ))
-    tokens
-
-let parse text =
-  let err line msg = Error (Printf.sprintf "scenario spec line %d: %s" line msg) in
-  let lines = String.split_on_char '\n' text in
-  let spec = ref default in
-  let seen_name = ref false in
-  let result =
-    List.fold_left
-      (fun (lineno, acc) raw ->
-        let next r = (lineno + 1, r) in
-        match acc with
-        | Error _ -> next acc
-        | Ok () -> (
-            let l = String.trim raw in
-            if l = "" || l.[0] = '#' then next acc
-            else
-              let tokens =
-                String.split_on_char ' ' l
-                |> List.filter (fun t -> t <> "")
-              in
-              match tokens with
-              | [] -> next acc
-              | key :: rest -> (
-                  let kv = kvs rest in
-                  let str k = List.assoc_opt k kv in
-                  let fld k parse_v =
-                    match str k with
-                    | None -> Error (Printf.sprintf "missing %s=" k)
-                    | Some v -> (
-                        match parse_v v with
-                        | Some x -> Ok x
-                        | None -> Error (Printf.sprintf "bad %s=%S" k v))
-                  in
-                  let flt k = fld k float_of_string_opt in
-                  let int k = fld k int_of_string_opt in
-                  let dst k =
-                    match str k with
-                    | None -> Error (Printf.sprintf "missing %s=" k)
-                    | Some v -> Dsl.parse v
-                  in
-                  let r =
-                    match (key, rest) with
-                    | "name", [ n ] ->
-                        seen_name := true;
-                        spec := { !spec with name = n };
-                        Ok ()
-                    | "name", _ -> Error "name takes exactly one token"
-                    | "graph", _ ->
-                        let* kind = fld "kind" Option.some in
-                        let* n = int "n" in
-                        let* p =
-                          match str "p" with
-                          | None -> Ok (!spec).p
-                          | Some _ -> flt "p"
-                        in
-                        let* graph_seed = int "seed" in
-                        spec := { !spec with kind; n; p; graph_seed };
-                        Ok ()
-                    | "loss", "iid" :: _ ->
-                        let* r = flt "rate" in
-                        spec := { !spec with loss = Iid r };
-                        Ok ()
-                    | "loss", "ge" :: _ ->
-                        let* p_gb = flt "pgb" in
-                        let* p_bg = flt "pbg" in
-                        let* loss_good = flt "good" in
-                        let* loss_bad = flt "bad" in
-                        let* horizon = int "horizon" in
-                        spec :=
-                          {
-                            !spec with
-                            loss =
-                              Bursty
-                                {
-                                  ge = { Dsl.p_gb; p_bg; loss_good; loss_bad };
-                                  horizon;
-                                };
-                          };
-                        Ok ()
-                    | "loss", _ -> Error "loss wants 'iid rate=R' or 'ge ...'"
-                    | "dup", [ v ] -> (
-                        match float_of_string_opt v with
-                        | Some d ->
-                            spec := { !spec with dup = d };
-                            Ok ()
-                        | None -> Error (Printf.sprintf "bad dup %S" v))
-                    | "dup", _ -> Error "dup takes one rate"
-                    | "delay", _ ->
-                        let* p = flt "p" in
-                        let* max_delay =
-                          match str "max" with
-                          | None -> Ok (!spec).max_delay
-                          | Some _ -> int "max"
-                        in
-                        spec := { !spec with delay = p; max_delay };
-                        Ok ()
-                    | "storm", _ ->
-                        let* frac = flt "frac" in
-                        let* spread = flt "spread" in
-                        let* lo, hi =
-                          fld "rounds" (fun v ->
-                              match String.split_on_char '.' v with
-                              | [ lo; ""; hi ] -> (
-                                  match
-                                    ( int_of_string_opt lo,
-                                      int_of_string_opt hi )
-                                  with
-                                  | Some lo, Some hi -> Some (lo, hi)
-                                  | _ -> None)
-                              | _ -> None)
-                        in
-                        let* down =
-                          match str "down" with
-                          | None -> Ok None
-                          | Some _ ->
-                              let* d = dst "down" in
-                              Ok (Some d)
-                        in
-                        spec :=
-                          {
-                            !spec with
-                            storm =
-                              Some
-                                {
-                                  frac;
-                                  spread;
-                                  round_lo = lo;
-                                  round_hi = hi;
-                                  down;
-                                };
-                          };
-                        Ok ()
-                    | "churn", _ ->
-                        let* events = dst "events" in
-                        let* gap = dst "gap" in
-                        let* skew = flt "skew" in
-                        let* down_for = dst "down" in
-                        spec :=
-                          { !spec with churn = Some { events; gap; skew; down_for } };
-                        Ok ()
-                    | "budget", _ ->
-                        let* r = int "rounds" in
-                        spec := { !spec with budget_rounds = Some r };
-                        Ok ()
-                    | "workload", _ ->
-                        let* queries = int "queries" in
-                        let* route_frac = flt "route" in
-                        let* zipf =
-                          match str "zipf" with
-                          | None -> Ok None
-                          | Some _ ->
-                              let* z = flt "zipf" in
-                              Ok (Some z)
-                        in
-                        spec :=
-                          {
-                            !spec with
-                            workload =
-                              Some { Serve.Workload.queries; zipf; route_frac };
-                          };
-                        Ok ()
-                    | other, _ ->
-                        Error (Printf.sprintf "unknown directive %S" other)
-                  in
-                  match r with Ok () -> next acc | Error m -> next (err lineno m))))
-      (1, Ok ())
-      lines
-    |> snd
+(* One directive per line, each checked with {!validate} as it lands,
+   so a bad value is reported at the line that set it. *)
+let of_lines ~file lines =
+  let spec = ref default and named = ref false in
+  let directive (l : Lines.line) =
+    let flt k = Lines.field l k float_of_string_opt in
+    let int k = Lines.field l k int_of_string_opt in
+    let opt k parse = Lines.field_opt l k parse in
+    let dist v =
+      match Dsl.parse v with Ok d -> d | Error msg -> Lines.error l msg
+    in
+    let dst k = dist (Lines.field l k Option.some) in
+    let s = !spec in
+    let s =
+      match l.words with
+      | [ "name"; name ] ->
+          named := true;
+          { s with name }
+      | "name" :: _ -> Lines.error l "name takes exactly one token"
+      | "graph" :: _ ->
+          let kind = Lines.field l "kind" Option.some in
+          let n = int "n" in
+          let p = Option.value ~default:s.p (opt "p" float_of_string_opt) in
+          let graph_seed = int "seed" in
+          { s with kind; n; p; graph_seed }
+      | "loss" :: "iid" :: _ -> { s with loss = Iid (flt "rate") }
+      | "loss" :: "ge" :: _ ->
+          let p_gb = flt "pgb" in
+          let p_bg = flt "pbg" in
+          let loss_good = flt "good" in
+          let loss_bad = flt "bad" in
+          let horizon = int "horizon" in
+          let ge = { Dsl.p_gb; p_bg; loss_good; loss_bad } in
+          { s with loss = Bursty { ge; horizon } }
+      | "loss" :: _ -> Lines.error l "loss wants 'iid rate=R' or 'ge ...'"
+      | [ "dup"; v ] ->
+          { s with dup = Lines.token l "dup" float_of_string_opt v }
+      | "dup" :: _ -> Lines.error l "dup takes one rate"
+      | "delay" :: _ ->
+          let delay = flt "p" in
+          let max = opt "max" int_of_string_opt in
+          { s with delay; max_delay = Option.value ~default:s.max_delay max }
+      | "storm" :: _ ->
+          let frac = flt "frac" in
+          let spread = flt "spread" in
+          let round_lo, round_hi =
+            Lines.field l "rounds" (fun v ->
+                match String.split_on_char '.' v with
+                | [ lo; ""; hi ] -> (
+                    match (int_of_string_opt lo, int_of_string_opt hi) with
+                    | Some lo, Some hi -> Some (lo, hi)
+                    | _ -> None)
+                | _ -> None)
+          in
+          let down = Option.map dist (opt "down" Option.some) in
+          { s with storm = Some { frac; spread; round_lo; round_hi; down } }
+      | "churn" :: _ ->
+          let events = dst "events" in
+          let gap = dst "gap" in
+          let skew = flt "skew" in
+          let down_for = dst "down" in
+          { s with churn = Some { events; gap; skew; down_for } }
+      | "budget" :: _ -> { s with budget_rounds = Some (int "rounds") }
+      | "workload" :: _ ->
+          let queries = int "queries" in
+          let route_frac = flt "route" in
+          let zipf = opt "zipf" float_of_string_opt in
+          let w = { Serve.Workload.queries; zipf; route_frac } in
+          { s with workload = Some w }
+      | _ ->
+          Lines.error l
+            (Printf.sprintf "unknown directive %S" (List.hd l.words))
+    in
+    match validate s with Ok () -> spec := s | Error msg -> Lines.error l msg
   in
-  let* () = result in
-  let* () =
-    if !seen_name then Ok () else Error "scenario spec: missing 'name' line"
-  in
-  match validate !spec with
-  | Ok () -> Ok !spec
-  | Error msg -> Error (Printf.sprintf "scenario spec %s: %s" (!spec).name msg)
+  let last = lines directive in
+  if not !named then Lines.fail ~file ~line:last "missing 'name' line";
+  !spec
 
-let load path =
-  match In_channel.with_open_text path In_channel.input_all with
-  | text -> parse text
-  | exception Sys_error msg -> Error msg
+let parse ~file text = of_lines ~file (Lines.words_of_string ~file text)
+let load path = of_lines ~file:path (Lines.words path)
 
 let save s path =
   Out_channel.with_open_text path (fun oc ->

@@ -85,13 +85,16 @@ val validate : t -> (unit, string) result
     ignored. *)
 
 val to_string : t -> string
-(** Canonical serialization; [parse (to_string s) = Ok s]. *)
+(** Canonical serialization; [parse ~file (to_string s) = s]. *)
 
-val parse : string -> (t, string) result
-(** Parse and {!validate}; errors cite the 1-based line number. *)
+val parse : file:string -> string -> t
+(** Parse [text], named [file] in errors, {!validate}-ing each line as
+    it lands.  @raise Util.Lines.Parse_error at the first line that is
+    malformed or sets an invalid value, or after the last line when
+    there is no [name] line. *)
 
-val load : string -> (t, string) result
-(** Read a spec file. *)
+val load : string -> t
+(** {!parse} a spec file. *)
 
 val save : t -> string -> unit
 

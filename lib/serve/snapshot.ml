@@ -95,71 +95,35 @@ let save t path =
   Sys.rename tmp path
 
 let load ?generation path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let header =
-        match input_line ic with
-        | line -> line
-        | exception End_of_file ->
-            failwith (Printf.sprintf "%s: empty snapshot file" path)
-      in
-      let field name =
-        let marker = name ^ "=" in
-        let ml = String.length marker in
-        let rec scan i =
-          if i + ml > String.length header then
-            failwith
-              (Printf.sprintf "%s: snapshot header missing %s" path name)
-          else if String.sub header i ml = marker then begin
-            let stop = ref (i + ml) in
-            while
-              !stop < String.length header
-              && header.[!stop] <> ' '
-            do
-              incr stop
-            done;
-            match int_of_string_opt (String.sub header (i + ml) (!stop - i - ml)) with
-            | Some v -> v
-            | None ->
-                failwith
-                  (Printf.sprintf "%s: bad snapshot header field %s" path name)
-          end
-          else scan (i + 1)
-        in
-        if String.length header < 9 || String.sub header 0 9 <> "#snapshot" then
-          failwith (Printf.sprintf "%s: not a snapshot file" path)
-        else scan 9
-      in
-      let gen = field "gen" and k = field "k" and seed = field "seed" in
-      let routing = field "routing" <> 0 in
-      let sum = field "sum" and bytes = field "bytes" in
-      let body =
-        let buf = Buffer.create (bytes + 1) in
-        (try
-           while true do
-             Buffer.add_channel buf ic 4096
-           done
-         with End_of_file -> ());
-        Buffer.contents buf
-      in
-      if String.length body < bytes then
-        failwith
-          (Printf.sprintf "%s: truncated snapshot: %d of %d body bytes" path
-             (String.length body) bytes)
-      else if String.length body > bytes then
-        failwith
-          (Printf.sprintf
-             "%s: snapshot body longer than declared: %d of %d body bytes"
-             path (String.length body) bytes)
-      else if adler32 body <> sum then
-        failwith
-          (Printf.sprintf
-             "%s: snapshot checksum mismatch: stored 0x%08x, computed 0x%08x"
-             path sum (adler32 body))
-      else
-        let g = Graphlib.Io.of_string body in
-        of_graph
-          ~generation:(Option.value ~default:gen generation)
-          ~k ~seed ~routing g)
+  let text = In_channel.with_open_bin path In_channel.input_all in
+  let fail fmt = Printf.ksprintf (Util.Lines.fail ~file:path ~line:1) fmt in
+  if text = "" then fail "empty snapshot file";
+  let header, body =
+    match String.index_opt text '\n' with
+    | Some i ->
+        let rest = String.length text - i - 1 in
+        (String.sub text 0 i, String.sub text (i + 1) rest)
+    | None -> (text, "")
+  in
+  let h = Util.Lines.line ~file:path ~num:1 header in
+  if not (String.starts_with ~prefix:"#snapshot" h.text) then
+    Util.Lines.error h "not a snapshot file";
+  let int k = Util.Lines.field h k int_of_string_opt in
+  let gen = int "gen" in
+  let k = int "k" in
+  let seed = int "seed" in
+  let routing = int "routing" <> 0 in
+  let sum = int "sum" in
+  let bytes = int "bytes" in
+  if k < 1 then Util.Lines.error h (Printf.sprintf "oracle k=%d < 1" k);
+  let got = String.length body in
+  if got < bytes then fail "truncated snapshot: %d of %d body bytes" got bytes;
+  if got > bytes then
+    fail "snapshot body longer than declared: %d of %d body bytes" got bytes;
+  if adler32 body <> sum then
+    fail "snapshot checksum mismatch: stored 0x%08x, computed 0x%08x" sum
+      (adler32 body);
+  of_graph
+    ~generation:(Option.value ~default:gen generation)
+    ~k ~seed ~routing
+    (Graphlib.Io.of_string ~file:path ~first:2 body)

@@ -89,7 +89,8 @@ val save : t -> string -> unit
 
 val load : ?generation:int -> string -> t
 (** [generation] overrides the stored one (a reloaded snapshot being
-    republished under a new generation).  @raise Failure on a
-    malformed, truncated, or corrupted file — the message is one line,
-    prefixed with the path, naming the failed check (missing header
-    field, body shorter/longer than declared, checksum mismatch). *)
+    republished under a new generation).  @raise Util.Lines.Parse_error
+    on a malformed, truncated, or corrupted file, naming the failed
+    check: a missing or bad header field, a body shorter or longer than
+    declared, or a checksum mismatch (all at line 1, the header that
+    declares them), or a malformed edge line of the body. *)

@@ -27,66 +27,37 @@ let generate ~seed ~n spec =
       { src; dst; route })
 
 let save queries path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      Printf.fprintf oc "#workload queries=%d\n" (Array.length queries);
+  Util.Lines.save path
+    ~header:[ Printf.sprintf "#workload queries=%d" (Array.length queries) ]
+    (fun put ->
       Array.iter
         (fun q ->
-          Printf.fprintf oc "%c %d %d\n" (if q.route then 'r' else 'd') q.src
-            q.dst)
+          let kind = if q.route then 'r' else 'd' in
+          put (Printf.sprintf "%c %d %d" kind q.src q.dst))
         queries)
 
 let load ~n path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let acc = ref [] and count = ref 0 and lineno = ref 0 in
-      (try
-         while true do
-           let line = input_line ic in
-           incr lineno;
-           let line = String.trim line in
-           if line <> "" && line.[0] <> '#' then begin
-             match String.split_on_char ' ' line with
-             | [ kind; u; v ] -> (
-                 let route =
-                   match kind with
-                   | "d" -> false
-                   | "r" -> true
-                   | _ ->
-                       failwith
-                         (Printf.sprintf "%s:%d: bad query kind %S" path
-                            !lineno kind)
-                 in
-                 match (int_of_string_opt u, int_of_string_opt v) with
-                 | Some src, Some dst ->
-                     if src < 0 || src >= n || dst < 0 || dst >= n then
-                       failwith
-                         (Printf.sprintf
-                            "%s:%d: vertex out of range (n=%d)" path !lineno n);
-                     acc := { src; dst; route } :: !acc;
-                     incr count
-                 | _ ->
-                     failwith
-                       (Printf.sprintf "%s:%d: bad query line %S" path !lineno
-                          line))
-             | _ ->
-                 failwith
-                   (Printf.sprintf "%s:%d: bad query line %S" path !lineno line)
-           end
-         done
-       with End_of_file -> ());
-      let arr = Array.make !count { src = 0; dst = 0; route = false } in
-      let i = ref (!count - 1) in
-      List.iter
-        (fun q ->
-          arr.(!i) <- q;
-          decr i)
-        !acc;
-      arr)
+  let module Lines = Util.Lines in
+  let acc = ref [] in
+  let query (l : Lines.line) =
+    match l.words with
+    | [ kind; u; v ] -> (
+        let route =
+          match kind with
+          | "d" -> false
+          | "r" -> true
+          | _ -> Lines.error l (Printf.sprintf "bad query kind %S" kind)
+        in
+        match (int_of_string_opt u, int_of_string_opt v) with
+        | Some src, Some dst ->
+            if src < 0 || src >= n || dst < 0 || dst >= n then
+              Lines.error l (Printf.sprintf "vertex out of range (n=%d)" n);
+            acc := { src; dst; route } :: !acc
+        | _ -> Lines.error l "bad query line")
+    | _ -> Lines.error l "bad query line"
+  in
+  ignore (Lines.words path query);
+  Array.of_list (List.rev !acc)
 
 let route_count queries =
   Array.fold_left (fun acc q -> if q.route then acc + 1 else acc) 0 queries

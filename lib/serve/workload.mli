@@ -38,7 +38,7 @@ val save : query array -> string -> unit
     header. *)
 
 val load : n:int -> string -> query array
-(** @raise Failure on malformed lines or vertex ids outside
-    [0 .. n-1]. *)
+(** @raise Util.Lines.Parse_error on a malformed line or a vertex id
+    outside [0 .. n-1]. *)
 
 val route_count : query array -> int

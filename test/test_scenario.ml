@@ -158,26 +158,28 @@ let test_spec_round_trip_builtins () =
   List.iter
     (fun (name, spec) ->
       let text = Spec.to_string spec in
-      match Spec.parse text with
-      | Ok spec' ->
-          checkb (name ^ " round-trips structurally") true (spec = spec');
-          checks (name ^ " is canonical") text (Spec.to_string spec')
-      | Error m -> Alcotest.failf "%s did not reparse: %s" name m)
+      let spec' = Spec.parse ~file:name text in
+      checkb (name ^ " round-trips structurally") true (spec = spec');
+      checks (name ^ " is canonical") text (Spec.to_string spec'))
     Spec.builtins
 
 let test_spec_parse_errors_cite_line () =
-  let expect text msg =
-    match Spec.parse text with
-    | Ok _ -> Alcotest.failf "expected %S to fail" text
-    | Error m -> checks "error text" msg m
+  let expect text line msg =
+    match Spec.parse ~file:"demo.scenario" text with
+    | _ -> Alcotest.failf "expected %S to fail" text
+    | exception Util.Lines.Parse_error e ->
+        checks "file" "demo.scenario" e.file;
+        checki "line" line e.line;
+        checks "error text" msg e.msg
   in
-  expect "#scenario v1\nname demo\nloss iid\n"
-    "scenario spec line 3: missing rate=";
-  expect "#scenario v1\nname demo\n\nstorm frac=0.5 spread=0.1\n"
-    "scenario spec line 4: missing rounds=";
+  expect "#scenario v1\nname demo\nloss iid\n" 3 "missing rate=: loss iid";
+  expect "#scenario v1\nname demo\n\nstorm frac=0.5 spread=0.1\n" 4
+    "missing rounds=: storm frac=0.5 spread=0.1";
   expect "#scenario v1\nname demo\nchurn events=gaussian:3 gap=const:5 skew=1 down=const:4\n"
-    "scenario spec line 3: bad distribution \"gaussian:3\" (want const:C, \
-     uniform:LO..HI, geometric:P, pareto:ALPHA,XM, or zipf:N,S)"
+    3
+    "bad distribution \"gaussian:3\" (want const:C, uniform:LO..HI, \
+     geometric:P, pareto:ALPHA,XM, or zipf:N,S): churn events=gaussian:3 \
+     gap=const:5 skew=1 down=const:4"
 
 let test_spec_validate_names_field () =
   let bad = { Spec.default with Spec.dup = 1.5 } in
@@ -196,11 +198,9 @@ let test_plan_round_trip () =
     (fun (name, spec) ->
       let plan = Compile.compile spec ~sample:0 in
       let text = Compile.to_string plan in
-      match Compile.parse text with
-      | Ok plan' ->
-          checkb (name ^ " plan round-trips") true (plan = plan');
-          checks (name ^ " plan canonical") text (Compile.to_string plan')
-      | Error m -> Alcotest.failf "%s plan did not reparse: %s" name m)
+      let plan' = Compile.parse ~file:name text in
+      checkb (name ^ " plan round-trips") true (plan = plan');
+      checks (name ^ " plan canonical") text (Compile.to_string plan'))
     Spec.builtins
 
 (* Restart plans are the newest event vocabulary in #plan v1: every
@@ -216,9 +216,8 @@ let prop_restart_plan_round_trip =
       let plan = Compile.compile spec ~sample in
       QCheck.assume (plan.Compile.fspec.Fault.restarts <> []);
       let text = Compile.to_string plan in
-      match Compile.parse text with
-      | Ok plan' -> plan = plan' && Compile.to_string plan' = text
-      | Error _ -> false)
+      let plan' = Compile.parse ~file:"restart-storm" text in
+      plan = plan' && Compile.to_string plan' = text)
 
 let test_plan_save_load () =
   let plan =
@@ -227,9 +226,7 @@ let test_plan_save_load () =
   let path = Filename.temp_file "scenario" ".plan" in
   Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
   Compile.save plan path;
-  match Compile.load path with
-  | Ok plan' -> checkb "load = save" true (plan = plan')
-  | Error m -> Alcotest.failf "load failed: %s" m
+  checkb "load = save" true (plan = Compile.load path)
 
 (* ------------------------------------------------------------------ *)
 (* Shrinking *)
@@ -296,9 +293,8 @@ let test_shrink_drops_restarts_and_reverifies () =
   | f -> checkb "demoted to crash-stop" false (Fault.has_restarts f));
   (* ... and still a durable #plan v1 artifact. *)
   let text = Compile.to_string r.Shrink.plan in
-  match Compile.parse text with
-  | Ok plan' -> checkb "shrunk plan round-trips" true (plan' = r.Shrink.plan)
-  | Error m -> Alcotest.failf "shrunk plan did not reparse: %s" m
+  checkb "shrunk plan round-trips" true
+    (Compile.parse ~file:"shrunk" text = r.Shrink.plan)
 
 let test_shrink_keeps_needed_restart () =
   (* Dual of the test above: when the failure predicate *requires* a

@@ -99,7 +99,10 @@ let test_snapshot_save_load () =
 let expect_load_failure name file pattern =
   match Snapshot.load file with
   | _ -> Alcotest.failf "%s: load accepted a damaged snapshot" name
-  | exception Failure msg ->
+  | exception Util.Lines.Parse_error { file = f; line; msg } ->
+      checkb (name ^ ": error names the file") true (f = file);
+      (* every check here is on the header's declarations *)
+      checki (name ^ ": error cites the header line") 1 line;
       checkb
         (Printf.sprintf "%s: error mentions %s (got %S)" name pattern msg)
         true
@@ -215,12 +218,23 @@ let test_workload_save_load () =
     (fun () ->
       Workload.save w file;
       checkb "round trip" true (Workload.load ~n:40 file = w);
-      (* A smaller vertex universe must reject the same file. *)
-      checkb "range validated on load" true
-        (try
-           ignore (Workload.load ~n:10 file);
-           false
-         with Failure _ -> true))
+      (* A smaller vertex universe must reject the same file, at the
+         first query outside it (line 1 is the header). *)
+      let first_out =
+        let rec find i =
+          if w.(i).Workload.src >= 10 || w.(i).Workload.dst >= 10 then i
+          else find (i + 1)
+        in
+        find 0
+      in
+      match Workload.load ~n:10 file with
+      | _ -> Alcotest.fail "range not validated on load"
+      | exception Util.Lines.Parse_error { file = f; line; msg } ->
+          checkb "error names the file" true (f = file);
+          checki "error cites the first out-of-range query" (first_out + 2)
+            line;
+          checkb "error names the check" true
+            (String.starts_with ~prefix:"vertex out of range" msg))
 
 (* ------------------------------------------------------------------ *)
 (* Server *)
