@@ -25,31 +25,14 @@ let reading f x =
 let load_graph ~kind ~n ~p ~seed ~input =
   match input with
   | Some path -> reading Graphlib.Io.read path
-  | None -> (
-      let rng = Util.Prng.create ~seed in
-      match kind with
-      | "gnp" -> Gen.connected_gnp rng ~n ~p
-      | "gnp-raw" -> Gen.gnp rng ~n ~p
-      | "torus" ->
-          let side = int_of_float (Float.round (sqrt (float_of_int n))) in
-          Gen.torus ~width:side ~height:side
-      | "king" ->
-          let side = int_of_float (Float.round (sqrt (float_of_int n))) in
-          Gen.king_torus ~width:side ~height:side
-      | "hypercube" ->
-          let dims = int_of_float (Float.round (Util.Tower.log2 (float_of_int n))) in
-          Gen.hypercube ~dims
-      | "pa" -> Gen.ensure_connected rng (Gen.preferential_attachment rng ~n ~k:3)
-      | "path" -> Gen.path n
-      | "cycle" -> Gen.cycle n
-      | other -> failwith (Printf.sprintf "unknown graph kind %s" other))
+  | None -> Gen.generate ~kind ~n ~p ~seed
 
 let kind_arg =
   Arg.(
     value
-    & opt string "gnp"
+    & opt (enum (List.map (fun k -> (k, k)) Gen.kinds)) "gnp"
     & info [ "kind" ] ~docv:"KIND"
-        ~doc:"Graph family: gnp, gnp-raw, torus, king, hypercube, pa, path, cycle.")
+        ~doc:("Graph family: " ^ String.concat ", " Gen.kinds ^ "."))
 
 let n_arg = Arg.(value & opt int 2000 & info [ "n" ] ~docv:"N" ~doc:"Vertex count.")
 
@@ -702,6 +685,7 @@ let simulate_cmd =
     Obs.Prof.set_current prof;
     let plan_ref = ref None in
     let spanner_edges_ref = ref None in
+    let stuck = ref false in
     let stats =
       match protocol with
       | "bfs" ->
@@ -730,7 +714,8 @@ let simulate_cmd =
           | exception
               Spanner.Skeleton_dist.Stuck { phase; waiting_on; stats } ->
               (* Structured dead end — e.g. a partition that never heals
-                 and outlasts the phase budget.  Report and exit clean. *)
+                 and outlasts the phase budget.  Report it, write the
+                 logs, then exit 2. *)
               let preview =
                 let rec take k = function
                   | x :: tl when k > 0 -> x :: take (k - 1) tl
@@ -745,8 +730,8 @@ let simulate_cmd =
                 phase
                 (List.length waiting_on)
                 (if preview = "" then "" else " (" ^ preview ^ ")");
-              Format.printf "network: %a@." Distnet.Sim.pp_stats stats;
-              exit 2
+              stuck := true;
+              stats
           | r ->
               plan_ref := Some r.Spanner.Skeleton_dist.plan;
               spanner_edges_ref :=
@@ -829,7 +814,7 @@ let simulate_cmd =
     in
     Format.printf "network: %a@." Distnet.Sim.pp_stats stats;
     (match recorded with
-    | Some original -> (
+    | Some original when not !stuck -> (
         match Distnet.Trace.diff_stats original stats with
         | [] -> Format.printf "replay reproduces original stats: yes@."
         | diffs ->
@@ -839,7 +824,7 @@ let simulate_cmd =
                   a b)
               diffs;
             exit 1)
-    | None -> ());
+    | _ -> ());
     (match (trace_file, tracer) with
     | Some file, Some tr ->
         Distnet.Trace.save ~stats tr file;
@@ -894,6 +879,7 @@ let simulate_cmd =
           (List.length (Obs.Prof.rows prof))
           (List.length (Obs.Prof.round_samples prof))
     | None -> ());
+    if !stuck then exit 2;
     if audit_bounds then begin
       match !plan_ref with
       | None ->
@@ -1428,10 +1414,20 @@ let serve_cmd =
       if metrics_file <> None || metrics_summary then Obs.Metrics.create ()
       else Obs.Metrics.disabled
     in
+    (* The workload is read (or generated) as soon as the graph is
+       known, so a bad workload file fails before any build. *)
+    let wseed = Option.value ~default:(seed + 41) workload_seed in
+    let workload g =
+      match workload_in with
+      | Some file -> reading (Serve.Workload.load ~n:(Graph.n g)) file
+      | None ->
+          Serve.Workload.generate ~seed:wseed ~n:(Graph.n g)
+            { Serve.Workload.queries; zipf; route_frac }
+    in
     (* The serving graph and the gen-0 snapshot: either a saved snapshot
        (no rebuild possible — the full graph is gone) or a fresh
        skeleton build. *)
-    let g, plan_opt, build_snap0 =
+    let g, w, plan_opt, build_snap0 =
       match snapshot_in with
       | Some file ->
           if churn <> [] then begin
@@ -1442,40 +1438,27 @@ let serve_cmd =
           end;
           let snap = reading Serve.Snapshot.load file in
           Format.printf "snapshot loaded from %s@." file;
-          (Serve.Snapshot.graph snap, None, fun ~routing:_ -> snap)
+          let g = Serve.Snapshot.graph snap in
+          (g, workload g, None, fun ~routing:_ -> snap)
       | None ->
           let g = load_graph ~kind ~n ~p ~seed ~input in
           Format.printf "graph: %a@." Graph.pp_summary g;
+          let w = workload g in
           let r = Spanner.Skeleton_dist.build ~d ~eps ~seed g in
           Format.printf "spanner: %d edges@."
             (Edge_set.cardinal r.Spanner.Skeleton_dist.spanner);
           ( g,
+            w,
             Some r.Spanner.Skeleton_dist.plan,
             fun ~routing ->
               Serve.Snapshot.build ~generation:0 ~k ~seed ~routing g
                 r.Spanner.Skeleton_dist.spanner )
     in
-    let wseed = Option.value ~default:(seed + 41) workload_seed in
-    let w =
-      match workload_in with
-      | Some file ->
-          let w = reading (Serve.Workload.load ~n:(Graph.n g)) file in
-          Format.printf "workload: %d queries (%d routes) from %s@."
-            (Array.length w)
-            (Serve.Workload.route_count w)
-            file;
-          w
-      | None ->
-          let w =
-            Serve.Workload.generate ~seed:wseed ~n:(Graph.n g)
-              { Serve.Workload.queries; zipf; route_frac }
-          in
-          Format.printf "workload: %d queries (%d routes), seed %d@."
-            (Array.length w)
-            (Serve.Workload.route_count w)
-            wseed;
-          w
-    in
+    Format.printf "workload: %d queries (%d routes)%s@." (Array.length w)
+      (Serve.Workload.route_count w)
+      (match workload_in with
+      | Some file -> " from " ^ file
+      | None -> Printf.sprintf ", seed %d" wseed);
     (match workload_out with
     | Some file ->
         Serve.Workload.save w file;

@@ -104,9 +104,6 @@ let log10_ez_beta ~n ~eps ~t =
   let base = float_of_int (t * t) *. lg *. lglg /. eps in
   float_of_int t *. lglg *. Float.log10 base
 
-let fib_beta ~n ~eps ~t = 10. ** log10_fib_beta ~n ~eps ~t
-let ez_beta ~n ~eps ~t = 10. ** log10_ez_beta ~n ~eps ~t
-
 let lb_additive_rounds ~n ~delta ~beta =
   let nf = float_of_int n in
   sqrt ((nf ** (1. -. delta)) /. (4. *. beta)) -. 6.
@@ -115,7 +112,3 @@ let lb_eps_beta ~n ~delta ~zeta ~tau =
   let nf = float_of_int n in
   (zeta *. zeta *. (nf ** (1. -. delta)) /. (4. *. float_of_int ((tau + 6) * (tau + 6))))
   -. 2.
-
-let lb_sublinear_rounds ~n ~nu ~xi =
-  let nf = float_of_int n in
-  nf ** (nu *. (1. -. xi) /. (1. +. nu))

@@ -48,21 +48,17 @@ val fib_distortion_stage : o:int -> ell:int -> float
     [ell^o]: [2^(o+1)] when [ell = 1], [3(o+1)] when [ell = 2],
     [3 + (6 ell - 2)/(ell (ell - 2))] when [ell >= 3]. *)
 
-val fib_beta : n:int -> eps:float -> t:int -> float
-(** The additive term at which a sparsest Fibonacci spanner becomes a
-    [(1+eps)]-spanner (§1.2):
-    [beta = (eps^-1 (log_phi log n + t)) ^ (log_phi log n + t)],
-    with [t] the message-length exponent.  Returned as [log10 beta]
-    would overflow less, but the raw value fits a float for feasible
-    [n]; use {!log10_fib_beta} for display. *)
-
-val ez_beta : n:int -> eps:float -> t:int -> float
-(** Elkin–Zhang's sparsest [(1+eps,beta)]-spanner (§1.2):
-    [beta = (eps^-1 t^2 log n log log n) ^ (t log log n)]. *)
-
 val log10_fib_beta : n:int -> eps:float -> t:int -> float
+(** [log10] of the additive term at which a sparsest Fibonacci spanner
+    becomes a [(1+eps)]-spanner (§1.2):
+    [beta = (eps^-1 (log_phi log n + t)) ^ (log_phi log n + t)], with
+    [t] the message-length exponent; computed in log space (no
+    overflow). *)
+
 val log10_ez_beta : n:int -> eps:float -> t:int -> float
-(** [log10] of the above, computed in log space (no overflow). *)
+(** [log10] of Elkin–Zhang's sparsest [(1+eps,beta)]-spanner's
+    additive term (§1.2):
+    [beta = (eps^-1 t^2 log n log log n) ^ (t log log n)]. *)
 
 (** {1 Section 3 — lower bounds} *)
 
@@ -75,7 +71,3 @@ val lb_eps_beta : n:int -> delta:float -> zeta:float -> tau:int -> float
 (** Theorem 4: the expected beta forced on a tau-round
     [(1 + 2(1-zeta)/(tau+2), beta)]-spanner:
     [zeta^2 n^(1-delta) / (4 (tau+6)^2) - 2]. *)
-
-val lb_sublinear_rounds : n:int -> nu:float -> xi:float -> float
-(** Theorem 6: [Omega(n^(nu (1 - xi) / (1 + nu)))] rounds for a
-    [d + O(d^(1-nu))] spanner of size [n^(1+xi)]. *)

@@ -311,20 +311,3 @@ let pp fmt v =
         c.detail)
     v.checks
 
-let pp_json fmt v =
-  let b = Buffer.create 256 in
-  Buffer.add_string b (Printf.sprintf "{\"ok\": %b, \"checks\": [" (ok v));
-  List.iteri
-    (fun i c ->
-      if i > 0 then Buffer.add_string b ", ";
-      Buffer.add_string b
-        (Printf.sprintf "{\"name\": %S, \"ok\": %b, \"detail\": %S}" c.name c.ok
-           c.detail))
-    v.checks;
-  Buffer.add_string b
-    (Printf.sprintf
-       "], \"live\": %d, \"pairs\": %d, \"max_stretch\": %.4f, \"stretch_bound\": \
-        %.4f, \"size_ratio\": %.4f, \"components\": %d, \"rejoined\": %d}"
-       v.live v.pairs v.max_stretch v.stretch_bound v.size_ratio v.components
-       v.rejoined);
-  Format.pp_print_string fmt (Buffer.contents b)

@@ -109,6 +109,3 @@ val run :
 
 val pp : Format.formatter -> verdict -> unit
 (** Human-readable multi-line report. *)
-
-val pp_json : Format.formatter -> verdict -> unit
-(** One machine-readable JSON object. *)

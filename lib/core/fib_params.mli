@@ -35,10 +35,6 @@ val hi : int -> int
 val radius : t -> int -> int
 (** [radius t i] is [ell^i], saturating. *)
 
-val level_probability : t -> int -> float
-(** [q_i / q_{i-1}], the conditional probability that a [V_{i-1}]
-    vertex is promoted to [V_i]. *)
-
 val budgeted : t -> tee:int -> t
 (** Theorem 8's message-budget adjustment: find the largest [i] with
     [q_i / q_{i+1} <= n^(1/tee)], keep [q_1 .. q_{i+1}] and replace

@@ -97,9 +97,6 @@ let make ~n ?(d = 4) ?(eps = 0.5) () =
   let calls = Array.of_list (List.rev !calls) in
   { n; d; eps; word_budget; calls; num_rounds = !round + 1 }
 
-let calls_in_round t r =
-  Array.to_list (Array.of_seq (Seq.filter (fun c -> c.round = r) (Array.to_seq t.calls)))
-
 let last_call t = t.calls.(Array.length t.calls - 1)
 
 let pp ppf t =

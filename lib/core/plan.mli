@@ -50,7 +50,6 @@ val make : n:int -> ?d:int -> ?eps:float -> unit -> t
     needs [D >= 4]); [eps] defaults to [0.5].
     @raise Invalid_argument if [d < 2] or [eps] outside [(0, 1]]. *)
 
-val calls_in_round : t -> int -> call list
 val last_call : t -> call
 (** Always has [p = 0.]. *)
 

@@ -282,6 +282,14 @@ let mark_dead nd w =
   let i = nb_index nd w in
   if i >= 0 then nd.nb_dead.(i) <- true
 
+(* [f w] for every peer [w] a waiting set still holds. *)
+let await_keys tbl f = Itbl.iter (fun w () -> f w) tbl
+
+(* Up to [cap] entries popped off [q], the last popped first. *)
+let rec take_batch q cap acc =
+  if cap = 0 || Queue.is_empty q then acc
+  else take_batch q (cap - 1) (Queue.pop q :: acc)
+
 (* [w]'s exchange arrived, or [w] is gone: stop waiting for it. *)
 let heard_exchange nd w =
   let i = nb_index nd w in
@@ -678,6 +686,12 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
 
   (* The center's authoritative per-cluster minimum, rebuilt each call. *)
   let center_best = Array.make n (Itbl.create 0) in
+  let center_offer nd cl e =
+    let best = center_best.(nd.id) in
+    match Itbl.find_opt best cl with
+    | Some e' when e' <= e -> ()
+    | _ -> Itbl.replace best cl e
+  in
 
   (* Profiling category per message family: handler cost lands in one
      region per protocol mechanism (exchange / convergecast / wave /
@@ -707,78 +721,64 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
       && Fault.incarnation faults ~round:(!round_now ()) src > 0
     then Recovery.Detector.unsuspect det src;
     let nd = nodes.(dst) in
+    (* A call message acts only on a node still in the call: alive, and
+       not leaving it through the orphan abort. *)
+    let in_call = nd.alive && not nd.orphaned in
     let prof = Obs.Prof.current () in
     Obs.Prof.enter prof (prof_region_of m);
     (match m with
-    | Exchange { cl; fu } ->
-        if nd.alive && not nd.orphaned then begin
-          Itbl.replace nd.nb_cl src (cl, fu);
-          heard_exchange nd src
-        end
-    | Report_none ->
-        if nd.alive && not nd.orphaned then merge_report nd ~from:src None
-    | Report { edge; target_cl; target_fu } ->
-        if nd.alive && not nd.orphaned then
-          merge_report nd ~from:src (Some (edge, target_cl, target_fu))
-    | On_path _ ->
+    | Exchange { cl; fu } when in_call ->
+        Itbl.replace nd.nb_cl src (cl, fu);
+        heard_exchange nd src
+    | Report_none when in_call -> merge_report nd ~from:src None
+    | Report { edge; target_cl; target_fu } when in_call ->
+        merge_report nd ~from:src (Some (edge, target_cl, target_fu))
+    | On_path _ when in_call ->
         (* My subtree supplied the winner, so my merged best is the
            edge named in the message; [start_wave] adopts it and pushes
            the decision further down. *)
-        if nd.alive && not nd.orphaned then start_wave nd
-    | Off_path { new_cl; new_fu } ->
-        if nd.alive && not nd.orphaned then begin
-          adopt_cluster nd ~cl:new_cl ~fu:new_fu;
-          set_p2 nd nd.p1;
-          nd.wave_done <- true;
-          List.iter
-            (fun c -> emit ~src:nd.id ~dst:c (Off_path { new_cl; new_fu }))
-            nd.p1_children
-        end
-    | Die_start ->
-        if nd.alive && not nd.orphaned then begin
-          nd.is_dying <- true;
-          nd.wave_done <- true;
-          List.iter (fun c -> emit ~src:nd.id ~dst:c Die_start) nd.p1_children
-        end
+        start_wave nd
+    | Off_path { new_cl; new_fu } when in_call ->
+        adopt_cluster nd ~cl:new_cl ~fu:new_fu;
+        set_p2 nd nd.p1;
+        nd.wave_done <- true;
+        List.iter
+          (fun c -> emit ~src:nd.id ~dst:c (Off_path { new_cl; new_fu }))
+          nd.p1_children
+    | Die_start when in_call ->
+        nd.is_dying <- true;
+        nd.wave_done <- true;
+        List.iter (fun c -> emit ~src:nd.id ~dst:c Die_start) nd.p1_children
+    | Die_up { entries; finished } when in_call ->
+        if nd.p1 < 0 then
+          (* Center: authoritative merge. *)
+          List.iter (fun (cl, e) -> center_offer nd cl e) entries
+        else List.iter (die_offer nd) entries;
+        if finished then Itbl.remove nd.die_waiting src
+    | Final_down { edges; finished } when in_call ->
+        List.iter
+          (fun e ->
+            let u, v = Graph.edge_endpoints g e in
+            if u = nd.id || v = nd.id then keep ~who:nd.id e;
+            Queue.add e nd.fin_queue)
+          edges;
+        if finished then nd.fin_src_done <- true
+    | Abort when in_call ->
+        nd.fin_aborting <- true;
+        nd.fin_src_done <- true;
+        kept_all.(nd.id) <- true;
+        (* Keep every incident crossing edge, as the paper's escape
+           hatch prescribes. *)
+        Itbl.iter
+          (fun w (cl, _) ->
+            if cl <> nd.cl_center then keep ~who:nd.id (edge_to nd w))
+          nd.nb_cl
+    | Orphan when in_call -> do_orphan nd
+    | Exchange _ | Report_none | Report _ | On_path _ | Off_path _ | Die_start
+    | Die_up _ | Final_down _ | Abort | Orphan -> ()
     | P2_register -> nd.p2_children <- src :: nd.p2_children
     | P2_unregister ->
         nd.p2_children <- List.filter (fun c -> c <> src) nd.p2_children
-    | Die_up { entries; finished } ->
-        if nd.alive && not nd.orphaned then begin
-          if nd.p1 < 0 then
-            (* Center: authoritative merge. *)
-            List.iter
-              (fun (cl, e) ->
-                match Itbl.find_opt center_best.(nd.id) cl with
-                | Some e' when e' <= e -> ()
-                | _ -> Itbl.replace center_best.(nd.id) cl e)
-              entries
-          else List.iter (die_offer nd) entries;
-          if finished then Itbl.remove nd.die_waiting src
-        end
-    | Final_down { edges; finished } ->
-        if nd.alive && not nd.orphaned then begin
-          List.iter
-            (fun e ->
-              let u, v = Graph.edge_endpoints g e in
-              if u = nd.id || v = nd.id then keep ~who:nd.id e;
-              Queue.add e nd.fin_queue)
-            edges;
-          if finished then nd.fin_src_done <- true
-        end
-    | Abort ->
-        if nd.alive && not nd.orphaned then begin
-          nd.fin_aborting <- true;
-          nd.fin_src_done <- true;
-          kept_all.(nd.id) <- true;
-          (* Keep every incident crossing edge, as the paper's escape
-             hatch prescribes. *)
-          Itbl.iter
-            (fun w (cl, _) ->
-              if cl <> nd.cl_center then
-                keep ~who:nd.id (edge_to nd w))
-            nd.nb_cl
-        end
     | Dead ->
         (* Besides marking the link dead, forget the late neighbor as a
            tree child: a contracted vertex that attached to us earlier
@@ -794,7 +794,7 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
         Itbl.remove nd.nb_cl src;
         nd.p2_children <- List.filter (fun c -> c <> src) nd.p2_children;
         nd.p1_children <- List.filter (fun c -> c <> src) nd.p1_children;
-        if nd.alive && not nd.orphaned then begin
+        if in_call then begin
           if Itbl.mem nd.cv_waiting src then begin
             Itbl.remove nd.cv_waiting src;
             cv_maybe_forward nd
@@ -803,7 +803,6 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
           if nd.p1 = src || nd.p2 = src then do_orphan nd
         end
     | Probe -> ()  (* the transport-level ack is the whole answer *)
-    | Orphan -> if nd.alive && not nd.orphaned then do_orphan nd
     (* Repair messages ignore [alive]: by the time churn repair runs,
        every node has executed the final call's kill.  Presence is the
        engine's business — a message that arrives was deliverable. *)
@@ -841,64 +840,95 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
   let phase_round_limit =
     match phase_round_limit with Some l -> l | None -> 10_000 + (500 * n)
   in
-  (* Run one phase to completion.  [tick] runs every iteration (the
-     dying/final phases stream batches from it); [probes] names the
-     (waiter, awaited) links to poke when the transport drains without
-     the phase completing.  Probing either completes the phase (the
-     peer was alive and its answer was already in flight), produces a
-     suspicion (progress: waiting sets shrink), or changes nothing —
-     which is a protocol bug and reported as such. *)
-  let run_phase name ~complete ?(tick = fun () -> ()) ~probes () =
-    let rounds = ref 0 in
-    let last_probe_mark = ref (-1) in
+  (* The ARQ links that never fell idle — under a partition, exactly
+     the links crossing the cut: what a wedged drain waits on. *)
+  let busy_links () =
+    let busy = ref [] in
+    for v = n - 1 downto 0 do
+      if present_now v then
+        Graph.iter_neighbors g v (fun w _ ->
+            if not (!link_idle_ref v w) then busy := (v, w) :: !busy)
+    done;
+    List.sort_uniq compare !busy
+  in
+  let probe (v, w) = emit ~src:v ~dst:w Probe in
+  (* Run one phase to completion.  A phase states per-node facts over a
+     population [pop] (default every node) and a liveness test [live]
+     (default [is_live]); a node [live] rejects is out of the phase.  A
+     live node is done once [finished nd] holds.  Until then [awaits nd
+     f] calls [f] on every peer it still waits on, and [tick nd] runs
+     once a round (the dying/final phases stream batches from it).  A
+     phase without [finished] is a pure transport drain.  When the
+     transport drains short of completion, the driver probes every
+     awaited link not yet written off.  Probing either completes the
+     phase (the peer was alive and its answer was already in flight),
+     produces a suspicion (progress: waiting sets shrink), or changes
+     nothing — which is a protocol bug and reported as such.  The
+     driver's closures are built once per phase, never per round. *)
+  let run_phase name ?(pop = nodes) ?(live = is_live) ?finished
+      ?(awaits = fun _ _ -> ()) ?tick () =
+    let drain = Option.is_none finished in
+    let pending =
+      match finished with
+      | Some finished -> fun nd -> live nd && not (finished nd)
+      | None -> fun _ -> false
+    in
+    let complete () =
+      if drain then !idle_ref () else not (Array.exists pending pop)
+    in
+    let waiter = ref (-1) and waits = ref [] in
+    let note w =
+      if w >= 0 && not (is_dead nodes.(!waiter) w) then
+        waits := (!waiter, w) :: !waits
+    in
+    let visit nd =
+      if pending nd then begin
+        waiter := nd.id;
+        awaits nd note
+      end
+    in
+    let waiting_on () =
+      waits := [];
+      Array.iter visit pop;
+      List.sort_uniq compare !waits
+    in
+    let step nd =
+      match tick with Some tick when pending nd -> tick nd | _ -> ()
+    in
     (* A phase that can make no further progress — round limit hit, or
        the transport drained with every probe already answered — is a
        structured failure: the caller learns which phase wedged and who
        was still being waited on (e.g. peers beyond a never-healing
-       partition), instead of an opaque hang. *)
+       partition), instead of an opaque hang.  The partial phase still
+       gets its row, so the phase table sums to the stats it carries. *)
     let stuck () =
       let waiting_on =
-        List.sort_uniq compare (probes ())
-        |> List.filter (fun (v, w) ->
-               w >= 0 && not (is_dead nodes.(v) w))
+        match waiting_on () with [] -> busy_links () | links -> links
       in
-      (* A phase with no probe set (notify: a pure transport drain)
-         still names the culprits: the ARQ links that never fell idle
-         — under a partition, exactly the links crossing the cut. *)
-      let waiting_on =
-        if waiting_on <> [] then waiting_on
-        else begin
-          let busy = ref [] in
-          for v = n - 1 downto 0 do
-            if present_now v then
-              Graph.iter_neighbors g v (fun w _ ->
-                  if not (!link_idle_ref v w) then busy := (v, w) :: !busy)
-          done;
-          List.sort_uniq compare !busy
-        end
-      in
+      record_phase name;
       raise (Stuck { phase = name; waiting_on; stats = !stats_now () })
     in
+    let rounds = ref 0 and last_probe_mark = ref (-1) in
     while not (complete ()) do
       incr rounds;
       if !rounds > phase_round_limit then stuck ();
-      tick ();
+      if Option.is_some tick then Array.iter step pop;
       if !idle_ref () then begin
         if !last_probe_mark = !suspicion_events then stuck ();
         last_probe_mark := !suspicion_events;
-        let targets =
-          List.sort_uniq compare (probes ())
-          |> List.filter (fun (v, w) ->
-                 w >= 0 && not (is_dead nodes.(v) w))
-        in
-        if targets = [] then stuck ();
-        List.iter (fun (v, w) -> emit ~src:v ~dst:w Probe) targets
+        match waiting_on () with
+        | [] -> stuck ()
+        | targets -> List.iter probe targets
       end
       else !pump_ref ()
     done;
     record_phase name
   in
-  let no_probes () = [] in
+  let live_nodes f =
+    for v = 0 to n - 1 do
+      if is_live nodes.(v) then f nodes.(v)
+    done
+  in
 
   let run_call (call : Plan.call) =
     let k = call.Plan.index in
@@ -908,63 +938,43 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
         Obs.Span.open_span spans Obs.Span.Call
           ~name:(Printf.sprintf "call-%d" k)
           ~round:(!round_now ());
-    Array.iter
-      (fun nd -> if is_live nd then calls_alive.(nd.id) <- calls_alive.(nd.id) + 1)
-      nodes;
+    live_nodes (fun nd -> calls_alive.(nd.id) <- calls_alive.(nd.id) + 1);
     (* Phase 1: exchange cluster identities over live links. *)
-    Array.iter
-      (fun nd ->
-        if nd.alive then reset_call_scratch nd)
-      nodes;
-    Array.iter
-      (fun nd ->
-        if is_live nd then begin
-          let m = Exchange { cl = nd.cl_center; fu = nd.cl_fu } in
-          iter_nb nd (fun i w _ ->
-              if not nd.nb_dead.(i) then begin
-                if not nd.ex_waiting.(i) then begin
-                  nd.ex_waiting.(i) <- true;
-                  nd.ex_pending <- nd.ex_pending + 1
-                end;
-                emit ~src:nd.id ~dst:w m
-              end)
-        end)
-      nodes;
+    Array.iter (fun nd -> if nd.alive then reset_call_scratch nd) nodes;
+    live_nodes (fun nd ->
+        let m = Exchange { cl = nd.cl_center; fu = nd.cl_fu } in
+        iter_nb nd (fun i w _ ->
+            if not nd.nb_dead.(i) then begin
+              if not nd.ex_waiting.(i) then begin
+                nd.ex_waiting.(i) <- true;
+                nd.ex_pending <- nd.ex_pending + 1
+              end;
+              emit ~src:nd.id ~dst:w m
+            end));
+    (* The exchange's waits resolve themselves (every awaited peer was
+       also sent to), but a probe re-arms the abandonment clock after
+       e.g. a replayed suspicion pattern diverges. *)
     run_phase "exchange"
-      ~complete:(fun () ->
-        Array.for_all
-          (fun nd -> (not (is_live nd)) || nd.ex_pending = 0)
-          nodes)
-      ~probes:(fun () ->
-        (* Self-resolving (every awaited peer was also sent to), but a
-           probe re-arms the abandonment clock after e.g. a replayed
-           suspicion pattern diverges. *)
-        Array.to_list nodes
-        |> List.concat_map (fun nd ->
-               if is_live nd then
-                 Array.to_list nd.nb
-                 |> List.filteri (fun i _ -> nd.ex_waiting.(i))
-                 |> List.map (fun w -> (nd.id, w))
-               else []))
+      ~finished:(fun nd -> nd.ex_pending = 0)
+      ~awaits:(fun nd f ->
+        for i = 0 to Array.length nd.nb - 1 do
+          if nd.ex_waiting.(i) then f nd.nb.(i)
+        done)
       ();
     (* The exchange boundary is the recovery point: what a node knows
        here (its cluster identity) is consistent cluster-wide, which is
        exactly what the orphan abort must fall back to. *)
-    Array.iter
-      (fun nd ->
-        if is_live nd then
-          Recovery.Checkpoints.commit ckpt ~phase:"exchange" nd.id
-            (nd.cl_center, nd.cl_fu))
-      nodes;
+    live_nodes (fun nd ->
+        Recovery.Checkpoints.commit ckpt ~phase:"exchange" nd.id
+          (nd.cl_center, nd.cl_fu));
     (* Cluster spans share the stats-delta boundaries: they open at the
        exchange boundary just recorded and close at the wave boundary
        (or, for dying centers, at the final boundary). *)
     let cluster_start = !round_now () in
     (* Phase 2: local candidates + convergecast inside unsampled
        contracted vertices. *)
-    Array.iter
-      (fun nd ->
-        if is_live nd && nd.cl_fu <= k then begin
+    live_nodes (fun nd ->
+        if nd.cl_fu <= k then begin
           nd.deciding <- true;
           Itbl.iter
             (fun w (cl, fu) ->
@@ -981,24 +991,14 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
           List.iter
             (fun c -> Itbl.replace nd.cv_waiting c ())
             nd.p1_children
-        end)
-      nodes;
-    Array.iter (fun nd -> if is_live nd then cv_maybe_forward nd) nodes;
+        end);
+    live_nodes cv_maybe_forward;
     run_phase "convergecast"
-      ~complete:(fun () ->
-        Array.for_all
-          (fun nd ->
-            (not (is_live nd)) || (not nd.deciding)
-            || (Itbl.length nd.cv_waiting = 0
-               && (nd.p1 < 0 || nd.report_sent
-                  || is_dead nd nd.p1)))
-          nodes)
-      ~probes:(fun () ->
-        Array.to_list nodes
-        |> List.concat_map (fun nd ->
-               if is_live nd && nd.deciding then
-                 Itbl.fold (fun w () acc -> (nd.id, w) :: acc) nd.cv_waiting []
-               else []))
+      ~finished:(fun nd ->
+        (not nd.deciding)
+        || Itbl.length nd.cv_waiting = 0
+           && (nd.p1 < 0 || nd.report_sent || is_dead nd nd.p1))
+      ~awaits:(fun nd f -> await_keys nd.cv_waiting f)
       ();
     (* The deciding centers, snapshotted before the wave can rewrite
        their cluster identity (a hooking center adopts the target
@@ -1022,9 +1022,8 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
            ~start_round:cluster_start ~stop_round:stop)
     in
     (* Phase 3: decision waves from every deciding center. *)
-    Array.iter
-      (fun nd ->
-        if is_live nd && nd.deciding && nd.p1 < 0 then begin
+    live_nodes (fun nd ->
+        if nd.deciding && nd.p1 < 0 then begin
           if Itbl.length nd.cv_waiting <> 0 then
             failwith "Skeleton_dist: convergecast incomplete at decision time";
           match nd.best with
@@ -1033,19 +1032,10 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
               nd.is_dying <- true;
               nd.wave_done <- true;
               List.iter (fun c -> emit ~src:nd.id ~dst:c Die_start) nd.p1_children
-        end)
-      nodes;
+        end);
     run_phase "wave"
-      ~complete:(fun () ->
-        Array.for_all
-          (fun nd -> (not (is_live nd)) || (not nd.deciding) || nd.wave_done)
-          nodes)
-      ~probes:(fun () ->
-        Array.to_list nodes
-        |> List.filter_map (fun nd ->
-               if is_live nd && nd.deciding && (not nd.wave_done) && nd.p1 >= 0
-               then Some (nd.id, nd.p1)
-               else None))
+      ~finished:(fun nd -> (not nd.deciding) || nd.wave_done)
+      ~awaits:(fun nd f -> f nd.p1)
       ();
     if spans_on then begin
       let stop = !round_now () in
@@ -1062,78 +1052,47 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
           emit ~src ~dst m)
       (List.rev !notifications);
     notifications := [];
-    run_phase "notify" ~complete:(fun () -> !idle_ref ()) ~probes:no_probes ();
+    run_phase "notify" ();
     (* Phase 4: dying contracted vertices stream their (cluster, edge)
-       lists to the center, budget words per link per round. *)
-    Array.iter
-      (fun nd ->
-        if is_live nd && nd.is_dying then begin
+       lists to the center, budget words per link per round; the
+       center's own incidences go straight into its merge. *)
+    live_nodes (fun nd ->
+        if nd.is_dying then begin
           List.iter (fun c -> Itbl.replace nd.die_waiting c ()) nd.p1_children;
-          if nd.p1 < 0 then begin
-            center_best.(nd.id) <- Itbl.create 16;
-            (* The center's own incidences go straight into the merge. *)
-            Itbl.iter
-              (fun w (cl, _) ->
-                if cl <> nd.cl_center then begin
-                  let e = edge_to nd w in
-                  match Itbl.find_opt center_best.(nd.id) cl with
-                  | Some e' when e' <= e -> ()
-                  | _ -> Itbl.replace center_best.(nd.id) cl e
-                end)
-              nd.nb_cl
-          end
-          else
-            Itbl.iter
-              (fun w (cl, _) ->
-                if cl <> nd.cl_center then
-                  die_offer nd (cl, edge_to nd w))
-              nd.nb_cl
-        end)
-      nodes;
+          if nd.p1 < 0 then center_best.(nd.id) <- Itbl.create 16;
+          Itbl.iter
+            (fun w (cl, _) ->
+              if cl <> nd.cl_center then
+                if nd.p1 < 0 then center_offer nd cl (edge_to nd w)
+                else die_offer nd (cl, edge_to nd w))
+            nd.nb_cl
+        end);
     run_phase "dying"
-      ~complete:(fun () ->
-        Array.for_all
-          (fun nd ->
-            (not (is_live nd)) || (not nd.is_dying)
-            || Itbl.length nd.die_waiting = 0
-               && (nd.p1 < 0 || nd.die_done_sent))
-          nodes)
-      ~tick:(fun () ->
-        Array.iter
-          (fun nd ->
-            if
-              is_live nd && nd.is_dying && nd.p1 >= 0
-              && (not nd.die_done_sent)
-              && (not (is_dead nd nd.p1))
-              && !link_idle_ref nd.id nd.p1
-            then begin
-              let batch = ref [] in
-              let count = ref 0 in
-              while !count < die_cap && not (Queue.is_empty nd.die_queue) do
-                batch := Queue.pop nd.die_queue :: !batch;
-                incr count
-              done;
-              let finished =
-                Itbl.length nd.die_waiting = 0 && Queue.is_empty nd.die_queue
-              in
-              if !batch <> [] || finished then begin
-                emit ~src:nd.id ~dst:nd.p1
-                  (Die_up { entries = !batch; finished });
-                if finished then nd.die_done_sent <- true
-              end
-            end)
-          nodes)
-      ~probes:(fun () ->
-        Array.to_list nodes
-        |> List.concat_map (fun nd ->
-               if is_live nd && nd.is_dying then
-                 Itbl.fold (fun w () acc -> (nd.id, w) :: acc) nd.die_waiting []
-               else []))
+      ~finished:(fun nd ->
+        (not nd.is_dying)
+        || Itbl.length nd.die_waiting = 0
+           && (nd.p1 < 0 || nd.die_done_sent))
+      ~awaits:(fun nd f -> await_keys nd.die_waiting f)
+      ~tick:(fun nd ->
+        if
+          nd.p1 >= 0
+          && (not nd.die_done_sent)
+          && (not (is_dead nd nd.p1))
+          && !link_idle_ref nd.id nd.p1
+        then begin
+          let entries = take_batch nd.die_queue die_cap [] in
+          let finished =
+            Itbl.length nd.die_waiting = 0 && Queue.is_empty nd.die_queue
+          in
+          if entries <> [] || finished then begin
+            emit ~src:nd.id ~dst:nd.p1 (Die_up { entries; finished });
+            if finished then nd.die_done_sent <- true
+          end
+        end)
       ();
     (* Phase 5: centers resolve — abort or broadcast the chosen edges. *)
-    Array.iter
-      (fun nd ->
-        if is_live nd && nd.is_dying && nd.p1 < 0 then begin
+    live_nodes (fun nd ->
+        if nd.is_dying && nd.p1 < 0 then begin
           let best = center_best.(nd.id) in
           if Itbl.length best > call.Plan.abort_q then begin
             incr aborts;
@@ -1156,52 +1115,32 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
               best;
             nd.fin_src_done <- true
           end
-        end)
-      nodes;
+        end);
     run_phase "final"
-      ~complete:(fun () ->
-        Array.for_all
-          (fun nd ->
-            (not (is_live nd)) || (not nd.is_dying)
-            || (nd.fin_src_done && (nd.p1_children = [] || nd.fin_done_sent)))
-          nodes)
-      ~tick:(fun () ->
-        Array.iter
-          (fun nd ->
-            if
-              is_live nd && nd.is_dying && nd.p1_children <> []
-              && (not nd.fin_done_sent)
-              && List.for_all (fun c -> !link_idle_ref nd.id c) nd.p1_children
-            then
-              if nd.fin_aborting then begin
-                List.iter (fun c -> emit ~src:nd.id ~dst:c Abort) nd.p1_children;
-                nd.fin_done_sent <- true
-              end
-              else begin
-                let batch = ref [] in
-                let count = ref 0 in
-                while !count < fin_cap && not (Queue.is_empty nd.fin_queue) do
-                  batch := Queue.pop nd.fin_queue :: !batch;
-                  incr count
-                done;
-                let finished = nd.fin_src_done && Queue.is_empty nd.fin_queue in
-                if !batch <> [] || finished then begin
-                  List.iter
-                    (fun c ->
-                      emit ~src:nd.id ~dst:c
-                        (Final_down { edges = !batch; finished }))
-                    nd.p1_children;
-                  if finished then nd.fin_done_sent <- true
-                end
-              end)
-          nodes)
-      ~probes:(fun () ->
-        Array.to_list nodes
-        |> List.filter_map (fun nd ->
-               if
-                 is_live nd && nd.is_dying && (not nd.fin_src_done) && nd.p1 >= 0
-               then Some (nd.id, nd.p1)
-               else None))
+      ~finished:(fun nd ->
+        (not nd.is_dying)
+        || (nd.fin_src_done && (nd.p1_children = [] || nd.fin_done_sent)))
+      ~awaits:(fun nd f -> if not nd.fin_src_done then f nd.p1)
+      ~tick:(fun nd ->
+        if
+          nd.p1_children <> []
+          && (not nd.fin_done_sent)
+          && List.for_all (fun c -> !link_idle_ref nd.id c) nd.p1_children
+        then
+          if nd.fin_aborting then begin
+            List.iter (fun c -> emit ~src:nd.id ~dst:c Abort) nd.p1_children;
+            nd.fin_done_sent <- true
+          end
+          else begin
+            let edges = take_batch nd.fin_queue fin_cap [] in
+            let finished = nd.fin_src_done && Queue.is_empty nd.fin_queue in
+            if edges <> [] || finished then begin
+              List.iter
+                (fun c -> emit ~src:nd.id ~dst:c (Final_down { edges; finished }))
+                nd.p1_children;
+              if finished then nd.fin_done_sent <- true
+            end
+          end)
       ();
     if spans_on then begin
       let stop = !round_now () in
@@ -1242,9 +1181,7 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
           iter_nb nd (fun i w _ ->
               if not nd.nb_dead.(i) then emit ~src:nd.id ~dst:w Dead))
         !newly_dead;
-      run_phase "death-notices"
-        ~complete:(fun () -> !idle_ref ())
-        ~probes:no_probes ()
+      run_phase "death-notices" ()
     done;
     if spans_on then begin
       Obs.Span.close spans ~round:(!round_now ()) !current_call_span;
@@ -1424,14 +1361,15 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
             let v = Queue.pop q in
             if nodes.(v).rp_root < 0 then begin
               nodes.(v).rp_root <- r;
-              members := v :: !members;
+              members := nodes.(v) :: !members;
               calls_alive.(v) <- calls_alive.(v) + 1;
               List.iter (fun c -> Queue.add c q) nodes.(v).rp_children
             end
           done)
         !roots;
-      !members
+      Array.of_list !members
     in
+    let present nd = live nd.id in
     let rehooked = ref 0 in
     let progress = ref true in
     let iter_n = ref 0 in
@@ -1440,37 +1378,23 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
       let members = rebuild_forest () in
       (* Repair exchange: members learn each usable neighbor's
          fragment root (-1 = attached). *)
-      List.iter
-        (fun v ->
-          let nd = nodes.(v) in
+      Array.iter
+        (fun nd ->
           iter_nb nd (fun _ w e ->
               if live w && edge_up e then begin
                 Itbl.replace nd.rp_waiting w ();
-                emit ~src:v ~dst:w (Repair_id { root = nd.rp_root })
+                emit ~src:nd.id ~dst:w (Repair_id { root = nd.rp_root })
               end))
         members;
-      run_phase "repair-exchange"
-        ~complete:(fun () ->
-          List.for_all
-            (fun v ->
-              (not (live v)) || Itbl.length nodes.(v).rp_waiting = 0)
-            members)
-        ~probes:(fun () ->
-          List.concat_map
-            (fun v ->
-              if live v then
-                Itbl.fold
-                  (fun w () acc -> (v, w) :: acc)
-                  nodes.(v).rp_waiting []
-              else [])
-            members)
+      run_phase "repair-exchange" ~pop:members ~live:present
+        ~finished:(fun nd -> Itbl.length nd.rp_waiting = 0)
+        ~awaits:(fun nd f -> await_keys nd.rp_waiting f)
         ();
       (* Local candidates — an edge crossing to the attached part or to
          a strictly smaller-rooted fragment (the order keeps the hook
          relation acyclic) — then convergecast the fragment minimum. *)
-      List.iter
-        (fun v ->
-          let nd = nodes.(v) in
+      Array.iter
+        (fun nd ->
           Itbl.iter
             (fun w root_w ->
               if root_w <> nd.rp_root && (root_w < 0 || root_w < nd.rp_root)
@@ -1487,35 +1411,19 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
             (fun c -> Itbl.replace nd.rp_cv_waiting c ())
             nd.rp_children)
         members;
-      List.iter (fun v -> rp_maybe_forward nodes.(v)) members;
-      run_phase "repair-convergecast"
-        ~complete:(fun () ->
-          List.for_all
-            (fun v ->
-              (not (live v))
-              ||
-              let nd = nodes.(v) in
-              Itbl.length nd.rp_cv_waiting = 0
-              && (nd.rp_parent < 0 || nd.rp_report_sent))
-            members)
-        ~probes:(fun () ->
-          List.concat_map
-            (fun v ->
-              if live v then
-                Itbl.fold
-                  (fun w () acc -> (v, w) :: acc)
-                  nodes.(v).rp_cv_waiting []
-              else [])
-            members)
+      Array.iter rp_maybe_forward members;
+      run_phase "repair-convergecast" ~pop:members ~live:present
+        ~finished:(fun nd ->
+          Itbl.length nd.rp_cv_waiting = 0
+          && (nd.rp_parent < 0 || nd.rp_report_sent))
+        ~awaits:(fun nd f -> await_keys nd.rp_cv_waiting f)
         ();
       (* Roots with a candidate launch the parent-flip wave. *)
       let resolved, unresolved =
         List.partition (fun r -> nodes.(r).rp_best <> None) !roots
       in
       List.iter (fun r -> rp_start_wave nodes.(r)) resolved;
-      run_phase "repair-wave"
-        ~complete:(fun () -> !idle_ref ())
-        ~probes:no_probes ();
+      run_phase "repair-wave" ();
       rehooked := !rehooked + List.length resolved;
       progress := resolved <> [];
       roots := unresolved
@@ -1526,9 +1434,7 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
       ignore (rebuild_forest ());
       rp_keep_alls := List.length !roots;
       List.iter (fun r -> rp_do_keep_all nodes.(r)) !roots;
-      run_phase "repair-keep-all"
-        ~complete:(fun () -> !idle_ref ())
-        ~probes:no_probes ()
+      run_phase "repair-keep-all" ()
     end;
     repair_mode := false;
     (* 5. Seam bridging.  A partition that healed only after both sides
@@ -1556,24 +1462,12 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
       end
     done;
     (* Ladder verdict: components of the live graph decide partitioned;
-       otherwise any keep-all fallback means degraded. *)
-    let comp = Array.make n (-1) in
+       otherwise any keep-all fallback means degraded.  The seam pass
+       has joined every up edge between live nodes, so the components
+       are the union-find classes of the live nodes. *)
     let ncomp = ref 0 in
     for v = 0 to n - 1 do
-      if live v && comp.(v) < 0 then begin
-        incr ncomp;
-        let q = Queue.create () in
-        Queue.add v q;
-        comp.(v) <- v;
-        while not (Queue.is_empty q) do
-          let u = Queue.pop q in
-          iter_nb nodes.(u) (fun _ w e ->
-              if live w && edge_up e && comp.(w) < 0 then begin
-                comp.(w) <- v;
-                Queue.add w q
-              end)
-        done
-      end
+      if live v && Util.Union_find.find suf v = v then incr ncomp
     done;
     let ncomp = Stdlib.max 1 !ncomp in
     let outcome =

@@ -73,7 +73,8 @@ type repair_outcome = Intact | Patched | Degraded | Partitioned of int
 val pp_outcome : Format.formatter -> repair_outcome -> unit
 
 (** What the incremental repair pass did after the last churn event or
-    restart ([no_repair]-equal on a churn- and restart-free run). *)
+    restart ([Intact], one component and all counts zero on a churn-
+    and restart-free run). *)
 type repair_report = {
   outcome : repair_outcome;
   dead_spanner_edges : int;  (** spanner edges swept because down *)
@@ -87,8 +88,6 @@ type repair_report = {
           still attached, or degraded to keep-all; each is audited by
           {!Certify.run} like any live vertex *)
 }
-
-val no_repair : repair_report
 
 (** A phase that can make no further progress: the round limit was hit,
     or the transport drained with every probe already answered.  Either

@@ -53,24 +53,6 @@ let kind_name = function
   | Heal -> "heal"
   | Join -> "join"
 
-let pp_event ppf e =
-  match e.kind with
-  | Edge_down | Edge_up ->
-      Format.fprintf ppf "r%d %s %d-%d" e.round (kind_name e.kind) e.src e.dst
-  | Partition | Heal ->
-      Format.fprintf ppf "r%d %s (%d links)" e.round (kind_name e.kind) e.words
-  | Join -> Format.fprintf ppf "r%d join node %d" e.round e.src
-  | Restart ->
-      Format.fprintf ppf "r%d restart node %d (incarnation %d)" e.round e.src
-        e.words
-  | _ -> (
-      Format.fprintf ppf "r%d %s %d->%d (%d words)" e.round (kind_name e.kind)
-        e.src e.dst e.words;
-      match e.kind with
-      | Drop r -> Format.fprintf ppf " [%s]" (reason_name r)
-      | Delay k -> Format.fprintf ppf " [+%d rounds]" k
-      | _ -> ())
-
 type t = { mutable rev_events : event list; mutable length : int }
 
 let create () = { rev_events = []; length = 0 }

@@ -53,8 +53,6 @@ type kind =
 
 type event = { round : int; kind : kind; src : int; dst : int; words : int }
 
-val pp_event : Format.formatter -> event -> unit
-
 (** {1 Recording} *)
 
 type t

@@ -6,7 +6,6 @@ let add t e = Util.Bitset.set t.bits e
 let remove t e = Util.Bitset.clear t.bits e
 let mem t e = Util.Bitset.mem t.bits e
 let cardinal t = Util.Bitset.cardinal t.bits
-let add_path t edges = List.iter (add t) edges
 
 let add_all t other =
   if Graph.m other.g <> Graph.m t.g then

@@ -16,12 +16,6 @@ val remove : t -> int -> unit
 val mem : t -> int -> bool
 val cardinal : t -> int
 
-val add_path : t -> int list -> unit
-(** Add every edge of a path (list of edge ids). *)
-
-val add_all : t -> t -> unit
-(** [add_all t other] unions [other] (over the same host) into [t]. *)
-
 val iter : t -> (int -> unit) -> unit
 val to_graph : t -> Graph.t
 (** The spanning subgraph [(V, S)] as a standalone graph on the same

@@ -266,3 +266,31 @@ let ensure_connected rng g =
   end
 
 let connected_gnp rng ~n ~p = ensure_connected rng (gnp rng ~n ~p)
+
+(* The families behind the CLI's --kind and the graph line of scenario
+   specs and plans: each is a function of (n, p, seed) alone. *)
+let families =
+  let side n = int_of_float (Float.round (sqrt (float_of_int n))) in
+  [
+    ("gnp", fun rng ~n ~p -> connected_gnp rng ~n ~p);
+    ("gnp-raw", fun rng ~n ~p -> gnp rng ~n ~p);
+    ("torus", fun _ ~n ~p:_ -> torus ~width:(side n) ~height:(side n));
+    ("king", fun _ ~n ~p:_ -> king_torus ~width:(side n) ~height:(side n));
+    ( "hypercube",
+      fun _ ~n ~p:_ ->
+        hypercube
+          ~dims:(int_of_float (Float.round (Util.Tower.log2 (float_of_int n))))
+    );
+    ( "pa",
+      fun rng ~n ~p:_ ->
+        ensure_connected rng (preferential_attachment rng ~n ~k:3) );
+    ("path", fun _ ~n ~p:_ -> path n);
+    ("cycle", fun _ ~n ~p:_ -> cycle n);
+  ]
+
+let kinds = List.map fst families
+
+let generate ~kind ~n ~p ~seed =
+  match List.assoc_opt kind families with
+  | Some family -> family (Prng.create ~seed) ~n ~p
+  | None -> invalid_arg (Printf.sprintf "Gen.generate: unknown graph kind %s" kind)

@@ -51,3 +51,15 @@ val connected_gnp : Util.Prng.t -> n:int -> p:float -> Graph.t
 val ensure_connected : Util.Prng.t -> Graph.t -> Graph.t
 (** Identity on connected graphs; otherwise adds one random edge
     between consecutive components. *)
+
+val kinds : string list
+(** The graph families {!generate} knows, by name: [gnp] (connected
+    [G(n,p)]), [gnp-raw], [torus], [king], [hypercube], [pa], [path]
+    and [cycle]. *)
+
+val generate : kind:string -> n:int -> p:float -> seed:int -> Graph.t
+(** The [kind] family's graph for [n] (rounded to a square side or a
+    power of two where the family needs one), [p] and [seed].  The
+    CLI's [--kind] and the graph line of scenario specs and plans both
+    generate through it.  @raise Invalid_argument on a kind not in
+    {!kinds}. *)

@@ -36,7 +36,6 @@ module Builder = struct
     end
 
   let n t = t.n
-  let edge_count t = t.count
 
   let build t =
     let m = t.count in

@@ -25,7 +25,6 @@ module Builder : sig
       silently dropped (the paper's contracted graphs are simple). *)
 
   val n : t -> int
-  val edge_count : t -> int
   val build : t -> graph
 end
 

@@ -46,8 +46,6 @@ let dijkstra t ~src ~usable =
 let distances t ~src = dijkstra t ~src ~usable:(fun _ -> true)
 let spanner_distances t s ~src = dijkstra t ~src ~usable:(Edge_set.mem s)
 
-let path_weight t edges = List.fold_left (fun acc e -> acc +. t.w.(e)) 0. edges
-
 let max_stretch rng t s ~sources =
   let n = Graph.n t.g in
   let k = Stdlib.min sources n in

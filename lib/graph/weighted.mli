@@ -24,9 +24,6 @@ val distances : t -> src:int -> float array
 val spanner_distances : t -> Edge_set.t -> src:int -> float array
 (** Dijkstra restricted to a spanner's edges. *)
 
-val path_weight : t -> int list -> float
-(** Total weight of a list of edge ids. *)
-
 val max_stretch :
   Util.Prng.t -> t -> Edge_set.t -> sources:int -> float
 (** Max over sampled pairs of (spanner distance / true distance);

@@ -126,9 +126,6 @@ val round_samples : t -> round_sample list
 
 (** {1 Persistence (JSON lines, see {!Jsonl})} *)
 
-val row_to_json : row -> string
-val round_to_json : round_sample -> string
-
 val save : ?extra:string list -> t -> string -> unit
 (** Write [extra] lines (a run's meta header), then one line per row,
     then one line per round sample. *)

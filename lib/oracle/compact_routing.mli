@@ -34,9 +34,6 @@ val route_hops : t -> src:int -> dst:int -> int
     failed), [0] for [src = dst].  The serving hot path answers route
     queries with this form. *)
 
-val table_size : t -> int -> int
-(** Routing entries stored at one node (landmark + ball + write set). *)
-
 val total_state : t -> int
 val landmarks : t -> int list
 val home_landmark : t -> int -> int

@@ -115,5 +115,4 @@ let size t =
   Array.iter (fun b -> total := !total + Hashtbl.length b) t.bunches;
   !total + (t.k * Array.length t.levels)
 
-let bunch_size t v = Hashtbl.length t.bunches.(v) + t.k
 let levels t = t.levels

@@ -35,8 +35,5 @@ val size : t -> int
 (** Total stored entries (bunches + pivot tables) — the oracle's
     space. *)
 
-val bunch_size : t -> int -> int
-(** Entries stored for one vertex. *)
-
 val levels : t -> int array
 (** Per vertex, the highest [i] with [v ∈ A_i]. *)

@@ -16,29 +16,8 @@ type plan = {
   workload_seed : int;
 }
 
-(* Same generator dispatch as the CLI's --kind, minus --input: a plan
-   must be reproducible from its own lines alone. *)
-let generate ~kind ~n ~p ~seed =
-  let rng = Util.Prng.create ~seed in
-  match kind with
-  | "gnp" -> Gen.connected_gnp rng ~n ~p
-  | "gnp-raw" -> Gen.gnp rng ~n ~p
-  | "torus" ->
-      let side = int_of_float (Float.round (sqrt (float_of_int n))) in
-      Gen.torus ~width:side ~height:side
-  | "king" ->
-      let side = int_of_float (Float.round (sqrt (float_of_int n))) in
-      Gen.king_torus ~width:side ~height:side
-  | "hypercube" ->
-      let dims = int_of_float (Float.round (Util.Tower.log2 (float_of_int n))) in
-      Gen.hypercube ~dims
-  | "pa" -> Gen.ensure_connected rng (Gen.preferential_attachment rng ~n ~k:3)
-  | "path" -> Gen.path n
-  | "cycle" -> Gen.cycle n
-  | other -> failwith (Printf.sprintf "unknown graph kind %s" other)
-
 let graph_of plan =
-  generate ~kind:plan.kind ~n:plan.n ~p:plan.p ~seed:plan.graph_seed
+  Gen.generate ~kind:plan.kind ~n:plan.n ~p:plan.p ~seed:plan.graph_seed
 
 let faults ~graph plan =
   Distnet.Fault.make ~seed:plan.fault_seed ~graph plan.fspec
@@ -133,7 +112,7 @@ let compile (spec : Spec.t) ~sample =
   if sample < 0 then
     invalid_arg (Printf.sprintf "Scenario.Compile: sample %d negative" sample);
   let graph_seed = spec.Spec.graph_seed + sample in
-  let g = generate ~kind:spec.Spec.kind ~n:spec.Spec.n ~p:spec.Spec.p ~seed:graph_seed in
+  let g = Gen.generate ~kind:spec.Spec.kind ~n:spec.Spec.n ~p:spec.Spec.p ~seed:graph_seed in
   let rng = Util.Prng.create ~seed:((graph_seed * 1_000_003) + (7919 * sample) + 5) in
   let fault_seed = Util.Prng.int rng 1_000_000_000 in
   let drop, drop_profile =
@@ -285,7 +264,9 @@ let of_lines ~file lines =
     | [ "sample"; k ] ->
         plan := { p with sample = tok "sample" int_of_string_opt k }
     | "graph" :: _ ->
-        let kind = Lines.field l "kind" Option.some in
+        let kind =
+          Lines.field l "kind" (fun k -> List.find_opt (String.equal k) Gen.kinds)
+        in
         let n = int "n" in
         let p' = Option.value ~default:0. (opt "p" float_of_string_opt) in
         let graph_seed = int "seed" in

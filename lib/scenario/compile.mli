@@ -26,8 +26,9 @@ type plan = {
 }
 
 val graph_of : plan -> Graphlib.Graph.t
-(** Regenerate the plan's graph (same generator dispatch as the CLI's
-    [--kind]).  @raise Failure on an unknown kind. *)
+(** Regenerate the plan's graph through {!Graphlib.Gen.generate}, like
+    the CLI's [--kind].  @raise Invalid_argument on an unknown kind,
+    which {!parse} rejects. *)
 
 val compile : Spec.t -> sample:int -> plan
 (** Sample number [sample] of the family.  Graph-dependent draws

@@ -214,7 +214,10 @@ let of_lines ~file lines =
           { s with name }
       | "name" :: _ -> Lines.error l "name takes exactly one token"
       | "graph" :: _ ->
-          let kind = Lines.field l "kind" Option.some in
+          let kind =
+            Lines.field l "kind" (fun k ->
+                List.find_opt (String.equal k) Graphlib.Gen.kinds)
+          in
           let n = int "n" in
           let p = Option.value ~default:s.p (opt "p" float_of_string_opt) in
           let graph_seed = int "seed" in

@@ -16,7 +16,6 @@ val mean : t -> float
 val variance : t -> float
 (** Unbiased sample variance; [nan] with fewer than two observations. *)
 
-val stddev : t -> float
 val min : t -> float
 val max : t -> float
 

@@ -38,4 +38,3 @@ let log_star n =
   if n <= 1 then 0 else loop (float_of_int n) 0
 
 let zeta = log 2. -. (1. /. Float.exp 1.)
-let ln_choose_bound t = log (float_of_int (t + 1)) -. zeta

@@ -28,10 +28,5 @@ val log2 : float -> float
 val log_star : int -> int
 (** Iterated base-2 logarithm: least [k] with [log2^(k) n <= 1]. *)
 
-val ln_choose_bound : int -> float
-(** [ln_choose_bound t] is the paper's Lemma 6 bound constant
-    [ln (t+1) -. zeta] with [zeta = ln 2 -. 1/e]; exposed so tests and
-    experiment tables share one definition. *)
-
 val zeta : float
 (** [ln 2 -. 1. /. e ≈ 0.325], the constant of Lemma 6. *)
