@@ -69,16 +69,6 @@ let gen_cmd =
 (* ------------------------------------------------------------------ *)
 (* build *)
 
-let algo_arg =
-  Arg.(
-    value
-    & opt string "skeleton"
-    & info [ "algo"; "a" ] ~docv:"ALGO"
-        ~doc:
-          "Spanner algorithm: skeleton, skeleton-dist, fibonacci, fibonacci-dist, \
-           baswana-sen, baswana-sen-dist, greedy, greedy-skeleton, neighborhood, \
-           bfs-tree, combined, streaming.")
-
 let k_arg =
   Arg.(value & opt int 3 & info [ "k"; "levels" ] ~docv:"K" ~doc:"Stretch parameter (2k-1).")
 
@@ -102,43 +92,80 @@ let ell_arg =
 let t_arg =
   Arg.(value & opt int 2 & info [ "t" ] ~docv:"T" ~doc:"Message budget exponent: n^(1/t).")
 
-let build_spanner ~algo ~k ~d ~eps ~order ~ell ~t ~seed g =
-  let stats = ref None in
-  let spanner =
-    match algo with
-    | "skeleton" -> (Spanner.Skeleton.build ~d ~eps ~seed g).Spanner.Skeleton.spanner
-    | "skeleton-dist" ->
+(* What [build]'s algorithms read from the command line. *)
+type build_params = {
+  k : int;
+  d : int;
+  eps : float;
+  order : int option;
+  ell : int option;
+  t : int;
+  seed : int;
+}
+
+(* The [build] algorithms, by name: the one list [--algo] accepts and
+   [build] dispatches on.  A builder returns the spanner and, for a
+   distributed one, its network cost. *)
+let algorithms =
+  let bare s = (s, None) in
+  [
+    ( "skeleton",
+      fun { d; eps; seed; _ } g ->
+        bare (Spanner.Skeleton.build ~d ~eps ~seed g).Spanner.Skeleton.spanner
+    );
+    ( "skeleton-dist",
+      fun { d; eps; seed; _ } g ->
         let r = Spanner.Skeleton_dist.build ~d ~eps ~seed g in
-        stats := Some r.Spanner.Skeleton_dist.stats;
-        r.Spanner.Skeleton_dist.spanner
-    | "fibonacci" -> (Spanner.Fibonacci.build ?o:order ?ell ~seed g).Spanner.Fibonacci.spanner
-    | "fibonacci-dist" ->
+        (r.Spanner.Skeleton_dist.spanner, Some r.Spanner.Skeleton_dist.stats) );
+    ( "fibonacci",
+      fun { order; ell; seed; _ } g ->
+        bare
+          (Spanner.Fibonacci.build ?o:order ?ell ~seed g)
+            .Spanner.Fibonacci.spanner );
+    ( "fibonacci-dist",
+      fun { order; ell; t; seed; _ } g ->
         let r = Spanner.Fibonacci_dist.build ?o:order ?ell ~t ~seed g in
-        stats := Some r.Spanner.Fibonacci_dist.stats;
         Format.printf "budget=%d words, blocked=%d, LV failures=%d@."
           r.Spanner.Fibonacci_dist.budget_words r.Spanner.Fibonacci_dist.blocked
           r.Spanner.Fibonacci_dist.failures;
-        r.Spanner.Fibonacci_dist.spanner
-    | "baswana-sen" -> (Baseline.Baswana_sen.build ~k ~seed g).Baseline.Baswana_sen.spanner
-    | "baswana-sen-dist" ->
+        (r.Spanner.Fibonacci_dist.spanner, Some r.Spanner.Fibonacci_dist.stats)
+    );
+    ( "baswana-sen",
+      fun { k; seed; _ } g ->
+        bare (Baseline.Baswana_sen.build ~k ~seed g).Baseline.Baswana_sen.spanner
+    );
+    ( "baswana-sen-dist",
+      fun { k; seed; _ } g ->
         let r = Baseline.Baswana_sen_dist.build ~k ~seed g in
-        stats := Some r.Baseline.Baswana_sen_dist.stats;
-        r.Baseline.Baswana_sen_dist.spanner
-    | "greedy" -> (Baseline.Greedy.build ~k g).Baseline.Greedy.spanner
-    | "greedy-skeleton" -> (Baseline.Greedy.skeleton g).Baseline.Greedy.spanner
-    | "neighborhood" ->
+        ( r.Baseline.Baswana_sen_dist.spanner,
+          Some r.Baseline.Baswana_sen_dist.stats ) );
+    ( "greedy",
+      fun { k; _ } g -> bare (Baseline.Greedy.build ~k g).Baseline.Greedy.spanner
+    );
+    ( "greedy-skeleton",
+      fun _ g -> bare (Baseline.Greedy.skeleton g).Baseline.Greedy.spanner );
+    ( "neighborhood",
+      fun { k; _ } g ->
         let r = Baseline.Neighborhood_dist.build ~k g in
-        stats := Some r.Baseline.Neighborhood_dist.stats;
-        r.Baseline.Neighborhood_dist.spanner
-    | "bfs-tree" -> (Baseline.Bfs_tree.build g).Baseline.Bfs_tree.spanner
-    | "combined" -> (Spanner.Combined.build ?o:order ?ell ~d ~seed g).Spanner.Combined.spanner
-    | "streaming" ->
+        ( r.Baseline.Neighborhood_dist.spanner,
+          Some r.Baseline.Neighborhood_dist.stats ) );
+    ( "bfs-tree",
+      fun _ g -> bare (Baseline.Bfs_tree.build g).Baseline.Bfs_tree.spanner );
+    ( "combined",
+      fun { order; ell; d; seed; _ } g ->
+        bare
+          (Spanner.Combined.build ?o:order ?ell ~d ~seed g)
+            .Spanner.Combined.spanner );
+    ( "streaming",
+      fun { k; seed; _ } g ->
         (* Feed the graph's edges in a seeded random arrival order. *)
         let edges = ref [] in
         Graph.iter_edges g (fun _ u v -> edges := (u, v) :: !edges);
         let arr = Array.of_list !edges in
         Util.Prng.shuffle (Util.Prng.create ~seed) arr;
-        let t = Baseline.Streaming.of_stream ~n:(Graph.n g) ~k (Array.to_list arr) in
+        let t =
+          Baseline.Streaming.of_stream ~n:(Graph.n g) ~k (Array.to_list arr)
+        in
         let s = Edge_set.create g in
         List.iter
           (fun (u, v) ->
@@ -146,10 +173,19 @@ let build_spanner ~algo ~k ~d ~eps ~order ~ell ~t ~seed g =
             | Some e -> Edge_set.add s e
             | None -> ())
           (Baseline.Streaming.edges t);
-        s
-    | other -> failwith (Printf.sprintf "unknown algorithm %s" other)
-  in
-  (spanner, !stats)
+        bare s );
+  ]
+
+let algo_arg =
+  Arg.(
+    value
+    & opt (enum (List.map (fun ((name, _) as a) -> (name, a)) algorithms))
+        (List.hd algorithms)
+    & info [ "algo"; "a" ] ~docv:"ALGO"
+        ~doc:
+          ("Spanner algorithm: "
+          ^ String.concat ", " (List.map fst algorithms)
+          ^ "."))
 
 let build_cmd =
   let sources =
@@ -164,10 +200,10 @@ let build_cmd =
       & opt (some string) None
       & info [ "out"; "o" ] ~docv:"FILE" ~doc:"Write the spanner as an edge list.")
   in
-  let run kind n p seed input algo k d eps order ell t sources out =
+  let run kind n p seed input (algo, build) k d eps order ell t sources out =
     let g = load_graph ~kind ~n ~p ~seed ~input in
     Format.printf "graph: %a@." Graph.pp_summary g;
-    let spanner, stats = build_spanner ~algo ~k ~d ~eps ~order ~ell ~t ~seed g in
+    let spanner, stats = build { k; d; eps; order; ell; t; seed } g in
     let h = Edge_set.to_graph spanner in
     Format.printf "%s: %d edges (%.3f per vertex)@." algo (Edge_set.cardinal spanner)
       (float_of_int (Edge_set.cardinal spanner) /. float_of_int (Graph.n g));
@@ -569,9 +605,11 @@ let simulate_cmd =
           ~doc:"With $(b,--audit-bounds): exit nonzero on any WARN.")
   in
   let protocol =
+    let protocols = [ ("bfs", `Bfs); ("flood", `Flood); ("skeleton", `Skeleton) ] in
     Arg.(
       value
-      & opt string "bfs"
+      & opt (enum (List.map (fun ((name, _) as p) -> (name, p)) protocols))
+          (List.hd protocols)
       & info [ "protocol"; "algo" ] ~docv:"PROTO"
           ~doc:
             "Protocol to run: bfs, flood (both ARQ-lifted), or skeleton (the \
@@ -583,7 +621,7 @@ let simulate_cmd =
   let run kind n p seed input drop dup delay max_delay crash restart
       crash_frac crash_max_round churn churn_trace phase_limit certify mutate
       trace_file replay_file metrics_file metrics_summary spans_file
-      profile_file audit_bounds strict protocol root () =
+      profile_file audit_bounds strict (protocol, proto) root () =
     let g = load_graph ~kind ~n ~p ~seed ~input in
     Format.printf "graph: %a@." Graph.pp_summary g;
     let faults, recorded =
@@ -687,8 +725,8 @@ let simulate_cmd =
     let spanner_edges_ref = ref None in
     let stuck = ref false in
     let stats =
-      match protocol with
-      | "bfs" ->
+      match proto with
+      | `Bfs ->
           let stats, dist =
             Distnet.Protocols.reliable_bfs ~faults ?tracer ~metrics:reg ~spans
               g ~root
@@ -696,7 +734,7 @@ let simulate_cmd =
           let expected = Graphlib.Bfs.distances g ~src:root in
           Format.printf "distances correct: %b@." (dist = expected);
           stats
-      | "flood" ->
+      | `Flood ->
           let stats, reached =
             Distnet.Protocols.reliable_flood ~faults ?tracer ~metrics:reg
               ~spans g ~root ~payload_words:4
@@ -706,7 +744,7 @@ let simulate_cmd =
           in
           Format.printf "reached %d/%d nodes@." cover (Graph.n g);
           stats
-      | "skeleton" -> (
+      | `Skeleton -> (
           match
             Spanner.Skeleton_dist.build ~faults ?tracer ~metrics:reg ~spans
               ?phase_round_limit:phase_limit ~seed g
@@ -810,7 +848,6 @@ let simulate_cmd =
                   certification_failed := true
               end;
               r.Spanner.Skeleton_dist.stats)
-      | other -> failwith (Printf.sprintf "unknown protocol %s" other)
     in
     Format.printf "network: %a@." Distnet.Sim.pp_stats stats;
     (match recorded with
@@ -1595,7 +1632,7 @@ let query_cmd =
   let pairs =
     Arg.(
       value
-      & pos_all string []
+      & pos_all (pair ~sep:',' int int) []
       & info [] ~docv:"U,V"
           ~doc:"Query pairs, e.g. 3,17; seeded samples when omitted.")
   in
@@ -1646,16 +1683,7 @@ let query_cmd =
         answer (Util.Prng.int rng n) (Util.Prng.int rng n)
       done
     end
-    else
-      List.iter
-        (fun pair ->
-          match String.split_on_char ',' pair with
-          | [ u; v ] -> (
-              match (int_of_string_opt u, int_of_string_opt v) with
-              | Some u, Some v -> answer u v
-              | _ -> failwith (Printf.sprintf "bad query pair %S" pair))
-          | _ -> failwith (Printf.sprintf "bad query pair %S (want U,V)" pair))
-        pairs
+    else List.iter (fun (u, v) -> answer u v) pairs
   in
   Cmd.v
     (Cmd.info "query"

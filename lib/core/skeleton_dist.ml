@@ -1527,8 +1527,10 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
       let message_words = words
       let init _ _ = ((), [])
 
-      let receive _ ~round:_ v () inbox =
-        List.iter (fun (src, m) -> dispatch ~dst:v ~src m) inbox;
+      let receive _ ~round:_ v () ~senders ~payloads k =
+        for i = 0 to k - 1 do
+          dispatch ~dst:v ~src:senders.(i) payloads.(i)
+        done;
         ((), [])
     end) in
     let rt = R.create ~faults ?tracer ~metrics ~spans g in

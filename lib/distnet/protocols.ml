@@ -104,13 +104,12 @@ let reliable_bfs ?faults ?tracer ?metrics ?spans g ~root =
 
     let init g v = if v = root then (0, announce g v 0) else (-1, [])
 
-    let receive g ~round:_ v st inbox =
-      let best =
-        List.fold_left
-          (fun acc (_, d) -> if acc < 0 || d < acc then d else acc)
-          st inbox
-      in
-      if best >= 0 && (st < 0 || best < st) then (best, announce g v best)
+    let receive g ~round:_ v st ~senders:_ ~payloads k =
+      let best = ref st in
+      for i = 0 to k - 1 do
+        if !best < 0 || payloads.(i) < !best then best := payloads.(i)
+      done;
+      if !best >= 0 && (st < 0 || !best < st) then (!best, announce g v !best)
       else (st, [])
   end) in
   Bfs.run "reliable_bfs" ?faults ?tracer ?metrics ?spans g
@@ -123,16 +122,16 @@ let reliable_flood ?faults ?tracer ?metrics ?spans g ~root ~payload_words =
 
     let message_words () = payload_words
 
-    let fanout g v ~except =
+    (* Every neighbor but the first [k] [senders]. *)
+    let fanout g v ~senders k =
+      let rec sent w i = i < k && (senders.(i) = w || sent w (i + 1)) in
       Graph.fold_neighbors g v ~init:[] ~f:(fun acc w _ ->
-          if List.mem w except then acc else (w, ()) :: acc)
+          if sent w 0 then acc else (w, ()) :: acc)
 
     let init g v =
-      if v = root then (true, fanout g v ~except:[]) else (false, [])
+      if v = root then (true, fanout g v ~senders:[||] 0) else (false, [])
 
-    let receive g ~round:_ v st inbox =
-      if (not st) && inbox <> [] then
-        (true, fanout g v ~except:(List.map fst inbox))
-      else (st, [])
+    let receive g ~round:_ v st ~senders ~payloads:_ k =
+      if (not st) && k > 0 then (true, fanout g v ~senders k) else (st, [])
   end) in
   Flood.run "reliable_flood" ?faults ?tracer ?metrics ?spans g

@@ -8,8 +8,17 @@
     with exponential backoff until acknowledged.  Acknowledgements are
     piggybacked on data traffic when possible and echoed on every
     (re)receipt, so a lost ack is repaired by the sender's retry.  The
-    receiver tracks seen sequence numbers, making delivery to the
-    inner protocol idempotent under duplication and retransmission.
+    receiver keeps the set of delivered sequence numbers, making
+    delivery to the inner protocol idempotent under duplication and
+    retransmission.
+
+    Each link's state lives in a preallocated peer slot: the send
+    queue (a ring), the in-flight seq and its payload, the acks owed
+    (a count and the largest seq), and the delivered set as the next
+    expected seq plus the seqs below it that were skipped — abandoned
+    by the sender before they arrived, and still delivered once if a
+    late copy does arrive.  A transmission allocates one frame and
+    nothing else.
 
     Each wire message costs [1] word per carried ack plus, when data
     is present, [1] word of sequence number plus the inner payload's
@@ -80,19 +89,26 @@ module type PROTOCOL = sig
     round:int ->
     int ->
     state ->
-    (int * message) list ->
+    senders:int array ->
+    payloads:message array ->
+    int ->
     state * (int * message) list
-  (** [receive g ~round v st inbox] handles one round at node [v]:
-      [inbox] lists (sender, payload) delivered this round.  The
-      program must be {e message-driven}: with an empty [inbox] it
-      sends nothing.  That is what lets the runtime skip a node with
-      no mail. *)
+  (** [receive g ~round v st ~senders ~payloads k] handles one round at
+      node [v]: entry [i < k] of [senders] and [payloads] is the [i]-th
+      (sender, payload) delivered this round, in arrival order.  Both
+      arrays belong to the runtime: read them during the call, and
+      nothing at or beyond [k].  The program must be
+      {e message-driven}: with [k = 0] it sends nothing.  That is what
+      lets the runtime skip a node with no mail. *)
 end
 
 module Make (P : PROTOCOL) : sig
   type message
-  (** An ARQ frame: piggybacked acks and at most one sequenced
-      payload. *)
+  (** An ARQ frame: the acks owed, as a count and the largest seq
+      acknowledged, and at most one sequenced payload.  A frame from a
+      peer can only complete the in-flight seq through its largest
+      ack, since the in-flight seq is the newest its sender started;
+      the count sets the frame's word cost. *)
 
   type t
   (** One run: the engine, an ARQ endpoint per started node, and the
@@ -181,18 +197,22 @@ module Make (P : PROTOCOL) : sig
 
   val suspected : endpoint -> int list
   (** Neighbors to which at least one transmission was abandoned.  In
-      a crash-stop fault model an abandoned transmission is (whp) a
-      crashed peer — after [max_retries] tries ({!config}) the
-      probability that independent per-message loss ate every copy is
-      negligible — so this doubles as the failure detector that
-      {!Recovery} and the fault-tolerant skeleton consume. *)
+      a crash-stop fault model an abandoned transmission is most often
+      a crashed peer, so this doubles as the failure detector that
+      {!Recovery} and the fault-tolerant skeleton consume.  It is not
+      perfect: a try fails when either the frame or its ack is lost,
+      so under independent loss [p] a live peer is written off with
+      probability [(1 - (1 - p)^2)^13] per frame at the default
+      policy, about 1.7e-6 at [p = 0.2] (DESIGN.md §3, "Failure
+      detection").  A build that sends millions of frames meets it;
+      [cli.t] pins such a wedge at n = 2,000. *)
 
   val reset_peer : endpoint -> round:int -> int -> unit
   (** [reset_peer ep ~round w] forgets every ARQ session toward and
       from neighbor [w]: the in-flight transmission (its span dropped
       with reason ["session-reset"]), the send queue, sequence numbers
-      (back to 0), pending and remembered acks, the receive-side dedup
-      table, and [w]'s entry in {!suspected}.  The outbox stays.  Call
+      (back to 0), the acks owed, the delivered seqs, and [w]'s entry
+      in {!suspected}.  The outbox stays.  Call
       it on both sides of a link when one endpoint restarts with a
       fresh incarnation — the reborn node must never consume its
       predecessor's acks, and its restarted sequence numbers must not

@@ -129,6 +129,12 @@ type 'msg t = {
   mutable messages : int;
   mutable words : int;
   mutable max_message_words : int;
+  (* The current step's tallies: messages delivered, and words
+     delivered, dropped and held back. *)
+  mutable step_delivered : int;
+  mutable step_delivered_w : int;
+  mutable step_dropped_w : int;
+  mutable step_held_w : int;
   (* Observability.  [metrics] defaults to the no-op sink; the
      per-round histograms and per-link counters below are no-op
      instruments in that case, so the disabled path costs one tag
@@ -227,6 +233,10 @@ let create ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
       messages = 0;
       words = 0;
       max_message_words = 0;
+      step_delivered = 0;
+      step_delivered_w = 0;
+      step_dropped_w = 0;
+      step_held_w = 0;
       metrics;
       h_delivered = Obs.Metrics.histogram metrics "sim_round_delivered_words";
       h_dropped = Obs.Metrics.histogram metrics "sim_round_dropped_words";
@@ -325,10 +335,79 @@ let take_window_max t =
   t.window_max <- 0;
   m
 
+(* Emit the crash and restart events whose round has arrived. *)
+let rec emit_crashes t ~round = function
+  | (r, v) :: rest when r <= round ->
+      trace t ~round:r Trace.Crash ~src:v ~dst:(-1) ~words:0;
+      emit_crashes t ~round rest
+  | rest -> t.pending_crashes <- rest
+
+let rec emit_restarts t ~round = function
+  | (r, v) :: rest when r <= round ->
+      trace t ~round:r Trace.Restart ~src:v ~dst:(-1)
+        ~words:(Fault.incarnation t.faults ~round:r v);
+      emit_restarts t ~round rest
+  | rest -> t.pending_restarts <- rest
+
+let drop t ~round ~src ~dst ~words ~span kind reason =
+  t.step_dropped_w <- t.step_dropped_w + words;
+  trace t ~round kind ~src ~dst ~words;
+  Obs.Span.drop t.spans ~round ~reason span
+
+let deliver_now t deliver ~round ~src ~dst ~slot ~words ~span ~inc_src
+    ~inc_dst payload =
+  if Fault.crashed t.faults ~round dst then
+    drop t ~round ~src ~dst ~words ~span (Trace.Drop Trace.Dst_crashed)
+      "dst-crashed"
+  else if t.dynamic && not t.edge_alive.(slot / 2) then
+    drop t ~round ~src ~dst ~words ~span (Trace.Drop Trace.Link_down)
+      "link-down"
+  else if t.dynamic && not (Fault.joined t.faults ~round dst) then
+    drop t ~round ~src ~dst ~words ~span (Trace.Drop Trace.Not_joined)
+      "not-joined"
+  else if
+    t.restarting
+    && (Fault.incarnation t.faults ~round src <> inc_src
+       || Fault.incarnation t.faults ~round dst <> inc_dst)
+  then
+    (* The message crossed a crash/restart boundary in flight: it was
+       sent by, or addressed to, an incarnation that is no longer
+       current.  A reborn node must never consume its predecessor's
+       traffic (and nobody should hear a ghost), so the engine
+       discards it like a loss — but with its own reason, so replay
+       and audit can tell them apart. *)
+    drop t ~round ~src ~dst ~words ~span (Trace.Drop Trace.Stale)
+      "stale-incarnation"
+  else begin
+    t.step_delivered <- t.step_delivered + 1;
+    t.step_delivered_w <- t.step_delivered_w + words;
+    trace t ~round Trace.Deliver ~src ~dst ~words;
+    (* First delivery wins: a duplicate copy of an already delivered
+       span leaves the span untouched. *)
+    Obs.Span.deliver t.spans ~round span;
+    deliver ~dst ~src payload
+  end
+
+let hold t (e : 'msg envelope) ~until =
+  t.step_held_w <- t.step_held_w + e.words;
+  Hashtbl.replace t.delayed until
+    (e :: Option.value ~default:[] (Hashtbl.find_opt t.delayed until));
+  t.delayed_count <- t.delayed_count + 1
+
+let rec deliver_held t deliver ~round = function
+  | [] -> ()
+  | (e : 'msg envelope) :: rest ->
+      deliver_now t deliver ~round ~src:e.src ~dst:e.dst ~slot:e.slot
+        ~words:e.words ~span:e.span ~inc_src:e.inc_src ~inc_dst:e.inc_dst
+        e.payload;
+      deliver_held t deliver ~round rest
+
 (* Delivery order within a round: the held messages due now, in the
    order they were held; then the batch in send order, a duplicate
    right after its original.  [Fault.fate] is drawn once per batch
-   entry, in that order. *)
+   entry, in that order.  Beyond what [Fault.fate] builds, only held
+   messages allocate: an envelope and a table cell when held, the
+   round's list reversed when they come due. *)
 let step t deliver =
   (* Close this round's batch before anything can raise: an aborted
      step loses its batch rather than replaying it later. *)
@@ -340,86 +419,20 @@ let step t deliver =
   t.epoch <- t.epoch + 1;
   t.rounds <- t.rounds + 1;
   let round = t.rounds in
-  (* Emit crash events for nodes whose crash round has arrived. *)
-  let rec crashes = function
-    | (r, v) :: rest when r <= round ->
-        trace t ~round:r Trace.Crash ~src:v ~dst:(-1) ~words:0;
-        crashes rest
-    | rest -> t.pending_crashes <- rest
-  in
-  crashes t.pending_crashes;
-  if t.restarting then begin
-    let rec restarts = function
-      | (r, v) :: rest when r <= round ->
-          trace t ~round:r Trace.Restart ~src:v ~dst:(-1)
-            ~words:(Fault.incarnation t.faults ~round:r v);
-          restarts rest
-      | rest -> t.pending_restarts <- rest
-    in
-    restarts t.pending_restarts
-  end;
+  emit_crashes t ~round t.pending_crashes;
+  if t.restarting then emit_restarts t ~round t.pending_restarts;
   if t.dynamic then apply_churn t ~round;
-  let count = ref 0 in
-  let delivered_w = ref 0 and dropped_w = ref 0 and held_w = ref 0 in
-  let deliver_now ~src ~dst ~slot ~words ~span ~inc_src ~inc_dst payload =
-    if Fault.crashed t.faults ~round dst then begin
-      dropped_w := !dropped_w + words;
-      trace t ~round (Trace.Drop Trace.Dst_crashed) ~src ~dst ~words;
-      Obs.Span.drop t.spans ~round ~reason:"dst-crashed" span
-    end
-    else if t.dynamic && not t.edge_alive.(slot / 2) then begin
-      dropped_w := !dropped_w + words;
-      trace t ~round (Trace.Drop Trace.Link_down) ~src ~dst ~words;
-      Obs.Span.drop t.spans ~round ~reason:"link-down" span
-    end
-    else if t.dynamic && not (Fault.joined t.faults ~round dst) then begin
-      dropped_w := !dropped_w + words;
-      trace t ~round (Trace.Drop Trace.Not_joined) ~src ~dst ~words;
-      Obs.Span.drop t.spans ~round ~reason:"not-joined" span
-    end
-    else if
-      t.restarting
-      && (Fault.incarnation t.faults ~round src <> inc_src
-         || Fault.incarnation t.faults ~round dst <> inc_dst)
-    then begin
-      (* The message crossed a crash/restart boundary in flight: it was
-         sent by, or addressed to, an incarnation that is no longer
-         current.  A reborn node must never consume its predecessor's
-         traffic (and nobody should hear a ghost), so the engine
-         discards it like a loss — but with its own reason, so replay
-         and audit can tell them apart. *)
-      dropped_w := !dropped_w + words;
-      trace t ~round (Trace.Drop Trace.Stale) ~src ~dst ~words;
-      Obs.Span.drop t.spans ~round ~reason:"stale-incarnation" span
-    end
-    else begin
-      incr count;
-      delivered_w := !delivered_w + words;
-      trace t ~round Trace.Deliver ~src ~dst ~words;
-      (* First delivery wins: a duplicate copy of an already delivered
-         span leaves the span untouched. *)
-      Obs.Span.deliver t.spans ~round span;
-      deliver ~dst ~src payload
-    end
-  in
-  let hold (e : 'msg envelope) ~until =
-    held_w := !held_w + e.words;
-    Hashtbl.replace t.delayed until
-      (e :: Option.value ~default:[] (Hashtbl.find_opt t.delayed until));
-    t.delayed_count <- t.delayed_count + 1
-  in
+  t.step_delivered <- 0;
+  t.step_delivered_w <- 0;
+  t.step_dropped_w <- 0;
+  t.step_held_w <- 0;
   Obs.Prof.enter t.prof "sim_deliver";
   (match Hashtbl.find_opt t.delayed round with
   | None -> ()
   | Some held ->
       Hashtbl.remove t.delayed round;
-      let held = List.rev held in
       t.delayed_count <- t.delayed_count - List.length held;
-      List.iter
-        (fun (e : 'msg envelope) ->
-          deliver_now ~src:e.src ~dst:e.dst ~slot:e.slot ~words:e.words
-            ~span:e.span ~inc_src:e.inc_src ~inc_dst:e.inc_dst e.payload)
-        held);
+      deliver_held t deliver ~round (List.rev held));
   for i = 0 to len - 1 do
     let src = b.srcs.(i) and dst = b.dsts.(i) and words = b.lens.(i) in
     let payload = b.payloads.(i) in
@@ -427,10 +440,9 @@ let step t deliver =
     match Fault.fate t.faults ~round ~src ~dst with
     | Fault.Lost ->
         charge t words;
-        dropped_w := !dropped_w + words;
-        trace t ~round (Trace.Drop Trace.Loss) ~src ~dst ~words;
-        Obs.Span.drop t.spans ~round ~reason:"loss"
-          (opt_at b.spans i ~absent:(-1))
+        drop t ~round ~src ~dst ~words
+          ~span:(opt_at b.spans i ~absent:(-1))
+          (Trace.Drop Trace.Loss) "loss"
     | Fault.Pass { dup; delay } ->
         let slot = b.slots.(i) and span = opt_at b.spans i ~absent:(-1) in
         let inc_src = opt_at b.incs_src i ~absent:0
@@ -443,23 +455,25 @@ let step t deliver =
         if delay > 0 then begin
           trace t ~round (Trace.Delay delay) ~src ~dst ~words;
           let e = { src; dst; slot; words; span; inc_src; inc_dst; payload } in
-          hold e ~until:(round + delay);
-          if dup then hold e ~until:(round + delay)
+          hold t e ~until:(round + delay);
+          if dup then hold t e ~until:(round + delay)
         end
         else begin
-          deliver_now ~src ~dst ~slot ~words ~span ~inc_src ~inc_dst payload;
+          deliver_now t deliver ~round ~src ~dst ~slot ~words ~span ~inc_src
+            ~inc_dst payload;
           if dup then
-            deliver_now ~src ~dst ~slot ~words ~span ~inc_src ~inc_dst payload
+            deliver_now t deliver ~round ~src ~dst ~slot ~words ~span ~inc_src
+              ~inc_dst payload
         end
   done;
   Obs.Prof.leave t.prof;
   if Obs.Metrics.enabled t.metrics then begin
-    Obs.Metrics.observe t.h_delivered !delivered_w;
-    Obs.Metrics.observe t.h_dropped !dropped_w;
-    Obs.Metrics.observe t.h_held !held_w
+    Obs.Metrics.observe t.h_delivered t.step_delivered_w;
+    Obs.Metrics.observe t.h_dropped t.step_dropped_w;
+    Obs.Metrics.observe t.h_held t.step_held_w
   end;
   Obs.Prof.round_mark t.prof ~round;
-  !count
+  t.step_delivered
 
 let stats t =
   {

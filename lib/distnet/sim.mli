@@ -123,7 +123,9 @@ val step : 'msg t -> (dst:int -> src:int -> 'msg -> unit) -> int
     from inside the callback is queued for the next step; the callback
     must not call [step] itself.  No message is allocated or hashed on
     the way: queued messages live in two reusable buffers, swapped at
-    each step, and only a held-back message gets a record of its own. *)
+    each step, and only a held-back message gets a record of its own.
+    A step with nothing queued and no held message coming due
+    allocates nothing. *)
 
 val quiescent : 'msg t -> bool
 (** No messages queued or held back for a later round. *)

@@ -767,7 +767,7 @@ let test_reliable_link_idle () =
 
     let message_words () = 1
     let init _ v = ((), if v = 0 then [ (1, ()) ] else [])
-    let receive _ ~round:_ _ () _ = ((), [])
+    let receive _ ~round:_ _ () ~senders:_ ~payloads:_ _ = ((), [])
   end in
   let module R = Distnet.Reliable.Make (P) in
   let rt = R.create (Gen.path 2) in
@@ -1115,7 +1115,7 @@ let test_arq_due_schedule () =
 
     let message_words () = 1
     let init _ v = ((), if v = 0 then [ (1, ()) ] else [])
-    let receive _ ~round:_ _ () _ = ((), [])
+    let receive _ ~round:_ _ () ~senders:_ ~payloads:_ _ = ((), [])
   end in
   let module R = Reliable.Make (P) in
   let faults =
@@ -1178,6 +1178,217 @@ let test_arq_late_joiner_timers () =
         { Sim.rounds; messages = 524; words = 950; max_message_words = 3 }
         st)
     [ (3, 28); (6, 31) ]
+
+(* ARQ corner cases on a 2-path under scripted fates.  The program
+   keeps what it is handed, as (round, payload), newest first. *)
+module Arq_record = struct
+  type state = (int * int) list
+  type message = int
+
+  let message_words _ = 1
+  let init _ _ = ([], [])
+
+  let receive _ ~round _ st ~senders:_ ~payloads k =
+    let st = ref st in
+    for i = 0 to k - 1 do
+      st := (round, payloads.(i)) :: !st
+    done;
+    (!st, [])
+end
+
+module Arq2 = Reliable.Make (Arq_record)
+
+(* Node 0 queues [payloads] for node 1 before round 1, and [before r]
+   runs ahead of step [r].  With the default policy the transmissions
+   of node 0's first seq go out at rounds 1, 4, 10, 22, 46, 78, ...,
+   302, and the thirteenth timeout abandons it at round 334.  A frame
+   sent at round [r] has its fate scripted at [r + 1]. *)
+let arq_2path ?(before = fun _ _ -> ()) events payloads ~rounds =
+  let tracer = Trace.create () in
+  let rt =
+    Arq2.create ~faults:(Fault.scripted events) ~tracer (Gen.path 2)
+  in
+  Arq2.start rt 0;
+  Arq2.start rt 1;
+  List.iter (fun m -> Arq2.send rt ~src:0 ~dst:1 m) payloads;
+  for r = 1 to rounds do
+    before rt r;
+    Arq2.step rt ~landed:ignore
+  done;
+  let sends src =
+    List.filter_map
+      (fun (e : Trace.event) ->
+        if e.Trace.kind = Trace.Send && e.Trace.src = src then
+          Some (e.Trace.round, e.Trace.words)
+        else None)
+      (Trace.events tracer)
+  in
+  (rt, sends)
+
+let seq0_sends = [ 1; 4; 10; 22; 46; 78; 110; 142; 174; 206; 238; 270; 302 ]
+let fate_ev round kind = { Trace.round; kind; src = 0; dst = 1; words = 2 }
+let got rt v = List.rev (Arq2.inner rt v)
+let pairs = Alcotest.(list (pair int int))
+
+let test_arq_two_acks_one_reply () =
+  (* Seq 0's first copy is held 5 rounds and lands beside seq 1 at
+     round 7, after the retransmission was delivered and acked: node
+     1's reply acks both, at 1 word per ack, plus 1 word of seq and
+     the payload when it carries data. *)
+  let events = [ fate_ev 2 (Trace.Delay 5) ] in
+  let rt, sends = arq_2path events [ 10; 11 ] ~rounds:10 in
+  Alcotest.check pairs "each payload once" [ (5, 10); (7, 11) ] (got rt 1);
+  Alcotest.check pairs "two acks cost 2 words" [ (5, 1); (7, 2) ] (sends 1);
+  let before rt r = if r = 7 then Arq2.send rt ~src:1 ~dst:0 99 in
+  let rt, sends = arq_2path ~before events [ 10; 11 ] ~rounds:10 in
+  Alcotest.check pairs "two acks and data cost 4 words" [ (5, 1); (7, 4) ]
+    (sends 1);
+  Alcotest.check pairs "node 0 gets the reply" [ (8, 99) ] (got rt 0);
+  checkb "both seqs acked" true (Arq2.idle rt ~round:11)
+
+let test_arq_abandoned_seq_arrives_late () =
+  (* Every copy of seq 0 is lost but the first, which is duplicated and
+     held until round 400: seq 0 is abandoned at round 334, seq 1 is
+     delivered at 335, and then both copies of seq 0 land.  The
+     program gets seq 1, then seq 0, each once. *)
+  let events =
+    fate_ev 2 Trace.Dup
+    :: fate_ev 2 (Trace.Delay 398)
+    :: List.map
+         (fun r -> fate_ev (r + 1) (Trace.Drop Trace.Loss))
+         (List.tl seq0_sends)
+  in
+  let rt, sends = arq_2path events [ 10; 11 ] ~rounds:405 in
+  Alcotest.check pairs "seq 1, then the abandoned seq 0" [ (335, 11); (400, 10) ]
+    (got rt 1);
+  Alcotest.check pairs "one ack word per distinct seq" [ (335, 1); (400, 1) ]
+    (sends 1);
+  let ep = Arq2.endpoint rt 0 in
+  checki "twelve retransmissions" 12 (Arq2.retransmissions ep);
+  checki "one dead letter" 1 (Arq2.dead_letters ep);
+  checkb "nothing left" true (Arq2.idle rt ~round:406)
+
+let test_arq_late_ack_of_abandoned_seq () =
+  (* Only seq 0's last copy gets through (round 303), and its ack is
+     held until round 336, after the abandonment started seq 1 at 334.
+     Seq 1's first copy is lost; the stale ack must not complete it,
+     so seq 1 goes out again at its timeout, round 337. *)
+  let events =
+    { Trace.round = 304; kind = Trace.Delay 32; src = 1; dst = 0; words = 1 }
+    :: fate_ev 335 (Trace.Drop Trace.Loss)
+    :: List.filter_map
+         (fun r ->
+           if r = 302 then None
+           else Some (fate_ev (r + 1) (Trace.Drop Trace.Loss)))
+         seq0_sends
+  in
+  let rt, sends = arq_2path events [ 10; 11 ] ~rounds:345 in
+  Alcotest.check pairs "seq 0 at 303, seq 1 after its retransmission"
+    [ (303, 10); (338, 11) ]
+    (got rt 1);
+  Alcotest.check pairs "seq 1 sent at 334 and again at 337"
+    [ (302, 2); (334, 2); (337, 2) ]
+    (List.filter (fun (r, _) -> r >= 300) (sends 0));
+  let ep = Arq2.endpoint rt 0 in
+  checki "twelve retries of seq 0, one of seq 1" 13 (Arq2.retransmissions ep);
+  checki "one dead letter" 1 (Arq2.dead_letters ep)
+
+let test_arq_reset_peer_restarts_seqs () =
+  (* Seq 0 carries 10.  A reset of the sender alone restarts its seqs,
+     and the receiver swallows the new seq 0 (20) as a duplicate; after
+     a reset of both endpoints the next seq 0 (30) is delivered. *)
+  let before rt r =
+    let reset v w = Arq2.reset_peer (Arq2.endpoint rt v) ~round:(r - 1) w in
+    if r = 4 then begin
+      reset 0 1;
+      Arq2.send rt ~src:0 ~dst:1 20
+    end
+    else if r = 7 then begin
+      reset 0 1;
+      reset 1 0;
+      Arq2.send rt ~src:0 ~dst:1 30
+    end
+  in
+  let rt, sends = arq_2path ~before [] [ 10 ] ~rounds:9 in
+  Alcotest.check pairs "10, then 30" [ (2, 10); (8, 30) ] (got rt 1);
+  Alcotest.check pairs "every seq 0 acked" [ (2, 1); (5, 1); (8, 1) ] (sends 1);
+  checkb "nothing left" true (Arq2.idle rt ~round:10)
+
+(* Allocation gates.  Minor words are exact for a build, so each gate
+   is a deterministic count. *)
+let minor_words f =
+  let before = Gc.minor_words () in
+  f ();
+  int_of_float (Gc.minor_words () -. before)
+
+let test_idle_sim_step_allocates_nothing () =
+  let g = Gen.path 2 in
+  let lossy =
+    Fault.make ~seed:1 ~graph:g
+      {
+        Fault.default_spec with
+        Fault.drop = 0.2;
+        dup = 0.1;
+        delay = 0.3;
+        max_delay = 4;
+        crashes = [ (1, 5_000) ];
+        restarts = [ (1, 6_000) ];
+      }
+  in
+  List.iter
+    (fun (name, faults) ->
+      let t : unit Sim.t = Sim.create ~faults g in
+      let deliver ~dst:_ ~src:_ () = () in
+      ignore (Sim.step t deliver);
+      checki (name ^ ": 1,000 idle steps") 0
+        (minor_words (fun () ->
+             for _ = 1 to 1_000 do
+               ignore (Sim.step t deliver)
+             done)))
+    [ ("loss-free", Fault.none); ("lossy", lossy) ]
+
+module Arq_quiet = struct
+  type state = unit
+  type message = int
+
+  let message_words _ = 1
+  let init _ _ = ((), [])
+  let receive _ ~round:_ _ () ~senders:_ ~payloads:_ _ = ((), [])
+end
+
+module Arq_q = Reliable.Make (Arq_quiet)
+
+let test_idle_arq_step_allocates_nothing () =
+  let rt = Arq_q.create (Gen.path 2) in
+  Arq_q.start rt 0;
+  Arq_q.start rt 1;
+  Arq_q.step rt ~landed:ignore;
+  checki "a step with no mail and no due timer" 0
+    (minor_words (fun () -> Arq_q.step rt ~landed:ignore))
+
+let test_arq_exchange_words_per_message () =
+  (* Node 0 queues [k] messages for node 1 over a loss-free link; the
+     exchange runs until idle.  The difference between 2,000 and 1,000
+     messages is the marginal cost of the delivered messages: each
+     costs its data frame and its ack frame, 5 words apiece, and the
+     runtime may add nothing per frame.  The buffers that grow with
+     [k] are large enough to live outside the minor heap. *)
+  let exchange k =
+    minor_words (fun () ->
+        let rt = Arq_q.create (Gen.path 2) in
+        Arq_q.start rt 0;
+        Arq_q.start rt 1;
+        for m = 1 to k do
+          Arq_q.send rt ~src:0 ~dst:1 m
+        done;
+        while not (Arq_q.idle rt ~round:(Sim.round (Arq_q.net rt) + 1)) do
+          Arq_q.step rt ~landed:ignore
+        done)
+  in
+  let extra = exchange 2_000 - exchange 1_000 in
+  checkb
+    (Printf.sprintf "%d words for 1,000 more messages, at most 10 each" extra)
+    true (extra <= 10_000)
 
 let test_skeleton_pump_skips_idle_nodes () =
   (* The ARQ runtime visits only the nodes with mail, an outbox or a
@@ -1286,6 +1497,14 @@ let suite =
           test_reliable_pinned_plans;
         Alcotest.test_case "root must be a vertex" `Quick
           test_protocols_reject_bad_root;
+        Alcotest.test_case "two acks in one reply" `Quick
+          test_arq_two_acks_one_reply;
+        Alcotest.test_case "abandoned seq arrives late" `Quick
+          test_arq_abandoned_seq_arrives_late;
+        Alcotest.test_case "late ack of an abandoned seq" `Quick
+          test_arq_late_ack_of_abandoned_seq;
+        Alcotest.test_case "reset_peer restarts seqs" `Quick
+          test_arq_reset_peer_restarts_seqs;
         QCheck_alcotest.to_alcotest prop_reliable_bfs_under_drop;
       ] );
     ( "distnet.trace",
@@ -1329,6 +1548,15 @@ let suite =
           test_arq_late_joiner_timers;
         Alcotest.test_case "skeleton pump skips idle nodes" `Quick
           test_skeleton_pump_skips_idle_nodes;
+      ] );
+    ( "distnet.alloc",
+      [
+        Alcotest.test_case "idle Sim.step allocates nothing" `Quick
+          test_idle_sim_step_allocates_nothing;
+        Alcotest.test_case "idle ARQ step allocates nothing" `Quick
+          test_idle_arq_step_allocates_nothing;
+        Alcotest.test_case "ARQ words per delivered message" `Quick
+          test_arq_exchange_words_per_message;
       ] );
     ( "distnet.churn",
       [
