@@ -451,27 +451,18 @@ let run_benches () =
                name minor major majors)
        timings;
      if !profile then begin
-       Format.printf "@.== per-bench profiles (top allocation sites, self minor+major words)@.";
+       Format.printf "@.== per-bench profiles (top allocation sites, self minor words)@.";
        List.iter
          (fun (name, _, _, rows) ->
-           let sites =
-             List.filter
-               (fun (r : Obs.Prof.row) -> r.Obs.Prof.kind = Obs.Prof.Region)
-               rows
-             |> List.sort (fun (a : Obs.Prof.row) (b : Obs.Prof.row) ->
-                    compare
-                      (b.Obs.Prof.self_minor_words + b.Obs.Prof.self_major_words)
-                      (a.Obs.Prof.self_minor_words + a.Obs.Prof.self_major_words))
-           in
-           match sites with
+           match Obs.Report.top_sites rows with
            | [] -> Format.printf "%-28s (no regions hit)@." name
-           | _ ->
+           | sites ->
                Format.printf "%-28s" name;
                List.iteri
                  (fun i (r : Obs.Prof.row) ->
                    if i < 3 then
                      Format.printf " %s=%d" r.Obs.Prof.name
-                       (r.Obs.Prof.self_minor_words + r.Obs.Prof.self_major_words))
+                       r.Obs.Prof.self_minor_words)
                  sites;
                Format.printf "@.")
          timings

@@ -69,28 +69,42 @@ let gen_cmd =
 (* ------------------------------------------------------------------ *)
 (* build *)
 
-let k_arg =
-  Arg.(value & opt int 3 & info [ "k"; "levels" ] ~docv:"K" ~doc:"Stretch parameter (2k-1).")
+(* A parameter's converter with the library's bound on it: a value out
+   of range is a usage error naming the option, before any work. *)
+let checked conv ~want ok =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok x when not (ok x) -> Error (`Msg (Printf.sprintf "%s is not %s" s want))
+    | r -> r
+  in
+  Arg.conv (parse, Arg.conv_printer conv)
 
-let d_arg = Arg.(value & opt int 4 & info [ "D" ] ~docv:"D" ~doc:"Skeleton density D.")
+let at_least lo =
+  checked Arg.int ~want:(Printf.sprintf ">= %d" lo) (fun x -> x >= lo)
+
+let k_arg =
+  Arg.(value & opt (at_least 1) 3 & info [ "k"; "levels" ] ~docv:"K" ~doc:"Stretch parameter (2k-1).")
+
+let d_arg = Arg.(value & opt (at_least 2) 4 & info [ "D" ] ~docv:"D" ~doc:"Skeleton density D.")
 
 let eps_arg =
-  Arg.(value & opt float 0.5 & info [ "eps" ] ~docv:"EPS" ~doc:"Message-length exponent.")
+  let eps = checked Arg.float ~want:"in (0, 1]" (fun e -> e > 0. && e <= 1.) in
+  Arg.(value & opt eps 0.5 & info [ "eps" ] ~docv:"EPS" ~doc:"Message-length exponent.")
 
 let order_arg =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some (at_least 1)) None
     & info [ "order" ] ~docv:"O" ~doc:"Fibonacci spanner order (default log_phi log n).")
 
 let ell_arg =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some (at_least 1)) None
     & info [ "ell" ] ~docv:"L" ~doc:"Fibonacci ball base (default 3o/eps + 2).")
 
 let t_arg =
-  Arg.(value & opt int 2 & info [ "t" ] ~docv:"T" ~doc:"Message budget exponent: n^(1/t).")
+  Arg.(value & opt (at_least 1) 2 & info [ "t" ] ~docv:"T" ~doc:"Message budget exponent: n^(1/t).")
 
 (* What [build]'s algorithms read from the command line. *)
 type build_params = {
@@ -415,30 +429,6 @@ let churn_arg =
     const churn $ edge_drop $ edge_up $ partition $ partition_round
     $ heal_round $ join)
 
-(* --arq-backoff, shared by simulate and sweep: applied to the ARQ
-   config as the command line is evaluated. *)
-let arq_backoff_arg =
-  let default = Distnet.Reliable.default_config.Distnet.Reliable.backoff in
-  let set backoff =
-    if backoff <> default then
-      try
-        Distnet.Reliable.set_config
-          { Distnet.Reliable.default_config with backoff }
-      with Invalid_argument msg ->
-        Format.eprintf "spanner_cli: %s@." msg;
-        exit 1
-  in
-  Term.(
-    const set
-    $ Arg.(
-        value
-        & opt float default
-        & info [ "arq-backoff" ] ~docv:"F"
-            ~doc:
-              "ARQ retransmit-timer growth factor per timeout (1 = fixed \
-               interval; default 2 = classic doubling, byte-identical to \
-               historical behavior)."))
-
 let simulate_cmd =
   let drop =
     Arg.(
@@ -621,8 +611,13 @@ let simulate_cmd =
   let run kind n p seed input drop dup delay max_delay crash restart
       crash_frac crash_max_round churn churn_trace phase_limit certify mutate
       trace_file replay_file metrics_file metrics_summary spans_file
-      profile_file audit_bounds strict (protocol, proto) root () =
+      profile_file audit_bounds strict (protocol, proto) root =
     let g = load_graph ~kind ~n ~p ~seed ~input in
+    if proto <> `Skeleton && (root < 0 || root >= Graph.n g) then begin
+      Format.eprintf "spanner_cli: root %d out of range (n=%d)@." root
+        (Graph.n g);
+      exit 1
+    end;
     Format.printf "graph: %a@." Graph.pp_summary g;
     let faults, recorded =
       match replay_file with
@@ -949,8 +944,7 @@ let simulate_cmd =
       $ delay $ max_delay $ crash $ restart $ crash_frac $ crash_max_round
       $ churn_arg $ churn_trace $ phase_limit $ certify $ mutate $ trace_file
       $ replay_file $ metrics_file $ metrics_summary $ spans_file
-      $ profile_file $ audit_bounds $ strict $ protocol $ root
-      $ arq_backoff_arg)
+      $ profile_file $ audit_bounds $ strict $ protocol $ root)
 
 (* ------------------------------------------------------------------ *)
 (* report *)
@@ -1345,7 +1339,7 @@ let report_cmd =
 let oracle_k_arg =
   Arg.(
     value
-    & opt int 2
+    & opt (at_least 1) 2
     & info [ "oracle-k" ] ~docv:"K"
         ~doc:"Thorup-Zwick parameter of the snapshot oracle (stretch 2K-1).")
 
@@ -1373,9 +1367,10 @@ let serve_cmd =
              $(docv); uniform sources when absent).")
   in
   let route_frac =
+    let frac = checked Arg.float ~want:"in [0, 1]" (fun f -> f >= 0. && f <= 1.) in
     Arg.(
       value
-      & opt float 0.
+      & opt frac 0.
       & info [ "route-frac" ] ~docv:"F"
           ~doc:
             "Fraction of point-to-point route queries (answered by compact \
@@ -1451,8 +1446,9 @@ let serve_cmd =
       if metrics_file <> None || metrics_summary then Obs.Metrics.create ()
       else Obs.Metrics.disabled
     in
-    (* The workload is read (or generated) as soon as the graph is
-       known, so a bad workload file fails before any build. *)
+    (* The workload is read (or generated) and the churn plan made as
+       soon as the graph is known, so a bad workload file or churn flag
+       fails before any build. *)
     let wseed = Option.value ~default:(seed + 41) workload_seed in
     let workload g =
       match workload_in with
@@ -1461,10 +1457,20 @@ let serve_cmd =
           Serve.Workload.generate ~seed:wseed ~n:(Graph.n g)
             { Serve.Workload.queries; zipf; route_frac }
     in
+    let churn_plan g =
+      if churn = [] then Distnet.Fault.none
+      else
+        try
+          Distnet.Fault.make ~seed:(seed + 31) ~graph:g
+            { Distnet.Fault.default_spec with churn }
+        with Invalid_argument msg ->
+          Format.eprintf "spanner_cli: %s@." msg;
+          exit 1
+    in
     (* The serving graph and the gen-0 snapshot: either a saved snapshot
        (no rebuild possible — the full graph is gone) or a fresh
        skeleton build. *)
-    let g, w, plan_opt, build_snap0 =
+    let g, w, faults, plan_opt, build_snap0 =
       match snapshot_in with
       | Some file ->
           if churn <> [] then begin
@@ -1476,16 +1482,18 @@ let serve_cmd =
           let snap = reading Serve.Snapshot.load file in
           Format.printf "snapshot loaded from %s@." file;
           let g = Serve.Snapshot.graph snap in
-          (g, workload g, None, fun ~routing:_ -> snap)
+          (g, workload g, Distnet.Fault.none, None, fun ~routing:_ -> snap)
       | None ->
           let g = load_graph ~kind ~n ~p ~seed ~input in
           Format.printf "graph: %a@." Graph.pp_summary g;
           let w = workload g in
+          let faults = churn_plan g in
           let r = Spanner.Skeleton_dist.build ~d ~eps ~seed g in
           Format.printf "spanner: %d edges@."
             (Edge_set.cardinal r.Spanner.Skeleton_dist.spanner);
           ( g,
             w,
+            faults,
             Some r.Spanner.Skeleton_dist.plan,
             fun ~routing ->
               Serve.Snapshot.build ~generation:0 ~k ~seed ~routing g
@@ -1531,14 +1539,6 @@ let serve_cmd =
           (Serve.Server.epoch server)
           (Serve.Server.generation server);
         let r2 = Serve.Server.run ~first:s1 ~count:s2 server w in
-        let faults =
-          try
-            Distnet.Fault.make ~seed:(seed + 31) ~graph:g
-              { Distnet.Fault.default_spec with churn }
-          with Invalid_argument msg ->
-            Format.eprintf "spanner_cli: %s@." msg;
-            exit 1
-        in
         let rr = Spanner.Skeleton_dist.build ~faults ~d ~eps ~seed g in
         let snap1 =
           Serve.Snapshot.build ~generation:1 ~k ~seed ~routing
@@ -1770,7 +1770,7 @@ let sweep_cmd =
         Format.fprintf ppf "FAIL (%s)" (Scenario.Sweep.failure_tag f)
   in
   let run specs samples out_dir json_file metrics_file replay profile_file
-      shrink_evals () =
+      shrink_evals =
     match replay with
     | Some file ->
         let plan = reading Scenario.Compile.load file in
@@ -1895,7 +1895,7 @@ let sweep_cmd =
           replayable plan file.")
     Term.(
       const run $ specs $ samples $ out_dir $ json_file $ metrics_file
-      $ replay $ profile_file $ shrink_evals $ arq_backoff_arg)
+      $ replay $ profile_file $ shrink_evals)
 
 (* ------------------------------------------------------------------ *)
 (* experiment *)

@@ -346,7 +346,7 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
      fragment instead of leaving it on the keep-all rung. *)
   let orphan_detached = Array.make n false in
   let det = Recovery.Detector.create ~n in
-  let ckpt = Recovery.Checkpoints.create ~n () in
+  let ckpt = Recovery.Checkpoints.create ~n in
   let orphans = ref 0 in
   let recovered_edges = ref 0 in
   let suspicion_events = ref 0 in
@@ -965,8 +965,7 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
        here (its cluster identity) is consistent cluster-wide, which is
        exactly what the orphan abort must fall back to. *)
     live_nodes (fun nd ->
-        Recovery.Checkpoints.commit ckpt ~phase:"exchange" nd.id
-          (nd.cl_center, nd.cl_fu));
+        Recovery.Checkpoints.commit ckpt nd.id (nd.cl_center, nd.cl_fu));
     (* Cluster spans share the stats-delta boundaries: they open at the
        exchange boundary just recorded and close at the wave boundary
        (or, for dying centers, at the final boundary). *)
@@ -1543,7 +1542,6 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
     for v = 0 to n - 1 do
       R.start rt v
     done;
-    let suspects_seen = Array.make n 0 in
     emit_ref := R.send rt;
     (* Crash-recovery: when a node's restart round arrives, revive it.
        The reborn node is engine-live but protocol-dead ([proto_dead]):
@@ -1559,7 +1557,6 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
     let pending_revives = ref (Fault.restart_schedule faults) in
     let revive ~round v =
       R.start rt v;
-      suspects_seen.(v) <- 0;
       let nd = nodes.(v) in
       (match Recovery.Checkpoints.restore ckpt v with
       | Some (cl, fu) ->
@@ -1573,9 +1570,7 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
       Array.fill nd.nb_dead 0 (Array.length nd.nb_dead) false;
       reset_call_scratch nd;
       Graph.iter_neighbors g v (fun w _ ->
-          let ep = R.endpoint rt w in
-          R.reset_peer ep ~round v;
-          suspects_seen.(w) <- List.length (R.suspected ep);
+          R.reset_peer (R.endpoint rt w) ~round v;
           if (not (proto_dead w)) && not (is_dead nodes.(w) v)
           then on_suspect ~by:w v)
     in
@@ -1587,28 +1582,7 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
           landed round
       | _ -> ()
     in
-    (* Fold freshly abandoned transmissions into the detector; only a
-       visited node's flush can have abandoned one. *)
-    let fold_suspicions v =
-      let s = R.suspected (R.endpoint rt v) in
-      let len = List.length s in
-      if len > suspects_seen.(v) then begin
-        let fresh = ref [] and extra = ref (len - suspects_seen.(v)) in
-        List.iter
-          (fun w ->
-            if !extra > 0 then begin
-              fresh := w :: !fresh;
-              decr extra
-            end)
-          s;
-        suspects_seen.(v) <- len;
-        List.iter (fun w -> on_suspect ~by:v w) !fresh
-      end
-    in
-    pump_ref :=
-      (fun () ->
-        R.step rt ~landed;
-        R.iter_visited rt fold_suspicions);
+    pump_ref := (fun () -> R.step rt ~landed ~suspect:on_suspect);
     idle_ref := (fun () -> R.idle rt ~round:(Sim.round net));
     link_idle_ref := (fun v w -> R.link_idle (R.endpoint rt v) w);
     run_plan ();

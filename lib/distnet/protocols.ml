@@ -86,7 +86,7 @@ module Run (N : Reliable.PROTOCOL) = struct
         invalid_arg
           (Format.asprintf "Protocols.%s: round %d: budget exhausted (%a)" name
              (Sim.round net) Sim.pp_stats (Sim.stats net));
-      R.step rt ~landed
+      R.step rt ~landed ~suspect:(fun ~by:_ _ -> ())
     done;
     (Sim.stats net, Array.init n (R.inner rt))
 end

@@ -1,19 +1,13 @@
 module Checkpoints = struct
-  type 'st t = {
-    copy : 'st -> 'st;
-    slots : ('st * string) option array;
-    mutable commits : int;
-  }
+  type 'st t = { slots : 'st option array; mutable commits : int }
 
-  let create ?(copy = Fun.id) ~n () =
-    { copy; slots = Array.make (Stdlib.max 1 n) None; commits = 0 }
+  let create ~n = { slots = Array.make (Stdlib.max 1 n) None; commits = 0 }
 
-  let commit t ~phase v st =
-    t.slots.(v) <- Some (t.copy st, phase);
+  let commit t v st =
+    t.slots.(v) <- Some st;
     t.commits <- t.commits + 1
 
-  let restore t v = Option.map fst t.slots.(v)
-  let phase t v = Option.map snd t.slots.(v)
+  let restore t v = t.slots.(v)
   let commits t = t.commits
 end
 

@@ -4,8 +4,8 @@
     construction on {!Sim} can reuse them:
 
     - {!Checkpoints} — a per-node store of phase-boundary snapshots.  A
-      protocol commits a (cheaply copied) projection of each node's
-      state whenever a phase completes; when a node must later recover
+      protocol commits an immutable projection of each node's state
+      whenever a phase completes; when a node must later recover
       — typically because a peer it depended on crash-stopped mid-phase
       — it restores the snapshot instead of trusting half-updated
       in-phase state.  In the skeleton construction the snapshot is the
@@ -13,9 +13,9 @@
       which is exactly what the paper's abort rule needs.
     - {!Detector} — a crash-stop failure detector merging the two
       honest information sources a node has: transport-level suspicion
-      ({!Reliable.Make.suspected}: a transmission abandoned after
-      [max_retries] tries (see {!Reliable.default_config}) means the
-      peer is whp gone) and protocol-level death notices (a [Dead]
+      (a write-off that {!Reliable.Make.step} hands its caller: a
+      transmission abandoned after 12 retransmissions means the peer is
+      whp gone) and protocol-level death notices (a [Dead]
       message from a peer that left the algorithm gracefully).  The
       two are tracked separately — a suspected node {e crashed} (its
       state is lost, its incident edges may be missing from the
@@ -27,20 +27,16 @@
 module Checkpoints : sig
   type 'st t
 
-  val create : ?copy:('st -> 'st) -> n:int -> unit -> 'st t
-  (** A store for [n] nodes.  [copy] (default [Fun.id]) deep-copies a
-      snapshot on commit; pass the identity only when snapshots are
-      immutable projections. *)
+  val create : n:int -> 'st t
+  (** A store for [n] nodes.  It keeps the snapshots as given, so
+      commit immutable ones. *)
 
-  val commit : 'st t -> phase:string -> int -> 'st -> unit
-  (** [commit t ~phase v st] records [st] as node [v]'s state at the
-      boundary that ended [phase], replacing any earlier checkpoint. *)
+  val commit : 'st t -> int -> 'st -> unit
+  (** [commit t v st] records [st] as node [v]'s state at a phase
+      boundary, replacing any earlier checkpoint. *)
 
   val restore : 'st t -> int -> 'st option
   (** The latest committed snapshot of a node, if any. *)
-
-  val phase : 'st t -> int -> string option
-  (** The phase label the latest snapshot of a node was committed at. *)
 
   val commits : 'st t -> int
   (** Total number of [commit] calls (checkpointing traffic, for

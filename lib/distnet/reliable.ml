@@ -1,41 +1,11 @@
 module Graph = Graphlib.Graph
 
-type config = {
-  initial_rto : int;
-  max_rto : int;
-  max_retries : int;
-  backoff : float;
-}
-
-let default_config =
-  { initial_rto = 3; max_rto = 32; max_retries = 12; backoff = 2. }
-
-(* One policy for every instantiation: the ARQ is a transport knob of
-   the whole network, not of one protocol functor.  The default IS the
-   historical constants, so runs that never touch the config stay
-   byte-identical to every pinned trace. *)
-let current_config = ref default_config
-
-let config () = !current_config
-
-let set_config c =
-  if c.initial_rto < 1 then
-    invalid_arg
-      (Printf.sprintf "Reliable.set_config: initial_rto %d < 1" c.initial_rto);
-  if c.max_rto < c.initial_rto then
-    invalid_arg
-      (Printf.sprintf "Reliable.set_config: max_rto %d < initial_rto %d"
-         c.max_rto c.initial_rto);
-  if c.max_retries < 1 then
-    invalid_arg
-      (Printf.sprintf "Reliable.set_config: max_retries %d < 1" c.max_retries);
-  if not (c.backoff >= 1.) then
-    invalid_arg
-      (Printf.sprintf
-         "Reliable.set_config: backoff %g < 1 (1 = fixed retransmit interval)"
-         c.backoff);
-  current_config := c
-
+(* The retransmit timer: a first timeout one round past the loss-free
+   ack round trip, doubled on each timeout up to [max_rto], and
+   [max_retries] retransmissions before a transmission is abandoned. *)
+let initial_rto = 3
+let max_rto = 32
+let max_retries = 12
 
 module type PROTOCOL = sig
   type state
@@ -79,11 +49,11 @@ module Make (P : PROTOCOL) = struct
   (* A peer slot's [out] when no frame is staged. *)
   let no_frame = { ack = -1; nacks = 0; seq = -1; data = vacant () }
 
-  (* The sinks of one run, shared by all its endpoints (the counts are
-     network-wide aggregates).  Causal spans: one [Arq] span per
-     stop-and-wait exchange (first transmission → acknowledgement),
-     with each retransmission a point-event linked to it, so the
-     critical path can tell a slow hop from a lossy one. *)
+  (* The sinks of one run and its write-off log, shared by all its
+     endpoints (the counts are network-wide aggregates).  Causal spans:
+     one [Arq] span per stop-and-wait exchange (first transmission →
+     acknowledgement), with each retransmission a point-event linked to
+     it, so the critical path can tell a slow hop from a lossy one. *)
   type sinks = {
     spans : Obs.Span.t;
     m_retrans : Obs.Metrics.counter;
@@ -91,6 +61,8 @@ module Make (P : PROTOCOL) = struct
     m_timer : Obs.Metrics.counter;
     m_ack_latency : Obs.Metrics.histogram;
     m_backoff : Obs.Metrics.counter;
+    writeoffs : (int * int) Queue.t;
+        (** [(by, w)] per peer newly abandoned this step, in order *)
   }
 
   type peer = {
@@ -139,7 +111,6 @@ module Make (P : PROTOCOL) = struct
 
   let retransmissions ep = ep.retrans
   let dead_letters ep = ep.dead
-  let suspected ep = ep.abandoned
 
   (* [w]'s slot in [ep.peers], or -1. *)
   let slot ep w =
@@ -220,12 +191,11 @@ module Make (P : PROTOCOL) = struct
     p.qlen > 0
     &&
     let seq = p.next_seq in
-    let rto0 = !current_config.initial_rto in
     p.next_seq <- seq + 1;
     p.payload <- pop p;
     p.inflight <- seq;
-    p.rto <- rto0;
-    p.deadline <- round + rto0;
+    p.rto <- initial_rto;
+    p.deadline <- round + initial_rto;
     p.retries <- 0;
     p.sent_round <- round;
     p.span <-
@@ -248,14 +218,16 @@ module Make (P : PROTOCOL) = struct
     let s = ep.sinks in
     if p.inflight < 0 then start_next ep ~round p
     else if round < p.deadline then false
-    else if p.retries >= !current_config.max_retries then begin
+    else if p.retries >= max_retries then begin
       (* The peer is not answering (crashed, or the link is hopeless):
          abandon, move on. *)
       Obs.Metrics.incr s.m_timer;
       ep.dead <- ep.dead + 1;
       Obs.Metrics.incr s.m_dead;
-      if not (List.mem p.nbr ep.abandoned) then
+      if not (List.mem p.nbr ep.abandoned) then begin
         ep.abandoned <- p.nbr :: ep.abandoned;
+        Queue.add (ep.v, p.nbr) s.writeoffs
+      end;
       Obs.Span.drop s.spans ~round ~reason:"dead-letter" p.span;
       settle p;
       start_next ep ~round p
@@ -264,14 +236,8 @@ module Make (P : PROTOCOL) = struct
       Obs.Prof.enter (Obs.Prof.current ()) "arq_retransmit";
       Obs.Metrics.incr s.m_timer;
       p.retries <- p.retries + 1;
-      let c = !current_config in
-      (* Truncated multiplicative backoff; [backoff = 1] is a fixed
-         retransmit interval, the default [2] the classic doubling.  An
-         escalation is a timeout that actually grew the window. *)
-      let next =
-        Stdlib.min c.max_rto
-          (Stdlib.max p.rto (int_of_float (float_of_int p.rto *. c.backoff)))
-      in
+      (* An escalation is a timeout that actually grew the window. *)
+      let next = Stdlib.min max_rto (2 * p.rto) in
       if next > p.rto then Obs.Metrics.incr s.m_backoff;
       p.rto <- next;
       p.deadline <- round + next;
@@ -290,10 +256,10 @@ module Make (P : PROTOCOL) = struct
   (* The timer sweep over one node's peers: starts queued sends, fires
      the timers whose deadline has come, and stages each peer's frame —
      the data on the wire this round and the acks owed — in its slot.
-     Ascending peer order fixes span ids and [abandoned].  It runs once
-     per [receive], so it is paid only at the nodes a step visits; it
-     gets its own region (with retransmissions attributed separately
-     inside it). *)
+     Ascending peer order fixes span ids and the order of write-offs.
+     It runs once per [receive], so it is paid only at the nodes a step
+     visits; it gets its own region (with retransmissions attributed
+     separately inside it). *)
   let flush ep ~round =
     let prof = Obs.Prof.current () in
     Obs.Prof.enter prof "arq_timer_sweep";
@@ -319,7 +285,7 @@ module Make (P : PROTOCOL) = struct
         qlen = 0;
         inflight = -1;
         payload = vacant ();
-        rto = !current_config.initial_rto;
+        rto = initial_rto;
         deadline = 0;
         retries = 0;
         sent_round = 0;
@@ -363,10 +329,9 @@ module Make (P : PROTOCOL) = struct
      pre-crash acks must never complete our new transmissions), and the
      delivered seqs must not swallow the reborn peer's restarted
      sequence numbers.  Also clears the peer from [abandoned]: the
-     suspicion it earned by dying belongs to the old incarnation.
-     Callers tracking [suspected] deltas positionally must re-baseline
-     after this.  The outbox is not a session: what the caller sent the
-     peer still goes out. *)
+     suspicion it earned by dying belongs to the old incarnation.  The
+     outbox is not a session: what the caller sent the peer still goes
+     out. *)
   let reset_peer ep ~round w =
     let i = slot ep w in
     if i >= 0 then begin
@@ -378,7 +343,7 @@ module Make (P : PROTOCOL) = struct
       while p.qlen > 0 do
         ignore (pop p)
       done;
-      p.rto <- !current_config.initial_rto;
+      p.rto <- initial_rto;
       p.retries <- 0;
       p.sent_round <- round;
       p.nacks <- 0;
@@ -445,8 +410,6 @@ module Make (P : PROTOCOL) = struct
     (* A visit's deliveries, handed to [P.receive]. *)
     mutable senders : int array;
     mutable payloads : P.message array;
-    visited : int array;  (** the last step's visits, ascending *)
-    mutable visits : int;
   }
 
   let create ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
@@ -460,7 +423,15 @@ module Make (P : PROTOCOL) = struct
     let m_ack_latency = Obs.Metrics.histogram metrics "arq_ack_latency" in
     let m_backoff = Obs.Metrics.counter metrics "arq_backoff_escalations" in
     let sinks =
-      { spans; m_retrans; m_dead; m_timer; m_ack_latency; m_backoff }
+      {
+        spans;
+        m_retrans;
+        m_dead;
+        m_timer;
+        m_ack_latency;
+        m_backoff;
+        writeoffs = Queue.create ();
+      }
     in
     let net = Sim.create ~faults ?tracer ~metrics ~spans g in
     let n = Graph.n g in
@@ -485,8 +456,6 @@ module Make (P : PROTOCOL) = struct
       deliver = arrive inbox;
       senders = [||];
       payloads = [||];
-      visited = Array.make n 0;
-      visits = 0;
     }
 
   (* Node [ep]'s round: take the acks and data of its arrivals from
@@ -516,7 +485,7 @@ module Make (P : PROTOCOL) = struct
         Obs.Metrics.observe s.m_ack_latency (round - p.sent_round);
         Obs.Span.close s.spans ~round p.span;
         settle p;
-        p.rto <- !current_config.initial_rto;
+        p.rto <- initial_rto;
         p.retries <- 0
       end;
       if f.seq >= 0 then begin
@@ -604,12 +573,13 @@ module Make (P : PROTOCOL) = struct
      is a no-op, since the program sends nothing without deliveries
      and the flush neither sends nor arms a timer.  Ascending order
      keeps every [Sim.send], and so every fault draw, where a sweep
-     over all nodes would put it. *)
-  let step rt ~landed =
+     over all nodes would put it.  The write-offs go to [suspect] only
+     after the last visit, so that no visit of this step sees the
+     caller react to an earlier one. *)
+  let step rt ~landed ~suspect =
     ignore (Sim.step rt.net rt.deliver);
     let round = Sim.round rt.net in
     landed round;
-    rt.visits <- 0;
     let ib = rt.inbox in
     for v = 0 to Array.length rt.endpoints - 1 do
       let first = ib.head.(v) in
@@ -618,18 +588,16 @@ module Make (P : PROTOCOL) = struct
       | Some ep
         when (first >= 0 || due ep ~round)
              && not (Fault.crashed rt.faults ~round v) ->
-          rt.visited.(rt.visits) <- v;
-          rt.visits <- rt.visits + 1;
           receive rt ~round ep first;
           post rt ep ~wire:true
       | _ -> ()
     done;
     Array.fill ib.frame 0 ib.len no_frame;
-    ib.len <- 0
-
-  let iter_visited rt f =
-    for i = 0 to rt.visits - 1 do
-      f rt.visited.(i)
+    ib.len <- 0;
+    let log = rt.sinks.writeoffs in
+    while not (Queue.is_empty log) do
+      let by, w = Queue.take log in
+      suspect ~by w
     done
 
   (* Does [v] keep the run going at [round]: started, up, and with

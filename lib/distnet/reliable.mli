@@ -25,10 +25,14 @@
     words — so [Sim.stats] keeps honest word accounting including
     every retransmission.
 
-    A transmission abandoned after the policy's [max_retries]
-    unacknowledged tries ({!default_config}: 12), e.g. to a crashed
-    neighbor, is counted in {!Make.dead_letters}; this bounds the run
-    when a peer is gone forever.
+    The retransmit timer is fixed, in rounds: the first timeout is 3,
+    one past the loss-free ack round trip; each timeout doubles it up
+    to 32 (counted in the [arq_backoff_escalations] metric when it
+    grows); and after 12 retransmissions the next timeout abandons the
+    transmission, e.g. to a crashed neighbor.  Abandonments are counted
+    in {!Make.dead_letters}, which bounds the run when a peer is gone
+    forever, and the first one toward a peer writes that peer off:
+    {!Make.step} hands the write-off to its caller's [suspect].
 
     Timers are absolute: a seq sent or retransmitted at round [r] with
     timeout [rto] times out at round [r + rto], the round its node must
@@ -39,39 +43,6 @@
     frozen by a crash and resumed with its state fires its overdue
     timers on its first round back, while a node started again
     ({!Make.start}) begins afresh. *)
-
-(** Retransmission policy (rounds are the time unit). *)
-
-(** The retransmit-timer policy, shared by every instantiation of
-    {!Make} (the ARQ is a property of the network, not of one
-    protocol).  On each timeout the timer grows by the [backoff]
-    factor (truncated), capped at [max_rto]; [backoff = 1.] is a fixed
-    retransmit interval.  Timeouts that actually grow the window are
-    counted in the [arq_backoff_escalations] metric. *)
-type config = {
-  initial_rto : int;  (** first timeout, rounds; must be [>= 1] *)
-  max_rto : int;  (** backoff ceiling; must be [>= initial_rto] *)
-  max_retries : int;  (** tries before a dead letter; must be [>= 1] *)
-  backoff : float;  (** timer growth per timeout; must be [>= 1.] *)
-}
-
-val default_config : config
-(** [{initial_rto = 3; max_rto = 32; max_retries = 12; backoff = 2.}] —
-    the historical constants: first timeout one round past the
-    loss-free ack round trip, classic doubling.  Runs that never call
-    {!set_config} are byte-identical to runs before the policy became
-    configurable. *)
-
-val config : unit -> config
-(** The policy currently in force. *)
-
-val set_config : config -> unit
-(** Install a policy for subsequent runs.  Affects every {!Make}
-    instantiation; call before {!Make.create}, not mid-run: an
-    in-flight exchange keeps the deadline it was armed with, so a
-    mid-run change would mix policies.
-    @raise Invalid_argument naming the offending field if the config
-    violates the bounds above. *)
 
 (** A node program: the code one node runs, round by round. *)
 module type PROTOCOL = sig
@@ -154,17 +125,30 @@ module Make (P : PROTOCOL) : sig
       keeps the link busy ({!link_idle}).
       @raise Invalid_argument if [src] was never started. *)
 
-  val step : t -> landed:(int -> unit) -> unit
+  val step :
+    t -> landed:(int -> unit) -> suspect:(by:int -> int -> unit) -> unit
   (** One round: the engine delivers into the inboxes; [landed round]
       runs (the caller starts the joins or revivals due this round);
       then every started node that is up and has mail or due work —
       an outbox, a timer at its deadline, or unanchored timers before
       its first visit — runs [P.receive] behind the ARQ, in ascending
       order, and its frames go out.  A frame over a down link is
-      dropped like a loss. *)
+      dropped like a loss.
 
-  val iter_visited : t -> (int -> unit) -> unit
-  (** The nodes the last {!step} visited, ascending. *)
+      Last, [suspect ~by w] runs once for each neighbor [w] that node
+      [by] wrote off during this step: the first transmission [by]
+      abandoned toward [w] since [by] started or last reset [w]
+      ({!reset_peer}).  The calls come in visit order, and in [by]'s
+      neighbor order within a visit; none comes while a visit runs.
+      In a crash-stop fault model a write-off is most often a crashed
+      peer, so this is the failure detector that {!Recovery} and the
+      fault-tolerant skeleton consume.  It is not perfect: a try fails
+      when either the frame or its ack is lost, so under independent
+      loss [p] a live peer is written off with probability
+      [(1 - (1 - p)^2)^13] per frame, about 1.7e-6 at [p = 0.2]
+      (DESIGN.md §3, "Failure detection").  A build that sends
+      millions of frames meets it; [cli.t] pins such a wedge at
+      n = 2,000. *)
 
   val idle : t -> round:int -> bool
   (** No message is in flight and no started node up at [round] has
@@ -184,8 +168,7 @@ module Make (P : PROTOCOL) : sig
   (** Data retransmissions this node has performed. *)
 
   val dead_letters : endpoint -> int
-  (** Transmissions this node abandoned after [max_retries] tries
-      ({!config}). *)
+  (** Transmissions this node abandoned after 12 retransmissions. *)
 
   val link_idle : endpoint -> int -> bool
   (** No message queued, in the outbox or awaiting acknowledgement
@@ -195,28 +178,16 @@ module Make (P : PROTOCOL) : sig
       honest even though the ARQ layer, not the protocol, owns the
       wire. *)
 
-  val suspected : endpoint -> int list
-  (** Neighbors to which at least one transmission was abandoned.  In
-      a crash-stop fault model an abandoned transmission is most often
-      a crashed peer, so this doubles as the failure detector that
-      {!Recovery} and the fault-tolerant skeleton consume.  It is not
-      perfect: a try fails when either the frame or its ack is lost,
-      so under independent loss [p] a live peer is written off with
-      probability [(1 - (1 - p)^2)^13] per frame at the default
-      policy, about 1.7e-6 at [p = 0.2] (DESIGN.md §3, "Failure
-      detection").  A build that sends millions of frames meets it;
-      [cli.t] pins such a wedge at n = 2,000. *)
-
   val reset_peer : endpoint -> round:int -> int -> unit
   (** [reset_peer ep ~round w] forgets every ARQ session toward and
       from neighbor [w]: the in-flight transmission (its span dropped
       with reason ["session-reset"]), the send queue, sequence numbers
-      (back to 0), the acks owed, the delivered seqs, and [w]'s entry
-      in {!suspected}.  The outbox stays.  Call
-      it on both sides of a link when one endpoint restarts with a
-      fresh incarnation — the reborn node must never consume its
+      (back to 0), the acks owed, the delivered seqs, and the
+      write-off of [w], which the next abandonment toward [w] reports
+      to {!step}'s [suspect] again.  The outbox stays.  Call it on both
+      sides of a link when one endpoint restarts with a fresh
+      incarnation — the reborn node must never consume its
       predecessor's acks, and its restarted sequence numbers must not
-      be swallowed as duplicates.  Callers that consume {!suspected}
-      as a positional delta must re-baseline their cursor afterwards.
-      A [w] that is not a neighbor is ignored. *)
+      be swallowed as duplicates.  A [w] that is not a neighbor is
+      ignored. *)
 end

@@ -184,6 +184,13 @@ let pp_serve_table ppf samples =
 
 let ms ns = Printf.sprintf "%.2f" (float_of_int ns /. 1e6)
 
+let top_sites rows =
+  List.filter (fun (r : Prof.row) -> r.Prof.kind = Prof.Region) rows
+  |> List.sort (fun (a : Prof.row) (b : Prof.row) ->
+         match compare b.Prof.self_minor_words a.Prof.self_minor_words with
+         | 0 -> compare a.Prof.name b.Prof.name
+         | c -> c)
+
 let pp_profile_table ?(top = 3) ppf
     ((rows : Prof.row list), (rounds : Prof.round_sample list)) =
   let phases = List.filter (fun (r : Prof.row) -> r.Prof.kind = Prof.Phase) rows in
@@ -222,25 +229,14 @@ let pp_profile_table ?(top = 3) ppf
             r.Prof.count (ms r.Prof.wall_ns) (ms r.Prof.self_ns)
             r.Prof.minor_words r.Prof.self_minor_words r.Prof.majors)
         regions;
-      (* Top allocation sites: regions ranked by the words they
-         allocated themselves (minor + major, children excluded).  The
-         ranking is stable run to run — GC word counts are exact for a
-         deterministic program — unlike the wall-clock columns. *)
-      let sites =
-        List.sort
-          (fun (a : Prof.row) (b : Prof.row) ->
-            compare
-              (b.Prof.self_minor_words + b.Prof.self_major_words)
-              (a.Prof.self_minor_words + a.Prof.self_major_words))
-          regions
-      in
-      Format.fprintf ppf "@.top %d allocation sites (self minor+major words):@."
+      let sites = top_sites regions in
+      Format.fprintf ppf "@.top %d allocation sites (self minor words):@."
         (Stdlib.min top (List.length sites));
       List.iteri
         (fun i (r : Prof.row) ->
           if i < top then
             Format.fprintf ppf "  %d. %-20s %12d words@." (i + 1) r.Prof.name
-              (r.Prof.self_minor_words + r.Prof.self_major_words))
+              r.Prof.self_minor_words)
         sites
     end;
     match rounds with

@@ -60,13 +60,19 @@ val hist_percentile : Metrics.hist_snapshot -> float -> float
 
 (** {1 Profile tables} *)
 
+val top_sites : Prof.row list -> Prof.row list
+(** The region rows, ranked as allocation sites: by self minor words,
+    most first, ties by name.  Self minor words are exact for a build.
+    Self major words are not ranked on: they are the words a minor
+    collection promotes, charged to whichever region it falls in. *)
+
 val pp_profile_table :
   ?top:int ->
   Format.formatter ->
   Prof.row list * Prof.round_sample list ->
   unit
 (** Phase table (joins {!pp_phase_table} by phase name), region table
-    with self/total columns, top-[top] (default 3) allocation sites
-    ranked by self minor+major words, and a round-sample summary line.
+    with self/total columns, the top-[top] (default 3) of
+    {!top_sites}, and a round-sample summary line.
     Row names and order are deterministic; the measured values are
     machine-dependent (word counts exact, wall-clock advisory). *)

@@ -216,7 +216,7 @@ let ingredients (plan : Compile.plan) =
       (plan.Compile.budget_rounds <> None, "budget");
     ]
 
-let run ?(metrics = Obs.Metrics.disabled) ?on_report spec ~samples =
+let run ?(metrics = Obs.Metrics.disabled) spec ~samples =
   let acc =
     ref
       {
@@ -273,8 +273,7 @@ let run ?(metrics = Obs.Metrics.disabled) ?on_report spec ~samples =
       (Obs.Metrics.counter metrics
          ~labels:[ ("scenario", spec.Spec.name); ("outcome", tag) ]
          "sweep_runs");
-    acc := a;
-    match on_report with None -> () | Some f -> f r
+    acc := a
   done;
   { !acc with failures = List.rev (!acc).failures }
 

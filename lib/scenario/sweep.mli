@@ -74,12 +74,10 @@ val failed : aggregate -> int
 
 val run :
   ?metrics:Obs.Metrics.t ->
-  ?on_report:(report -> unit) ->
   Spec.t ->
   samples:int ->
   aggregate
-(** Compile and run samples [0 .. samples-1].  [on_report] fires after
-    each sample (progress display).  With an enabled [metrics]
+(** Compile and run samples [0 .. samples-1].  With an enabled [metrics]
     registry the sweep records one [sweep_runs] counter per
     (scenario, outcome) and, per failing run, a
     [sweep_fail_ingredients] counter per active fault ingredient

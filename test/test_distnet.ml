@@ -674,13 +674,12 @@ let prop_dist_bfs_equals_sequential =
 
 let test_recovery_checkpoints () =
   let open Distnet.Recovery in
-  let ck = Checkpoints.create ~n:3 () in
+  let ck = Checkpoints.create ~n:3 in
   checkb "empty store" true (Checkpoints.restore ck 0 = None);
-  Checkpoints.commit ck ~phase:"exchange" 0 (1, 2);
-  Checkpoints.commit ck ~phase:"wave" 0 (3, 4);
-  Checkpoints.commit ck ~phase:"exchange" 2 (5, 6);
+  Checkpoints.commit ck 0 (1, 2);
+  Checkpoints.commit ck 0 (3, 4);
+  Checkpoints.commit ck 2 (5, 6);
   checkb "latest wins" true (Checkpoints.restore ck 0 = Some (3, 4));
-  checkb "phase label" true (Checkpoints.phase ck 0 = Some "wave");
   checkb "per node" true (Checkpoints.restore ck 2 = Some (5, 6));
   checkb "untouched node" true (Checkpoints.restore ck 1 = None);
   checki "commit count" 3 (Checkpoints.commits ck)
@@ -746,11 +745,11 @@ let test_detector_across_phase_boundary () =
      suspicion, and a flap does not disturb the stored snapshot. *)
   let open Distnet.Recovery in
   let d = Detector.create ~n:3 in
-  let ck = Checkpoints.create ~n:3 () in
+  let ck = Checkpoints.create ~n:3 in
   Detector.suspect d 1;
-  Checkpoints.commit ck ~phase:"exchange" 1 (4, 2);
+  Checkpoints.commit ck 1 (4, 2);
   checkb "commit keeps suspicion" true (Detector.is_suspected d 1);
-  Checkpoints.commit ck ~phase:"wave" 2 (9, 9);
+  Checkpoints.commit ck 2 (9, 9);
   checkb "another node's boundary is irrelevant" true
     (Detector.is_suspected d 1);
   ignore (Checkpoints.restore ck 1);
@@ -759,6 +758,9 @@ let test_detector_across_phase_boundary () =
   checkb "only a delivery clears it" false (Detector.is_suspected d 1);
   checkb "snapshot survives the flap" true
     (Checkpoints.restore ck 1 = Some (4, 2))
+
+(* A [suspect] for runs that ignore write-offs. *)
+let no_suspect ~by:_ _ = ()
 
 let test_reliable_link_idle () =
   let module P = struct
@@ -783,7 +785,7 @@ let test_reliable_link_idle () =
   (* Round 1: node 1 acks and sends its outbox; round 2: node 0 takes
      the ack and acks back; round 3: node 1 takes that ack. *)
   for _ = 1 to 3 do
-    R.step rt ~landed:ignore
+    R.step rt ~landed:ignore ~suspect:no_suspect
   done;
   checkb "acked -> idle again" true (idle 0 1 && idle 1 0);
   checkb "nothing left to do" true (R.idle rt ~round:4)
@@ -1049,55 +1051,21 @@ let test_churn_late_join_flood_reaches_all () =
     reached
 
 (* ------------------------------------------------------------------ *)
-(* ARQ retransmission policy: the config knob and its metric *)
-
-let test_arq_config_default_is_historical () =
-  let c = Reliable.config () in
-  checkb "default config in force" true (c = Reliable.default_config);
-  checki "initial_rto" 3 c.Reliable.initial_rto;
-  checki "max_rto" 32 c.Reliable.max_rto;
-  checki "max_retries" 12 c.Reliable.max_retries;
-  checkb "backoff doubles" true (c.Reliable.backoff = 2.)
-
-let test_arq_set_config_rejects_invalid () =
-  let expect msg c =
-    Alcotest.check_raises msg (Invalid_argument msg) (fun () ->
-        Reliable.set_config c)
-  in
-  expect "Reliable.set_config: initial_rto 0 < 1"
-    { Reliable.default_config with Reliable.initial_rto = 0 };
-  expect "Reliable.set_config: max_rto 2 < initial_rto 3"
-    { Reliable.default_config with Reliable.max_rto = 2 };
-  expect "Reliable.set_config: max_retries 0 < 1"
-    { Reliable.default_config with Reliable.max_retries = 0 };
-  expect "Reliable.set_config: backoff 0.5 < 1 (1 = fixed retransmit interval)"
-    { Reliable.default_config with Reliable.backoff = 0.5 };
-  expect "Reliable.set_config: backoff nan < 1 (1 = fixed retransmit interval)"
-    { Reliable.default_config with Reliable.backoff = Float.nan };
-  checkb "config untouched by rejections" true
-    (Reliable.config () = Reliable.default_config)
+(* ARQ retransmission policy: its metric *)
 
 let test_arq_backoff_escalation_metric () =
-  (* The escalation counter moves exactly when the RTO grows: never at
-     backoff 1 (fixed interval), and under real loss at the default 2.
-     Either way the protocol still converges to the exact answer. *)
-  Fun.protect ~finally:(fun () -> Reliable.set_config Reliable.default_config)
-  @@ fun () ->
-  let run backoff =
-    Reliable.set_config { Reliable.default_config with Reliable.backoff };
-    let r = Util.Prng.create ~seed:5 in
-    let g = Gen.connected_gnp r ~n:60 ~p:0.08 in
-    let faults =
-      Fault.make ~seed:2 { Fault.default_spec with Fault.drop = 0.3 }
-    in
-    let m = Obs.Metrics.create () in
-    let _, dist = Protocols.reliable_bfs ~faults ~metrics:m g ~root:0 in
-    let _, expected = Protocols.bfs g ~root:0 in
-    Alcotest.check (Alcotest.array Alcotest.int) "distances exact" expected dist;
-    Obs.Metrics.counter_value (Obs.Metrics.counter m "arq_backoff_escalations")
-  in
-  checki "backoff 1 never escalates" 0 (run 1.);
-  checkb "backoff 2 escalates under 30% loss" true (run 2. > 0)
+  (* The escalation counter moves when the RTO grows, which real loss
+     makes it do; the protocol still converges to the exact answer. *)
+  let r = Util.Prng.create ~seed:5 in
+  let g = Gen.connected_gnp r ~n:60 ~p:0.08 in
+  let faults = Fault.make ~seed:2 { Fault.default_spec with Fault.drop = 0.3 } in
+  let m = Obs.Metrics.create () in
+  let _, dist = Protocols.reliable_bfs ~faults ~metrics:m g ~root:0 in
+  let _, expected = Protocols.bfs g ~root:0 in
+  Alcotest.check (Alcotest.array Alcotest.int) "distances exact" expected dist;
+  checkb "escalates under 30% loss" true
+    (Obs.Metrics.counter_value (Obs.Metrics.counter m "arq_backoff_escalations")
+    > 0)
 
 (* ------------------------------------------------------------------ *)
 (* ARQ timers: absolute deadlines, and drivers that skip idle nodes *)
@@ -1106,16 +1074,21 @@ let test_arq_due_schedule () =
   (* Node 0 of a 2-path sends one message to node 1, which is down from
      round 0 and never acks.  The timeout backs off 3, 6, 12, 24 and
      then 32 rounds; after twelve retransmissions the thirteenth
-     timeout abandons the message.  The runtime visits node 0 only in
-     its first round, which anchors the timer [init] armed, and at each
-     timeout: every other round it is skipped. *)
+     timeout abandons the message and writes node 1 off.  The runtime
+     visits node 0 only in its first round, which anchors the timer
+     [init] armed, and at each timeout: every other round it is
+     skipped.  The runtime calls [receive] once per visit. *)
+  let visits = ref [] in
   let module P = struct
     type state = unit
     type message = unit
 
     let message_words () = 1
     let init _ v = ((), if v = 0 then [ (1, ()) ] else [])
-    let receive _ ~round:_ _ () ~senders:_ ~payloads:_ _ = ((), [])
+
+    let receive _ ~round v () ~senders:_ ~payloads:_ _ =
+      visits := (v, round) :: !visits;
+      ((), [])
   end in
   let module R = Reliable.Make (P) in
   let faults =
@@ -1125,10 +1098,12 @@ let test_arq_due_schedule () =
   let rt = R.create ~faults ~tracer (Gen.path 2) in
   R.start rt 0;
   R.start rt 1;
-  let visits = ref [] in
+  let writeoffs = ref [] in
+  let suspect ~by w =
+    writeoffs := (Sim.round (R.net rt), (by, w)) :: !writeoffs
+  in
   for _ = 1 to 400 do
-    R.step rt ~landed:ignore;
-    R.iter_visited rt (fun v -> visits := (v, Sim.round (R.net rt)) :: !visits)
+    R.step rt ~landed:ignore ~suspect
   done;
   let frames =
     List.filter_map
@@ -1150,7 +1125,51 @@ let test_arq_due_schedule () =
   checki "twelve retransmissions" 12 (R.retransmissions ep);
   checki "one dead letter" 1 (R.dead_letters ep);
   checkb "nothing in flight" true (R.idle rt ~round:401);
-  Alcotest.check ints "peer suspected" [ 1 ] (R.suspected ep)
+  Alcotest.check
+    Alcotest.(list (pair int (pair int int)))
+    "node 1 written off at the last timeout"
+    [ (333, (0, 1)) ]
+    !writeoffs
+
+let test_arq_writeoff_order () =
+  (* Nodes 1 and 3 of a 4-path are down from round 0.  Node 0 sends
+     one message to node 1, node 2 one each to nodes 1 and 3; all
+     three are abandoned at the same timeout.  The write-offs reach
+     [suspect] after the step's visits, in visit order and in peer
+     order within a visit. *)
+  let module P = struct
+    type state = unit
+    type message = unit
+
+    let message_words () = 1
+
+    let init _ v =
+      ( (),
+        match v with 0 -> [ (1, ()) ] | 2 -> [ (1, ()); (3, ()) ] | _ -> [] )
+
+    let receive _ ~round:_ _ () ~senders:_ ~payloads:_ _ = ((), [])
+  end in
+  let module R = Reliable.Make (P) in
+  let faults =
+    Fault.make ~seed:1
+      { Fault.default_spec with Fault.crashes = [ (1, 0); (3, 0) ] }
+  in
+  let rt = R.create ~faults (Gen.path 4) in
+  for v = 0 to 3 do
+    R.start rt v
+  done;
+  let writeoffs = ref [] in
+  let suspect ~by w =
+    writeoffs := (Sim.round (R.net rt), (by, w)) :: !writeoffs
+  in
+  for _ = 1 to 400 do
+    R.step rt ~landed:ignore ~suspect
+  done;
+  Alcotest.check
+    Alcotest.(list (pair int (pair int int)))
+    "three write-offs at round 333"
+    [ (333, (0, 1)); (333, (2, 1)); (333, (2, 3)) ]
+    (List.rev !writeoffs)
 
 let test_arq_late_joiner_timers () =
   (* A late-joining root runs [init] and its first [receive] in its join
@@ -1199,7 +1218,7 @@ end
 module Arq2 = Reliable.Make (Arq_record)
 
 (* Node 0 queues [payloads] for node 1 before round 1, and [before r]
-   runs ahead of step [r].  With the default policy the transmissions
+   runs ahead of step [r].  With the fixed timer the transmissions
    of node 0's first seq go out at rounds 1, 4, 10, 22, 46, 78, ...,
    302, and the thirteenth timeout abandons it at round 334.  A frame
    sent at round [r] has its fate scripted at [r + 1]. *)
@@ -1213,7 +1232,7 @@ let arq_2path ?(before = fun _ _ -> ()) events payloads ~rounds =
   List.iter (fun m -> Arq2.send rt ~src:0 ~dst:1 m) payloads;
   for r = 1 to rounds do
     before rt r;
-    Arq2.step rt ~landed:ignore
+    Arq2.step rt ~landed:ignore ~suspect:no_suspect
   done;
   let sends src =
     List.filter_map
@@ -1362,9 +1381,9 @@ let test_idle_arq_step_allocates_nothing () =
   let rt = Arq_q.create (Gen.path 2) in
   Arq_q.start rt 0;
   Arq_q.start rt 1;
-  Arq_q.step rt ~landed:ignore;
+  Arq_q.step rt ~landed:ignore ~suspect:no_suspect;
   checki "a step with no mail and no due timer" 0
-    (minor_words (fun () -> Arq_q.step rt ~landed:ignore))
+    (minor_words (fun () -> Arq_q.step rt ~landed:ignore ~suspect:no_suspect))
 
 let test_arq_exchange_words_per_message () =
   (* Node 0 queues [k] messages for node 1 over a loss-free link; the
@@ -1382,7 +1401,7 @@ let test_arq_exchange_words_per_message () =
           Arq_q.send rt ~src:0 ~dst:1 m
         done;
         while not (Arq_q.idle rt ~round:(Sim.round (Arq_q.net rt) + 1)) do
-          Arq_q.step rt ~landed:ignore
+          Arq_q.step rt ~landed:ignore ~suspect:no_suspect
         done)
   in
   let extra = exchange 2_000 - exchange 1_000 in
@@ -1533,10 +1552,6 @@ let suite =
       ] );
     ( "distnet.arq_config",
       [
-        Alcotest.test_case "default is the historical constants" `Quick
-          test_arq_config_default_is_historical;
-        Alcotest.test_case "set_config names the offending field" `Quick
-          test_arq_set_config_rejects_invalid;
         Alcotest.test_case "backoff escalation metric" `Quick
           test_arq_backoff_escalation_metric;
       ] );
@@ -1544,6 +1559,8 @@ let suite =
       [
         Alcotest.test_case "due at exactly the timeouts" `Quick
           test_arq_due_schedule;
+        Alcotest.test_case "write-offs in visit and peer order" `Quick
+          test_arq_writeoff_order;
         Alcotest.test_case "late joiner counts from its join" `Quick
           test_arq_late_joiner_timers;
         Alcotest.test_case "skeleton pump skips idle nodes" `Quick
