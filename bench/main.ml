@@ -163,10 +163,7 @@ let bench_tests () =
             }
         in
         let r = Spanner.Skeleton_dist.build ~faults ~seed:!seed g_small in
-        ignore
-          (Spanner.Certify.run ~plan:r.Spanner.Skeleton_dist.plan
-             ~witness:r.Spanner.Skeleton_dist.witness g_small
-             r.Spanner.Skeleton_dist.spanner));
+        ignore (Spanner.Skeleton_dist.certify ~faults g_small r));
     t "e23.skeleton_churn_repair" (fun () ->
         let u, v =
           (* any edge of the graph works; edge 0 is stable for a fixed seed *)

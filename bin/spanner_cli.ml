@@ -82,6 +82,8 @@ let checked conv ~want ok =
 let at_least lo =
   checked Arg.int ~want:(Printf.sprintf ">= %d" lo) (fun x -> x >= lo)
 
+let fraction = checked Arg.float ~want:"in [0, 1]" (fun f -> f >= 0. && f <= 1.)
+
 let k_arg =
   Arg.(value & opt (at_least 1) 3 & info [ "k"; "levels" ] ~docv:"K" ~doc:"Stretch parameter (2k-1).")
 
@@ -429,6 +431,60 @@ let churn_arg =
     const churn $ edge_drop $ edge_up $ partition $ partition_round
     $ heal_round $ join)
 
+(* A fault plan from the flags, its stream seeded at [seed + 31]: none
+   when the spec injects nothing, and a plan the graph rejects is one
+   line and exit 1. *)
+let fault_plan ~seed g (spec : Distnet.Fault.spec) =
+  if spec = { Distnet.Fault.default_spec with max_delay = spec.max_delay } then
+    Distnet.Fault.none
+  else
+    try Distnet.Fault.make ~seed:(seed + 31) ~graph:g spec
+    with Invalid_argument msg ->
+      Format.eprintf "spanner_cli: %s@." msg;
+      exit 1
+
+(* Each sink stays the shared no-op unless a flag asks for it, so
+   flag-free output is byte-identical to the uninstrumented CLI. *)
+let metrics_sink on = if on then Obs.Metrics.create () else Obs.Metrics.disabled
+
+(* The profiler is installed as the ambient sink, so the engine and
+   protocol hot paths pick it up without extra plumbing. *)
+let profiler file =
+  let prof = if file <> None then Obs.Prof.create () else Obs.Prof.disabled in
+  Obs.Prof.set_current prof;
+  prof
+
+let save_metrics ?meta reg = function
+  | None -> ()
+  | Some file ->
+      Obs.Metrics.save ?extra:(Option.map (fun l -> [ l ]) meta) reg file;
+      Format.printf "metrics written to %s (%d samples)@." file
+        (List.length (Obs.Metrics.snapshot reg))
+
+let save_profile ~meta prof = function
+  | None -> ()
+  | Some file ->
+      Obs.Prof.save ~extra:[ meta ] prof file;
+      Format.printf "profile written to %s (%d rows, %d round samples)@." file
+        (List.length (Obs.Prof.rows prof))
+        (List.length (Obs.Prof.round_samples prof))
+
+(* The paper-bound audit of a skeleton run from its metrics samples,
+   printed; under [strict] a WARN exits 1.  simulate audits the run it
+   just made, report the run a metrics file recorded. *)
+let audit ~strict ~arq ?spanner_edges ~plan ~stats samples =
+  let phase_rounds =
+    List.map
+      (fun (r : Obs.Report.phase_row) ->
+        (r.Obs.Report.phase, r.Obs.Report.rounds))
+      (Obs.Report.phase_rows samples)
+  in
+  let report =
+    Spanner.Audit.run ~arq ?spanner_edges ~phase_rounds ~plan ~stats ()
+  in
+  Format.printf "%a" Spanner.Audit.pp report;
+  if strict && not (Spanner.Audit.ok report) then exit 1
+
 let simulate_cmd =
   let drop =
     Arg.(
@@ -493,7 +549,7 @@ let simulate_cmd =
   let crash_frac =
     Arg.(
       value
-      & opt float 0.
+      & opt fraction 0.
       & info [ "crash-frac" ] ~docv:"F"
           ~doc:
             "Crash-stop a random fraction F of the nodes (in addition to any \
@@ -502,7 +558,7 @@ let simulate_cmd =
   let crash_max_round =
     Arg.(
       value
-      & opt int 50
+      & opt (at_least 1) 50
       & info [ "crash-max-round" ] ~docv:"R"
           ~doc:"Random --crash-frac crashes land uniformly in rounds 1..R.")
   in
@@ -644,18 +700,9 @@ let simulate_cmd =
           (plan, stored)
       | None ->
           let crashes =
-            if crash_frac <= 0. then crash
-            else begin
-              let rng = Util.Prng.create ~seed:(seed + 87) in
-              let picks = ref [] in
-              for v = 0 to Graph.n g - 1 do
-                if Util.Prng.bernoulli rng crash_frac then
-                  picks :=
-                    (v, 1 + Util.Prng.int rng (Stdlib.max 1 crash_max_round))
-                    :: !picks
-              done;
-              crash @ List.rev !picks
-            end
+            crash
+            @ Distnet.Fault.random_crashes ~seed:(seed + 87) ~n:(Graph.n g)
+                ~frac:crash_frac ~max_round:crash_max_round
           in
           let churn =
             churn
@@ -669,28 +716,18 @@ let simulate_cmd =
                   (List.length churn) file;
                 churn
           in
-          let spec =
-            {
-              Distnet.Fault.drop;
-              dup;
-              delay;
-              max_delay;
-              crashes;
-              restarts = restart;
-              churn;
-              drop_profile = [];
-            }
-          in
-          let plan =
-            if spec = { Distnet.Fault.default_spec with max_delay } then
-              Distnet.Fault.none
-            else
-              try Distnet.Fault.make ~seed:(seed + 31) ~graph:g spec
-              with Invalid_argument msg ->
-                Format.eprintf "spanner_cli: %s@." msg;
-                exit 1
-          in
-          (plan, None)
+          ( fault_plan ~seed g
+              {
+                Distnet.Fault.drop;
+                dup;
+                delay;
+                max_delay;
+                crashes;
+                restarts = restart;
+                churn;
+                drop_profile = [];
+              },
+            None )
     in
     let tracer =
       match (replay_file, trace_file) with
@@ -698,24 +735,13 @@ let simulate_cmd =
       | _ -> None
     in
     let certification_failed = ref false in
-    (* One registry for the whole run; stays the shared no-op sink
-       unless some metrics-consuming flag was given, so default output
-       is byte-identical to the uninstrumented CLI. *)
     let reg =
-      if metrics_file <> None || metrics_summary || audit_bounds then
-        Obs.Metrics.create ()
-      else Obs.Metrics.disabled
+      metrics_sink (metrics_file <> None || metrics_summary || audit_bounds)
     in
-    (* Same discipline for the span sink. *)
     let spans =
       if spans_file <> None then Obs.Span.create () else Obs.Span.disabled
     in
-    (* And the profiler, installed as the ambient sink so the engine
-       and protocol hot paths pick it up without extra plumbing. *)
-    let prof =
-      if profile_file <> None then Obs.Prof.create () else Obs.Prof.disabled
-    in
-    Obs.Prof.set_current prof;
+    let prof = profiler profile_file in
     let plan_ref = ref None in
     let spanner_edges_ref = ref None in
     let stuck = ref false in
@@ -750,11 +776,7 @@ let simulate_cmd =
                  and outlasts the phase budget.  Report it, write the
                  logs, then exit 2. *)
               let preview =
-                let rec take k = function
-                  | x :: tl when k > 0 -> x :: take (k - 1) tl
-                  | _ -> []
-                in
-                take 8 waiting_on
+                List.filteri (fun i _ -> i < 8) waiting_on
                 |> List.map (fun (v, w) -> Printf.sprintf "%d->%d" v w)
                 |> String.concat ", "
               in
@@ -783,11 +805,10 @@ let simulate_cmd =
                   rc.Spanner.Skeleton_dist.checkpoints
                   rc.Spanner.Skeleton_dist.retransmissions
                   rc.Spanner.Skeleton_dist.dead_letters;
-              let repaired =
+              if
                 Distnet.Fault.has_churn faults
                 || Distnet.Fault.has_restarts faults
-              in
-              if repaired then begin
+              then begin
                 let rp = r.Spanner.Skeleton_dist.repair in
                 Format.printf
                   "repair: %a (%d dead spanner edges, %d rehooked, %d \
@@ -804,10 +825,10 @@ let simulate_cmd =
                   rp.Spanner.Skeleton_dist.components
               end;
               if certify || mutate then begin
-                let w = r.Spanner.Skeleton_dist.witness in
-                let spanner =
-                  if not mutate then r.Spanner.Skeleton_dist.spanner
+                let r =
+                  if not mutate then r
                   else begin
+                    let w = r.Spanner.Skeleton_dist.witness in
                     let victim = ref (-1) in
                     Array.iteri
                       (fun v e ->
@@ -820,23 +841,15 @@ let simulate_cmd =
                       failwith "mutate: no cluster-tree edge to remove";
                     Format.printf "mutate: removed cluster-tree edge %d@."
                       !victim;
-                    let edges = ref [] in
-                    Edge_set.iter r.Spanner.Skeleton_dist.spanner (fun e ->
-                        if e <> !victim then edges := e :: !edges);
-                    Edge_set.of_list g !edges
+                    let spanner =
+                      Edge_set.copy r.Spanner.Skeleton_dist.spanner
+                    in
+                    Edge_set.remove spanner !victim;
+                    { r with spanner }
                   end
                 in
-                (* Under churn, audit against the surviving topology and
-                   guarantee every live component gets a BFS source. *)
-                let down = Array.make (Stdlib.max 1 (Graph.m g)) false in
-                List.iter
-                  (fun e -> down.(e) <- true)
-                  r.Spanner.Skeleton_dist.dead_edges;
                 let verdict =
-                  Spanner.Certify.run
-                    ~down_edge:(fun e -> repaired && down.(e))
-                    ~per_component:repaired ~metrics:reg
-                    ~plan:r.Spanner.Skeleton_dist.plan ~witness:w g spanner
+                  Spanner.Skeleton_dist.certify ~metrics:reg ~faults g r
                 in
                 Format.printf "%a@." Spanner.Certify.pp verdict;
                 if not (Spanner.Certify.ok verdict) then
@@ -880,37 +893,25 @@ let simulate_cmd =
         extra stats.Distnet.Sim.rounds stats.Distnet.Sim.messages
         stats.Distnet.Sim.words stats.Distnet.Sim.max_message_words
     in
-    (match metrics_file with
-    | Some file ->
-        let extra =
-          (match !plan_ref with
-          | Some (plan : Spanner.Plan.t) ->
-              Printf.sprintf {|,"d":%d,"eps":%g|} plan.Spanner.Plan.d
-                plan.Spanner.Plan.eps
-          | None -> "")
-          ^
-          match !spanner_edges_ref with
-          | Some edges -> Printf.sprintf {|,"spanner_edges":%d|} edges
-          | None -> ""
-        in
-        Obs.Metrics.save ~extra:[ header "meta" extra ] reg file;
-        Format.printf "metrics written to %s (%d samples)@." file
-          (List.length (Obs.Metrics.snapshot reg))
-    | None -> ());
+    let extra =
+      (match !plan_ref with
+      | Some (plan : Spanner.Plan.t) ->
+          Printf.sprintf {|,"d":%d,"eps":%g|} plan.Spanner.Plan.d
+            plan.Spanner.Plan.eps
+      | None -> "")
+      ^
+      match !spanner_edges_ref with
+      | Some edges -> Printf.sprintf {|,"spanner_edges":%d|} edges
+      | None -> ""
+    in
+    save_metrics ~meta:(header "meta" extra) reg metrics_file;
     (match spans_file with
     | Some file ->
         Obs.Span.save ~extra:[ header "span_meta" "" ] spans file;
         Format.printf "spans written to %s (%d spans)@." file
           (Obs.Span.count spans)
     | None -> ());
-    (match profile_file with
-    | Some file ->
-        Obs.Prof.save ~extra:[ header "prof_meta" "" ] prof file;
-        Format.printf "profile written to %s (%d rows, %d round samples)@."
-          file
-          (List.length (Obs.Prof.rows prof))
-          (List.length (Obs.Prof.round_samples prof))
-    | None -> ());
+    save_profile ~meta:(header "prof_meta" "") prof profile_file;
     if !stuck then exit 2;
     if audit_bounds then begin
       match !plan_ref with
@@ -918,19 +919,10 @@ let simulate_cmd =
           Format.eprintf "spanner_cli: --audit-bounds needs --protocol skeleton@.";
           exit 1
       | Some plan ->
-          let phase_rounds =
-            List.map
-              (fun (r : Obs.Report.phase_row) ->
-                (r.Obs.Report.phase, r.Obs.Report.rounds))
-              (Obs.Report.phase_rows (Obs.Metrics.snapshot reg))
-          in
-          let report =
-            Spanner.Audit.run
-              ~arq:(not (Distnet.Fault.is_none faults))
-              ?spanner_edges:!spanner_edges_ref ~phase_rounds ~plan ~stats ()
-          in
-          Format.printf "%a" Spanner.Audit.pp report;
-          if strict && not (Spanner.Audit.ok report) then exit 1
+          audit ~strict
+            ~arq:(not (Distnet.Fault.is_none faults))
+            ?spanner_edges:!spanner_edges_ref ~plan ~stats
+            (Obs.Metrics.snapshot reg)
     end;
     if !certification_failed then exit 1
   in
@@ -1007,10 +999,7 @@ let report_cmd =
              per-region machine-cost tables with top-$(b,--top) allocation \
              sites.  Profile files are also auto-detected without the flag.")
   in
-  let rec take k = function
-    | x :: tl when k > 0 -> x :: take (k - 1) tl
-    | _ -> []
-  in
+  let take k = List.filteri (fun i _ -> i < k) in
   (* Auto-detect on the first line's kind: metrics files start with
      meta or metric, spans files with span_meta or span, profiles with
      prof_meta, prof or prof_round.  Anything else, a line without a
@@ -1207,20 +1196,10 @@ let report_cmd =
                   max_message_words = get "max_message_words";
                 }
               in
-              let phase_rounds =
-                List.map
-                  (fun (r : Obs.Report.phase_row) ->
-                    (r.Obs.Report.phase, r.Obs.Report.rounds))
-                  (Obs.Report.phase_rows samples)
-              in
-              let report =
-                Spanner.Audit.run
-                  ~arq:(get "arq" = 1)
-                  ?spanner_edges:(Obs.Jsonl.int_opt l "spanner_edges")
-                  ~phase_rounds ~plan ~stats ()
-              in
-              Format.printf "%a" Spanner.Audit.pp report;
-              if strict && not (Spanner.Audit.ok report) then exit 1
+              audit ~strict
+                ~arq:(get "arq" = 1)
+                ?spanner_edges:(Obs.Jsonl.int_opt l "spanner_edges")
+                ~plan ~stats samples
           | _ ->
               Format.eprintf
                 "spanner_cli: report --audit-bounds: %s's meta header has no \
@@ -1354,23 +1333,23 @@ let serve_cmd =
   let queries =
     Arg.(
       value
-      & opt int 10000
+      & opt (at_least 0) 10000
       & info [ "queries" ] ~docv:"Q" ~doc:"Generated workload size.")
   in
   let zipf =
+    let exponent = checked Arg.float ~want:">= 0" (fun s -> s >= 0.) in
     Arg.(
       value
-      & opt (some float) None
+      & opt (some exponent) None
       & info [ "zipf" ] ~docv:"S"
           ~doc:
             "Zipf exponent for source popularity (heavier tail with larger \
              $(docv); uniform sources when absent).")
   in
   let route_frac =
-    let frac = checked Arg.float ~want:"in [0, 1]" (fun f -> f >= 0. && f <= 1.) in
     Arg.(
       value
-      & opt frac 0.
+      & opt fraction 0.
       & info [ "route-frac" ] ~docv:"F"
           ~doc:
             "Fraction of point-to-point route queries (answered by compact \
@@ -1390,15 +1369,6 @@ let serve_cmd =
       & info [ "workload-out" ] ~docv:"FILE"
           ~doc:"Save the generated workload to FILE.")
   in
-  let workload_seed =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "workload-seed" ] ~docv:"SEED"
-          ~doc:
-            "Seed of the query generator, independent of the graph seed \
-             (default: --seed + 41).")
-  in
   let snapshot_out =
     Arg.(
       value
@@ -1413,15 +1383,6 @@ let serve_cmd =
           ~doc:
             "Build compact-routing tables even for a pure distance workload \
              (they are built automatically when the workload has routes).")
-  in
-  let audit_samples =
-    Arg.(
-      value
-      & opt int 64
-      & info [ "audit-samples" ] ~docv:"N"
-          ~doc:
-            "Audit N sampled answers against BFS ground truth and the \
-             stretch bound; exit nonzero on a violation (0 disables).")
   in
   let metrics_file =
     Arg.(
@@ -1440,32 +1401,19 @@ let serve_cmd =
           ~doc:"Print the per-generation serve table from the metrics sink.")
   in
   let run kind n p seed input d eps k queries zipf route_frac workload_in
-      workload_out workload_seed snapshot_in snapshot_out routing_flag churn
-      audit_samples metrics_file metrics_summary =
-    let reg =
-      if metrics_file <> None || metrics_summary then Obs.Metrics.create ()
-      else Obs.Metrics.disabled
-    in
+      workload_out snapshot_in snapshot_out routing_flag churn metrics_file
+      metrics_summary =
+    let reg = metrics_sink (metrics_file <> None || metrics_summary) in
     (* The workload is read (or generated) and the churn plan made as
        soon as the graph is known, so a bad workload file or churn flag
        fails before any build. *)
-    let wseed = Option.value ~default:(seed + 41) workload_seed in
+    let wseed = seed + 41 in
     let workload g =
       match workload_in with
       | Some file -> reading (Serve.Workload.load ~n:(Graph.n g)) file
       | None ->
           Serve.Workload.generate ~seed:wseed ~n:(Graph.n g)
             { Serve.Workload.queries; zipf; route_frac }
-    in
-    let churn_plan g =
-      if churn = [] then Distnet.Fault.none
-      else
-        try
-          Distnet.Fault.make ~seed:(seed + 31) ~graph:g
-            { Distnet.Fault.default_spec with churn }
-        with Invalid_argument msg ->
-          Format.eprintf "spanner_cli: %s@." msg;
-          exit 1
     in
     (* The serving graph and the gen-0 snapshot: either a saved snapshot
        (no rebuild possible — the full graph is gone) or a fresh
@@ -1487,7 +1435,9 @@ let serve_cmd =
           let g = load_graph ~kind ~n ~p ~seed ~input in
           Format.printf "graph: %a@." Graph.pp_summary g;
           let w = workload g in
-          let faults = churn_plan g in
+          let faults =
+            fault_plan ~seed g { Distnet.Fault.default_spec with churn }
+          in
           let r = Spanner.Skeleton_dist.build ~d ~eps ~seed g in
           Format.printf "spanner: %d edges@."
             (Edge_set.cardinal r.Spanner.Skeleton_dist.spanner);
@@ -1525,36 +1475,27 @@ let serve_cmd =
         Format.printf "snapshot written to %s@." file
     | None -> ());
     let server = Serve.Server.create ~metrics:reg snap0 in
-    let reports =
-      if churn = [] then [ Serve.Server.run server w ]
+    let rep =
+      if churn = [] then Serve.Server.run server w
       else begin
-        (* Swap flow: a third of the workload against gen 0, a third
-           stale while the background rebuild runs, the rest against
-           the published next generation. *)
-        let total = Array.length w in
-        let s1 = total / 3 and s2 = total / 3 in
-        let r1 = Serve.Server.run ~first:0 ~count:s1 server w in
-        Serve.Server.mark_dirty server;
-        Format.printf "churn landed: epoch %d, serving stale from gen %d@."
-          (Serve.Server.epoch server)
-          (Serve.Server.generation server);
-        let r2 = Serve.Server.run ~first:s1 ~count:s2 server w in
-        let rr = Spanner.Skeleton_dist.build ~faults ~d ~eps ~seed g in
-        let snap1 =
+        (* The rebuild under the churn plan; [run_swap] calls it once,
+           while the server is marked dirty. *)
+        let rebuild () =
+          Format.printf "churn landed: epoch %d, serving stale from gen %d@."
+            (Serve.Server.epoch server)
+            (Serve.Server.generation server);
+          let rr = Spanner.Skeleton_dist.build ~faults ~d ~eps ~seed g in
           Serve.Snapshot.build ~generation:1 ~k ~seed ~routing
             ~exclude:rr.Spanner.Skeleton_dist.dead_edges g
             rr.Spanner.Skeleton_dist.spanner
         in
-        Serve.Server.publish server snap1;
-        Format.printf "swap: published %a (%d swap)@." Serve.Snapshot.pp snap1
+        let rep = Serve.Server.run_swap server w ~rebuild in
+        Format.printf "swap: published %a (%d swap)@." Serve.Snapshot.pp
+          (Serve.Server.snapshot server)
           (Serve.Server.swaps server);
-        let r3 =
-          Serve.Server.run ~first:(s1 + s2) ~count:(total - s1 - s2) server w
-        in
-        [ r1; r2; r3 ]
+        rep
       end
     in
-    let rep = Serve.Server.merge reports in
     Format.printf "%a" Serve.Server.pp_report rep;
     (* The one wall-clock-dependent line, kept alone so pinned output
        can filter it. *)
@@ -1569,40 +1510,30 @@ let serve_cmd =
         *. 1e9
         /. float_of_int (Stdlib.max 1 rep.Serve.Server.elapsed_ns))
     end;
-    if audit_samples > 0 then begin
-      let a =
-        Serve.Server.audit ~samples:audit_samples ~seed:(seed + 53)
-          (Serve.Server.snapshot server)
-          w
-      in
-      Format.printf "%a@." Serve.Server.pp_audit a;
-      (match plan_opt with
-      | Some plan ->
-          Format.printf
-            "bounds: skeleton distortion <= %.2f (Theorem 2), oracle stretch \
-             <= %d@."
-            (Spanner.Certify.stretch_bound plan)
-            ((2 * k) - 1)
-      | None -> ());
-      if not (Serve.Server.audit_ok a) then exit 1
-    end;
+    let a =
+      Serve.Server.audit ~seed:(seed + 53) (Serve.Server.snapshot server) w
+    in
+    Format.printf "%a@." Serve.Server.pp_audit a;
+    (match plan_opt with
+    | Some plan ->
+        Format.printf
+          "bounds: skeleton distortion <= %.2f (Theorem 2), oracle stretch <= \
+           %d@."
+          (Spanner.Certify.stretch_bound plan)
+          ((2 * k) - 1)
+    | None -> ());
+    if not (Serve.Server.audit_ok a) then exit 1;
     if metrics_summary then begin
       Format.printf "per-generation serve table:@.";
       Obs.Report.pp_serve_table Format.std_formatter (Obs.Metrics.snapshot reg)
     end;
-    match metrics_file with
-    | Some file ->
-        let meta =
-          Printf.sprintf
-            {|{"kind":"meta","algo":"serve","n":%d,"queries":%d,"workload_seed":%d,"generations":%d,"swaps":%d}|}
-            (Graph.n g) (Array.length w) wseed
-            (Serve.Server.generation server + 1)
-            (Serve.Server.swaps server)
-        in
-        Obs.Metrics.save ~extra:[ meta ] reg file;
-        Format.printf "metrics written to %s (%d samples)@." file
-          (List.length (Obs.Metrics.snapshot reg))
-    | None -> ()
+    save_metrics reg metrics_file
+      ~meta:
+        (Printf.sprintf
+           {|{"kind":"meta","algo":"serve","n":%d,"queries":%d,"workload_seed":%d,"generations":%d,"swaps":%d}|}
+           (Graph.n g) (Array.length w) wseed
+           (Serve.Server.generation server + 1)
+           (Serve.Server.swaps server))
   in
   Cmd.v
     (Cmd.info "serve"
@@ -1617,9 +1548,8 @@ let serve_cmd =
     Term.(
       const run $ kind_arg $ n_arg $ p_arg $ seed_arg $ input_arg $ d_arg
       $ eps_arg $ oracle_k_arg $ queries $ zipf $ route_frac $ workload_in
-      $ workload_out $ workload_seed $ snapshot_in_arg $ snapshot_out
-      $ routing_flag $ churn_arg $ audit_samples $ metrics_file
-      $ metrics_summary)
+      $ workload_out $ snapshot_in_arg $ snapshot_out $ routing_flag
+      $ churn_arg $ metrics_file $ metrics_summary)
 
 let query_cmd =
   let snapshot_in =
@@ -1708,7 +1638,7 @@ let sweep_cmd =
   let samples =
     Arg.(
       value
-      & opt int 25
+      & opt (at_least 1) 25
       & info [ "samples" ] ~docv:"N"
           ~doc:"Scenarios sampled per family (sample k reseeds with seed+k).")
   in
@@ -1796,14 +1726,8 @@ let sweep_cmd =
           | names -> names
         in
         let families = List.map resolve names in
-        let reg =
-          if metrics_file <> None then Obs.Metrics.create ()
-          else Obs.Metrics.disabled
-        in
-        let prof =
-          if profile_file <> None then Obs.Prof.create () else Obs.Prof.disabled
-        in
-        Obs.Prof.set_current prof;
+        let reg = metrics_sink (metrics_file <> None) in
+        let prof = profiler profile_file in
         let json_lines = ref [] in
         let unshrunk = ref 0 in
         List.iter
@@ -1817,19 +1741,9 @@ let sweep_cmd =
                 match r.Scenario.Sweep.outcome with
                 | Scenario.Sweep.Certified _ -> ()
                 | Scenario.Sweep.Failed f ->
-                    let tag = Scenario.Sweep.failure_tag f in
-                    let fails p =
-                      match
-                        (Scenario.Sweep.run_plan p).Scenario.Sweep.outcome
-                      with
-                      | Scenario.Sweep.Failed f' ->
-                          Scenario.Sweep.failure_tag f' = tag
-                      | Scenario.Sweep.Certified _ -> false
-                    in
                     let plan = r.Scenario.Sweep.plan in
                     let shrunk =
-                      Scenario.Shrink.shrink ~max_evals:shrink_evals ~fails
-                        plan
+                      Scenario.Sweep.shrink ~max_evals:shrink_evals r
                     in
                     if not (Sys.file_exists out_dir) then Sys.mkdir out_dir 0o755;
                     let path =
@@ -1842,7 +1756,8 @@ let sweep_cmd =
                     Format.printf
                       "  reproducer: %s (%s, weight %d -> %d, %d evals, \
                        verified %b)@."
-                      path tag
+                      path
+                      (Scenario.Sweep.failure_tag f)
                       (Scenario.Shrink.weight plan)
                       (Scenario.Shrink.weight shrunk.Scenario.Shrink.plan)
                       shrunk.Scenario.Shrink.evals
@@ -1859,25 +1774,12 @@ let sweep_cmd =
                   (fun l -> Out_channel.output_string oc (l ^ "\n"))
                   (List.rev !json_lines));
             Format.printf "report written to %s@." file);
-        (match metrics_file with
-        | None -> ()
-        | Some file ->
-            Obs.Metrics.save reg file;
-            Format.printf "metrics written to %s (%d samples)@." file
-              (List.length (Obs.Metrics.snapshot reg)));
-        (match profile_file with
-        | None -> ()
-        | Some file ->
-            let meta =
-              Printf.sprintf
-                {|{"kind":"prof_meta","algo":"sweep:%s","samples":%d}|}
-                (String.concat "," names) samples
-            in
-            Obs.Prof.save ~extra:[ meta ] prof file;
-            Format.printf "profile written to %s (%d rows, %d round samples)@."
-              file
-              (List.length (Obs.Prof.rows prof))
-              (List.length (Obs.Prof.round_samples prof)));
+        save_metrics reg metrics_file;
+        save_profile prof profile_file
+          ~meta:
+            (Printf.sprintf
+               {|{"kind":"prof_meta","algo":"sweep:%s","samples":%d}|}
+               (String.concat "," names) samples);
         if !unshrunk > 0 then begin
           Format.eprintf
             "spanner_cli: %d failing scenario(s) could not be shrunk to a \

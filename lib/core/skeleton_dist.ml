@@ -411,7 +411,6 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
   let last_stats =
     ref { Sim.rounds = 0; messages = 0; words = 0; max_message_words = 0 }
   in
-  let scope = Obs.Scope.of_registry metrics in
   (* Phase spans are recorded at exactly the same boundaries as the
      stats deltas, covering (prev rounds, current rounds]; the call
      span currently open (if any) becomes their parent, so the span
@@ -432,18 +431,18 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
           (Obs.Span.span spans ~parent:!current_call_span Obs.Span.Phase ~name
              ~start_round:prev.Sim.rounds ~stop_round:s.Sim.rounds);
       if metrics_on then begin
-        let sc = Obs.Scope.phase scope name in
+        let labels = [ ("phase", name) ] in
         Obs.Metrics.add
-          (Obs.Scope.counter sc "phase_rounds")
+          (Obs.Metrics.counter metrics ~labels "phase_rounds")
           (s.Sim.rounds - prev.Sim.rounds);
         Obs.Metrics.add
-          (Obs.Scope.counter sc "phase_messages")
+          (Obs.Metrics.counter metrics ~labels "phase_messages")
           (s.Sim.messages - prev.Sim.messages);
         Obs.Metrics.add
-          (Obs.Scope.counter sc "phase_words")
+          (Obs.Metrics.counter metrics ~labels "phase_words")
           (s.Sim.words - prev.Sim.words);
         Obs.Metrics.set_max
-          (Obs.Scope.gauge sc "phase_max_message_words")
+          (Obs.Metrics.gauge metrics ~labels "phase_max_message_words")
           (!window_now ())
       end
     end
@@ -455,8 +454,8 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
       contributed.(who) <- contributed.(who) + 1;
       if Obs.Metrics.enabled metrics then
         Obs.Metrics.incr
-          (Obs.Scope.counter
-             (Obs.Scope.cluster scope nodes.(who).cl_center)
+          (Obs.Metrics.counter metrics
+             ~labels:[ ("cluster", string_of_int nodes.(who).cl_center) ]
              "cluster_edges_kept")
     end
   in
@@ -1690,3 +1689,18 @@ let build ?(d = 4) ?(eps = 0.5) ?faults ?tracer ?metrics ?spans
   let sampling = Sampling.draw rng ~n:(Graph.n g) plan in
   build_with ?faults ?tracer ?metrics ?spans ?phase_round_limit ~plan ~sampling
     g
+
+let certify ?metrics ~faults g r =
+  (* The repair pass runs under churn or restarts: the audit is then
+     of the surviving topology, which may be partitioned. *)
+  let repaired = Fault.has_churn faults || Fault.has_restarts faults in
+  let down_edge =
+    if not repaired then None
+    else begin
+      let down = Array.make (Stdlib.max 1 (Graph.m g)) false in
+      List.iter (fun e -> down.(e) <- true) r.dead_edges;
+      Some (Array.get down)
+    end
+  in
+  Certify.run ?down_edge ~per_component:repaired ?metrics ~plan:r.plan
+    ~witness:r.witness g r.spanner

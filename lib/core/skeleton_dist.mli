@@ -182,3 +182,18 @@ val build_with :
     peers produces no new crash suspicions — either a protocol bug or
     a fault plan outside the recoverable envelope (e.g. a partitioned
     link that never heals); the payload names the stuck phase. *)
+
+val certify :
+  ?metrics:Obs.Metrics.t ->
+  faults:Distnet.Fault.t ->
+  Graphlib.Graph.t ->
+  result ->
+  Certify.verdict
+(** [certify ~faults g r] runs {!Certify.run} on the output of a build
+    of [g] under [faults], against the topology that survived the run.
+    When the plan has churn or restarts, the repair pass ran: the edges
+    in [r.dead_edges] are excluded as [down_edge], and [per_component]
+    gives every component of the surviving graph a BFS source.
+    Otherwise certification runs with neither.  [metrics] is passed
+    through.  To certify a modified spanner, pass
+    [{ r with spanner }]. *)

@@ -370,6 +370,23 @@ let scripted events =
     dyn = dynamics_of_churn churn;
   }
 
+let random_crashes ~seed ~n ~frac ~max_round =
+  if not (frac >= 0. && frac <= 1.) then
+    invalid_arg
+      (Printf.sprintf "Fault.random_crashes: frac %g not in [0,1]" frac);
+  if max_round < 1 then
+    invalid_arg
+      (Printf.sprintf "Fault.random_crashes: max_round %d < 1" max_round);
+  let rng = Util.Prng.create ~seed in
+  let rec pick v acc =
+    if v >= n then List.rev acc
+    else if Util.Prng.bernoulli rng frac then
+      let round = 1 + Util.Prng.int rng max_round in
+      pick (v + 1) ((v, round) :: acc)
+    else pick (v + 1) acc
+  in
+  pick 0 []
+
 let churn_of_trace events =
   List.filter_map
     (fun (e : Trace.event) ->

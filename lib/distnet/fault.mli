@@ -108,6 +108,15 @@ val scripted : Trace.event list -> t
     through untouched, so replaying a trace on the same graph and
     protocol reproduces the original run bit-for-bit. *)
 
+val random_crashes :
+  seed:int -> n:int -> frac:float -> max_round:int -> (int * int) list
+(** A random crash-stop schedule for [crashes]: each node [0 .. n-1],
+    in ascending order, crashes with probability [frac] at a round
+    uniform in [1 .. max_round], all drawn from one {!Util.Prng}
+    stream seeded with [seed].  The same arguments give the same list.
+    @raise Invalid_argument if [frac] is outside [0,1] or
+    [max_round < 1]. *)
+
 val churn_of_trace : Trace.event list -> churn_event list
 (** The churn events a recorded trace contains
     ([Edge_down]/[Edge_up]/[Join], in trace order) — for feeding one

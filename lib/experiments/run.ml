@@ -996,26 +996,18 @@ let e22_recovery ?(quick = true) ~seed () =
             let faults =
               if crash_frac = 0. && drop = 0. then Distnet.Fault.none
               else
-                let crng = Util.Prng.create ~seed:(seed + 87) in
-                let crashes = ref [] in
-                for v = 0 to n - 1 do
-                  if Util.Prng.bernoulli crng crash_frac then
-                    crashes := (v, 1 + Util.Prng.int crng 1000) :: !crashes
-                done;
                 Distnet.Fault.make ~seed:(seed + 31)
                   {
                     Distnet.Fault.default_spec with
                     Distnet.Fault.drop;
-                    crashes = List.rev !crashes;
+                    crashes =
+                      Distnet.Fault.random_crashes ~seed:(seed + 87) ~n
+                        ~frac:crash_frac ~max_round:1000;
                   }
             in
             let r = Spanner.Skeleton_dist.build_with ~faults ~plan ~sampling g in
             let rc = r.Spanner.Skeleton_dist.recovery in
-            let verdict =
-              Spanner.Certify.run ~plan
-                ~witness:r.Spanner.Skeleton_dist.witness g
-                r.Spanner.Skeleton_dist.spanner
-            in
+            let verdict = Spanner.Skeleton_dist.certify ~faults g r in
             let size = Edge_set.cardinal r.Spanner.Skeleton_dist.spanner in
             let st = r.Spanner.Skeleton_dist.stats in
             [
@@ -1067,6 +1059,21 @@ let e22_recovery ?(quick = true) ~seed () =
       ];
   }
 
+(* Churn guaranteed to damage the spanner: hook edges are always
+   spanner edges, so take down [k] of [r]'s cluster-tree hook edges,
+   picked by a [seed]ed shuffle, at [round]. *)
+let hook_damage ~seed ~k ~round g (r : Spanner.Skeleton_dist.result) =
+  let w = r.Spanner.Skeleton_dist.witness in
+  let hooks =
+    Array.to_list w.Spanner.Certify.parent_edge
+    |> List.filteri (fun v _ -> w.Spanner.Certify.parent.(v) >= 0)
+    |> List.sort_uniq compare |> Array.of_list
+  in
+  Util.Prng.shuffle (Util.Prng.create ~seed) hooks;
+  List.init (Stdlib.min k (Array.length hooks)) (fun i ->
+      let u, v = Graph.edge_endpoints g hooks.(i) in
+      Distnet.Fault.Edge_down { round; u; v })
+
 (* ------------------------------------------------------------------ *)
 (* E23: incremental repair under topology churn — the local repair
    pass vs a from-scratch rebuild on the surviving graph, across a
@@ -1081,25 +1088,9 @@ let e23_churn ?(quick = true) ~seed () =
     Spanner.Sampling.draw (Util.Prng.create ~seed:(seed + 5)) ~n plan
   in
   (* The loss-free run fixes the tape and tells us which edges are
-     cluster-tree hooks: hook edges are always spanner edges, so
-     dropping them guarantees the repair pass has real damage. *)
+     cluster-tree hooks. *)
   let base = Spanner.Skeleton_dist.build_with ~plan ~sampling g in
-  let bw = base.Spanner.Skeleton_dist.witness in
-  let hooks =
-    let l = ref [] in
-    for v = n - 1 downto 0 do
-      if bw.Spanner.Certify.parent.(v) >= 0 then
-        l := bw.Spanner.Certify.parent_edge.(v) :: !l
-    done;
-    let a = Array.of_list (List.sort_uniq compare !l) in
-    Util.Prng.shuffle (Util.Prng.create ~seed:(seed + 7)) a;
-    a
-  in
-  let drop_hooks k round =
-    List.init (Stdlib.min k (Array.length hooks)) (fun i ->
-        let u, v = Graph.edge_endpoints g hooks.(i) in
-        Distnet.Fault.Edge_down { round; u; v })
-  in
+  let drop_hooks k round = hook_damage ~seed:(seed + 7) ~k ~round g base in
   (* Partition: cut the island {0 .. n/8 - 1} off, heal later. *)
   let island = n / 8 in
   let cut =
@@ -1145,15 +1136,7 @@ let e23_churn ?(quick = true) ~seed () =
             let rebuilt =
               Spanner.Skeleton_dist.build_with ~plan ~sampling survivor
             in
-            let down = Array.make (Stdlib.max 1 (Graph.m g)) false in
-            List.iter (fun e -> down.(e) <- true) dead;
-            let churned = dead <> [] in
-            let verdict =
-              Spanner.Certify.run ~plan
-                ~witness:r.Spanner.Skeleton_dist.witness
-                ~down_edge:(fun e -> churned && down.(e))
-                ~per_component:churned g r.Spanner.Skeleton_dist.spanner
-            in
+            let verdict = Spanner.Skeleton_dist.certify ~faults g r in
             let size = Edge_set.cardinal r.Spanner.Skeleton_dist.spanner in
             let rb_size =
               Edge_set.cardinal rebuilt.Spanner.Skeleton_dist.spanner
@@ -1226,34 +1209,15 @@ let e24_phase_breakdown ?(quick = true) ~seed () =
   (* As in E23: learn the cluster-tree hooks from a loss-free run so
      the churn scenario is guaranteed to damage the spanner. *)
   let base = Spanner.Skeleton_dist.build_with ~plan ~sampling g in
-  let bw = base.Spanner.Skeleton_dist.witness in
-  let hooks =
-    let l = ref [] in
-    for v = n - 1 downto 0 do
-      if bw.Spanner.Certify.parent.(v) >= 0 then
-        l := bw.Spanner.Certify.parent_edge.(v) :: !l
-    done;
-    let a = Array.of_list (List.sort_uniq compare !l) in
-    Util.Prng.shuffle (Util.Prng.create ~seed:(seed + 7)) a;
-    a
-  in
-  let churn =
-    List.init (Stdlib.min 4 (Array.length hooks)) (fun i ->
-        let u, v = Graph.edge_endpoints g hooks.(i) in
-        Distnet.Fault.Edge_down { round = 40; u; v })
-  in
+  let churn = hook_damage ~seed:(seed + 7) ~k:4 ~round:40 g base in
   let crash_faults =
-    let crng = Util.Prng.create ~seed:(seed + 87) in
-    let crashes = ref [] in
-    for v = 0 to n - 1 do
-      if Util.Prng.bernoulli crng 0.05 then
-        crashes := (v, 1 + Util.Prng.int crng 300) :: !crashes
-    done;
     Distnet.Fault.make ~seed:(seed + 31)
       {
         Distnet.Fault.default_spec with
         Distnet.Fault.drop = 0.2;
-        crashes = List.rev !crashes;
+        crashes =
+          Distnet.Fault.random_crashes ~seed:(seed + 87) ~n ~frac:0.05
+            ~max_round:300;
       }
   in
   let churn_faults =
@@ -1329,21 +1293,8 @@ let e25_serving ?(quick = true) ~seed () =
   let g = Gen.connected_gnp rng ~n ~p:(8. /. float_of_int n) in
   let base = Spanner.Skeleton_dist.build ~seed g in
   let spanner = base.Spanner.Skeleton_dist.spanner in
-  (* Churn that is guaranteed to damage the spanner: down two
-     cluster-tree hook edges (as E23/E24 do). *)
-  let churn =
-    let bw = base.Spanner.Skeleton_dist.witness in
-    let hooks = ref [] in
-    for v = n - 1 downto 0 do
-      if bw.Spanner.Certify.parent.(v) >= 0 then
-        hooks := bw.Spanner.Certify.parent_edge.(v) :: !hooks
-    done;
-    let a = Array.of_list (List.sort_uniq compare !hooks) in
-    Util.Prng.shuffle (Util.Prng.create ~seed:(seed + 7)) a;
-    List.init (Stdlib.min 2 (Array.length a)) (fun i ->
-        let u, v = Graph.edge_endpoints g a.(i) in
-        Distnet.Fault.Edge_down { round = 40; u; v })
-  in
+  (* Churn that is guaranteed to damage the spanner, as in E23/E24. *)
+  let churn = hook_damage ~seed:(seed + 7) ~k:2 ~round:40 g base in
   let workload zipf =
     Serve.Workload.generate ~seed:(seed + 41) ~n
       { Serve.Workload.queries; zipf; route_frac = 0.25 }
@@ -1354,30 +1305,19 @@ let e25_serving ?(quick = true) ~seed () =
       Serve.Snapshot.build ~generation:0 ~k ~seed ~routing:true g spanner
     in
     let server = Serve.Server.create snap0 in
+    let rebuild () =
+      let faults =
+        Distnet.Fault.make ~seed:(seed + 31) ~graph:g
+          { Distnet.Fault.default_spec with Distnet.Fault.churn }
+      in
+      let rr = Spanner.Skeleton_dist.build ~faults ~seed g in
+      Serve.Snapshot.build ~generation:1 ~k ~seed ~routing:true
+        ~exclude:rr.Spanner.Skeleton_dist.dead_edges g
+        rr.Spanner.Skeleton_dist.spanner
+    in
     let rep =
-      if not churned then Serve.Server.run server w
-      else begin
-        let total = Array.length w in
-        let s1 = total / 3 and s2 = total / 3 in
-        let r1 = Serve.Server.run ~first:0 ~count:s1 server w in
-        Serve.Server.mark_dirty server;
-        let r2 = Serve.Server.run ~first:s1 ~count:s2 server w in
-        let faults =
-          Distnet.Fault.make ~seed:(seed + 31) ~graph:g
-            { Distnet.Fault.default_spec with Distnet.Fault.churn }
-        in
-        let rr = Spanner.Skeleton_dist.build ~faults ~seed g in
-        let snap1 =
-          Serve.Snapshot.build ~generation:1 ~k ~seed ~routing:true
-            ~exclude:rr.Spanner.Skeleton_dist.dead_edges g
-            rr.Spanner.Skeleton_dist.spanner
-        in
-        Serve.Server.publish server snap1;
-        let r3 =
-          Serve.Server.run ~first:(s1 + s2) ~count:(total - s1 - s2) server w
-        in
-        Serve.Server.merge [ r1; r2; r3 ]
-      end
+      if churned then Serve.Server.run_swap server w ~rebuild
+      else Serve.Server.run server w
     in
     let a =
       Serve.Server.audit ~samples:64 ~seed:(seed + 53)
@@ -1449,20 +1389,9 @@ let e26_resilience_sweep ?(quick = true) ~seed:_ () =
       match agg.Scenario.Sweep.failures with
       | [] -> "-"
       | r :: _ ->
-          let tag =
-            match r.Scenario.Sweep.outcome with
-            | Scenario.Sweep.Failed f -> Scenario.Sweep.failure_tag f
-            | Scenario.Sweep.Certified _ -> "?"
-          in
-          let fails p =
-            match (Scenario.Sweep.run_plan p).Scenario.Sweep.outcome with
-            | Scenario.Sweep.Failed f' -> Scenario.Sweep.failure_tag f' = tag
-            | Scenario.Sweep.Certified _ -> false
-          in
-          let plan = r.Scenario.Sweep.plan in
-          let s = Scenario.Shrink.shrink ~max_evals:80 ~fails plan in
+          let s = Scenario.Sweep.shrink ~max_evals:80 r in
           Printf.sprintf "%d->%d%s"
-            (Scenario.Shrink.weight plan)
+            (Scenario.Shrink.weight r.Scenario.Sweep.plan)
             (Scenario.Shrink.weight s.Scenario.Shrink.plan)
             (if s.Scenario.Shrink.verified then "" else "?")
     in
@@ -1579,16 +1508,7 @@ let e27_crash_recovery ?(quick = true) ~seed () =
             let rebuilt =
               Spanner.Skeleton_dist.build_with ~plan ~sampling survivor
             in
-            let down = Array.make (Stdlib.max 1 (Graph.m g)) false in
-            List.iter
-              (fun e -> down.(e) <- true)
-              r.Spanner.Skeleton_dist.dead_edges;
-            let verdict =
-              Spanner.Certify.run ~plan
-                ~witness:r.Spanner.Skeleton_dist.witness
-                ~down_edge:(fun e -> down.(e))
-                ~per_component:true g r.Spanner.Skeleton_dist.spanner
-            in
+            let verdict = Spanner.Skeleton_dist.certify ~faults g r in
             let size = Edge_set.cardinal r.Spanner.Skeleton_dist.spanner in
             let rb_size =
               Edge_set.cardinal rebuilt.Spanner.Skeleton_dist.spanner

@@ -25,8 +25,9 @@
 
     An instrument is identified by its name {e and} its label set:
     asking twice for the same (name, labels) pair returns the same
-    underlying cell (this is what {!Scope} relies on), while the same
-    name under different labels is a distinct time series. *)
+    underlying cell, so instrumented code can ask again at each use,
+    while the same name under different labels is a distinct time
+    series. *)
 
 type t
 (** A registry, or the shared no-op sink. *)

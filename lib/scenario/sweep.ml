@@ -58,9 +58,49 @@ let empty_report plan failure =
     dead_letters = 0;
   }
 
-let run_plan ?(metrics = Obs.Metrics.disabled) plan =
+(* The serve audit of the plan's workload, answered from a snapshot
+   of the finished spanner without its dead edges. *)
+let serve_audit plan g (r : Spanner.Skeleton_dist.result) w =
+  let snapshot =
+    Serve.Snapshot.build
+      ~routing:(w.Serve.Workload.route_frac > 0.)
+      ~exclude:r.Spanner.Skeleton_dist.dead_edges g
+      r.Spanner.Skeleton_dist.spanner
+  in
+  Serve.Server.audit snapshot
+    (Serve.Workload.generate ~seed:plan.Compile.workload_seed ~n:(Graph.n g) w)
+
+(* Why a finished run fails, in order: its first failing certification
+   check, the round budget, then the serve audit of its workload. *)
+let judge plan g (r : Spanner.Skeleton_dist.result) verdict =
+  let rounds = r.Spanner.Skeleton_dist.stats.Distnet.Sim.rounds in
+  match
+    List.find_opt
+      (fun c -> not c.Spanner.Certify.ok)
+      verdict.Spanner.Certify.checks
+  with
+  | Some c -> Some (Cert_failed c.Spanner.Certify.name)
+  | None -> (
+      match (plan.Compile.budget_rounds, plan.Compile.workload) with
+      | Some budget, _ when rounds > budget ->
+          Some (Over_budget { rounds; budget })
+      | _, None -> None
+      | _, Some w -> (
+          match serve_audit plan g r w with
+          | exception e -> Some (Crashed (Printexc.to_string e))
+          | a when Serve.Server.audit_ok a -> None
+          | a ->
+              Some
+                (Serve_failed
+                   {
+                     sampled = a.Serve.Server.sampled;
+                     failures = a.Serve.Server.failures;
+                   })))
+
+let run_plan ?metrics plan =
+  let crashed e = empty_report plan (Crashed (Printexc.to_string e)) in
   match Compile.graph_of plan with
-  | exception e -> empty_report plan (Crashed (Printexc.to_string e))
+  | exception e -> crashed e
   | g -> (
       match Compile.faults ~graph:g plan with
       | exception Invalid_argument msg -> empty_report plan (Crashed msg)
@@ -75,109 +115,46 @@ let run_plan ?(metrics = Obs.Metrics.disabled) plan =
                 messages = stats.Distnet.Sim.messages;
                 words = stats.Distnet.Sim.words;
               }
-          | exception e -> empty_report plan (Crashed (Printexc.to_string e))
+          | exception e -> crashed e
           | r -> (
-              let stats = r.Spanner.Skeleton_dist.stats in
-              let rc = r.Spanner.Skeleton_dist.recovery in
-              (* The repair pass runs under churn or restarts; either
-                 way the surviving graph may be partitioned, so the
-                 audit needs a source per component. *)
-              let repaired =
-                Distnet.Fault.has_churn faults
-                || Distnet.Fault.has_restarts faults
-              in
-              let down = Array.make (Stdlib.max 1 (Graph.m g)) false in
-              List.iter
-                (fun e -> down.(e) <- true)
-                r.Spanner.Skeleton_dist.dead_edges;
-              match
-                Spanner.Certify.run
-                  ~down_edge:(fun e -> repaired && down.(e))
-                  ~per_component:repaired ~metrics
-                  ~plan:r.Spanner.Skeleton_dist.plan
-                  ~witness:r.Spanner.Skeleton_dist.witness g
-                  r.Spanner.Skeleton_dist.spanner
-              with
-              | exception e -> empty_report plan (Crashed (Printexc.to_string e))
+              match Spanner.Skeleton_dist.certify ?metrics ~faults g r with
+              | exception e -> crashed e
               | verdict ->
-                  let base =
-                    {
-                      plan;
-                      outcome =
-                        Certified
-                          r.Spanner.Skeleton_dist.repair
-                            .Spanner.Skeleton_dist.outcome;
-                      rounds = stats.Distnet.Sim.rounds;
-                      messages = stats.Distnet.Sim.messages;
-                      words = stats.Distnet.Sim.words;
-                      spanner_edges =
-                        Edge_set.cardinal r.Spanner.Skeleton_dist.spanner;
-                      max_stretch = verdict.Spanner.Certify.max_stretch;
-                      stretch_bound = verdict.Spanner.Certify.stretch_bound;
-                      crashed = rc.Spanner.Skeleton_dist.crashed;
-                      rejoined = verdict.Spanner.Certify.rejoined;
-                      retransmissions =
-                        rc.Spanner.Skeleton_dist.retransmissions;
-                      dead_letters = rc.Spanner.Skeleton_dist.dead_letters;
-                    }
-                  in
-                  if not (Spanner.Certify.ok verdict) then
-                    let first =
-                      List.find
-                        (fun c -> not c.Spanner.Certify.ok)
-                        verdict.Spanner.Certify.checks
-                    in
-                    { base with outcome = Failed (Cert_failed first.Spanner.Certify.name) }
-                  else
-                    let over_budget =
-                      match plan.Compile.budget_rounds with
-                      | Some budget when stats.Distnet.Sim.rounds > budget ->
-                          Some
-                            (Over_budget
-                               { rounds = stats.Distnet.Sim.rounds; budget })
-                      | _ -> None
-                    in
-                    (match over_budget with
-                    | Some f -> { base with outcome = Failed f }
-                    | None -> (
-                        match plan.Compile.workload with
-                        | None -> base
-                        | Some w -> (
-                            match
-                              let snapshot =
-                                Serve.Snapshot.build
-                                  ~routing:(w.Serve.Workload.route_frac > 0.)
-                                  ~exclude:r.Spanner.Skeleton_dist.dead_edges g
-                                  r.Spanner.Skeleton_dist.spanner
-                              in
-                              let queries =
-                                Serve.Workload.generate
-                                  ~seed:plan.Compile.workload_seed
-                                  ~n:(Graph.n g) w
-                              in
-                              Serve.Server.audit snapshot queries
-                            with
-                            | exception e ->
-                                {
-                                  base with
-                                  outcome =
-                                    Failed (Crashed (Printexc.to_string e));
-                                }
-                            | audit ->
-                                if Serve.Server.audit_ok audit then base
-                                else
-                                  {
-                                    base with
-                                    outcome =
-                                      Failed
-                                        (Serve_failed
-                                           {
-                                             sampled =
-                                               audit.Serve.Server.sampled;
-                                             failures =
-                                               audit.Serve.Server.failures;
-                                           });
-                                  }))))))
+                  let stats = r.Spanner.Skeleton_dist.stats in
+                  let rc = r.Spanner.Skeleton_dist.recovery in
+                  {
+                    plan;
+                    outcome =
+                      (match judge plan g r verdict with
+                      | Some f -> Failed f
+                      | None ->
+                          Certified
+                            r.Spanner.Skeleton_dist.repair
+                              .Spanner.Skeleton_dist.outcome);
+                    rounds = stats.Distnet.Sim.rounds;
+                    messages = stats.Distnet.Sim.messages;
+                    words = stats.Distnet.Sim.words;
+                    spanner_edges =
+                      Edge_set.cardinal r.Spanner.Skeleton_dist.spanner;
+                    max_stretch = verdict.Spanner.Certify.max_stretch;
+                    stretch_bound = verdict.Spanner.Certify.stretch_bound;
+                    crashed = rc.Spanner.Skeleton_dist.crashed;
+                    rejoined = verdict.Spanner.Certify.rejoined;
+                    retransmissions = rc.Spanner.Skeleton_dist.retransmissions;
+                    dead_letters = rc.Spanner.Skeleton_dist.dead_letters;
+                  })))
+
+let shrink ?max_evals report =
+  match report.outcome with
+  | Certified _ -> invalid_arg "Sweep.shrink: the report is certified"
+  | Failed f ->
+      let tag = failure_tag f in
+      let fails p =
+        match (run_plan p).outcome with
+        | Failed f' -> failure_tag f' = tag
+        | Certified _ -> false
+      in
+      Shrink.shrink ?max_evals ~fails report.plan
 
 (* ------------------------------------------------------------------ *)
 (* Aggregation *)

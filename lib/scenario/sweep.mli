@@ -7,8 +7,9 @@
     judged:
 
     - a run that gets {b stuck}, exceeds the plan's {b round budget},
-      fails {b certification} (subset/forest/contribution/stretch,
-      per-component under churn), or fails the {b serve audit} of its
+      fails {b certification} ({!Spanner.Skeleton_dist.certify}:
+      subset/forest/contribution/stretch, per component under churn
+      or restarts), or fails the {b serve audit} of its
       workload is a FAIL carrying the reason;
     - otherwise the run lands on the repair ladder
       ([intact]/[patched]/[degraded]/[partitioned]) — all four rungs
@@ -16,7 +17,7 @@
       amounts of size and service.
 
     Runs are deterministic, so a FAIL is exactly reproducible from its
-    plan; the sweep driver hands failing plans to {!Shrink}. *)
+    plan, and {!shrink} minimizes it. *)
 
 (** Why a run failed. *)
 type failure =
@@ -54,6 +55,12 @@ val run_plan : ?metrics:Obs.Metrics.t -> Compile.plan -> report
     [Failed] outcome.  [metrics] flows into certification
     ([certify_checks]); the sweep-level counters below are the
     caller's ({!run}'s) business. *)
+
+val shrink : ?max_evals:int -> report -> Shrink.result
+(** Minimize a FAILed report's plan with {!Shrink.shrink}: a candidate
+    plan fails when {!run_plan} FAILs it with the same {!failure_tag}.
+    [max_evals] is {!Shrink.shrink}'s.
+    @raise Invalid_argument on a certified report. *)
 
 type aggregate = {
   scenario : string;

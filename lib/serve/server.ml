@@ -192,6 +192,15 @@ let merge reports =
       |> List.sort compare;
   }
 
+let run_swap t queries ~rebuild =
+  let third = Array.length queries / 3 in
+  let fresh = run ~first:0 ~count:third t queries in
+  mark_dirty t;
+  let stale = run ~first:third ~count:third t queries in
+  publish t (rebuild ());
+  let rest = run ~first:(2 * third) t queries in
+  merge [ fresh; stale; rest ]
+
 let pp_report ppf r =
   Format.fprintf ppf "served %d queries, %d failed, %d stale@." r.answered
     r.failed r.stale;

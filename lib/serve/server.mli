@@ -68,6 +68,15 @@ val merge : report list -> report
 (** Combined report of consecutive batches (latencies re-sorted,
     per-generation tallies summed). *)
 
+val run_swap :
+  t -> Workload.query array -> rebuild:(unit -> Snapshot.t) -> report
+(** The swap flow under churn: answer the first third of [queries]
+    fresh, {!mark_dirty}, answer the second third stale, {!publish}
+    [rebuild ()], answer the rest from the new snapshot, and {!merge}
+    the three batches.  [rebuild] runs once, after the stale third,
+    while the server's epoch is ahead of its generation.
+    @raise Invalid_argument as {!publish} does. *)
+
 val pp_report : Format.formatter -> report -> unit
 (** Deterministic summary lines (counts, generations, staleness) —
     no timings, so output is pinnable. *)

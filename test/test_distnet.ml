@@ -198,7 +198,20 @@ let test_crash_stops_node () =
   let _, dist = Protocols.reliable_bfs ~faults g ~root:0 in
   checki "node 1 reached" 1 dist.(1);
   checki "crashed node frozen" (-1) dist.(2);
-  checki "behind the crash" (-1) dist.(3)
+  checki "behind the crash" (-1) dist.(3);
+  (* A random crash schedule is a function of its seed: nodes
+     ascending, rounds in [1, max_round]. *)
+  let crashes frac = Fault.random_crashes ~seed:7 ~n:50 ~frac ~max_round:20 in
+  let picks = crashes 0.3 in
+  checkb "same seed, same schedule" true (picks = crashes 0.3);
+  checkb "some nodes crash" true (picks <> []);
+  checkb "nodes ascending" true
+    (List.map fst picks = List.sort_uniq compare (List.map fst picks));
+  checkb "rounds in [1, max_round]" true
+    (List.for_all (fun (_, r) -> r >= 1 && r <= 20) picks);
+  checkb "frac 0 crashes nobody" true (crashes 0. = []);
+  checkb "frac 1 crashes everybody" true
+    (List.map fst (crashes 1.) = List.init 50 Fun.id)
 
 let test_reliable_bfs_loss_free_matches () =
   let r = rng () in

@@ -1,5 +1,5 @@
 (* Tests for the observability layer: metrics registry semantics,
-   scopes, the per-phase report, and — the property the whole design
+   the per-phase report, and — the property the whole design
    hangs on — that instrumenting a run does not change it. *)
 
 module M = Obs.Metrics
@@ -146,46 +146,17 @@ let test_save_load_roundtrip () =
   | _ -> Alcotest.fail "histogram roundtrip"
 
 (* ------------------------------------------------------------------ *)
-(* Scope *)
-
-let test_scope_labels () =
-  let r = M.create () in
-  let root = Obs.Scope.of_registry r in
-  let ph = Obs.Scope.phase root "wave" in
-  let nd = Obs.Scope.node ph 3 in
-  M.incr (Obs.Scope.counter nd "sends");
-  (match
-     M.find (M.snapshot r) ~labels:[ ("node", "3"); ("phase", "wave") ] "sends"
-   with
-  | Some { M.value = M.Counter 1; _ } -> ()
-  | _ -> Alcotest.fail "scope labels compose");
-  (* refinement overrides: same key keeps the innermost binding *)
-  let ph2 = Obs.Scope.phase ph "notify" in
-  M.incr (Obs.Scope.counter ph2 "sends");
-  match M.find (M.snapshot r) ~labels:[ ("phase", "notify") ] "sends" with
-  | Some { M.value = M.Counter 1; _ } -> ()
-  | _ -> Alcotest.fail "inner phase wins"
-
-let test_scope_disabled () =
-  let s = Obs.Scope.disabled in
-  checkb "disabled" false (Obs.Scope.enabled s);
-  let s' = Obs.Scope.phase s "wave" in
-  checki "no labels accumulate" 0 (List.length (Obs.Scope.labels s'));
-  M.incr (Obs.Scope.counter s' "x")
-
-(* ------------------------------------------------------------------ *)
 (* Report *)
 
 let test_phase_table_totals () =
   let r = M.create () in
-  let sc = Obs.Scope.of_registry r in
   List.iter
     (fun (name, rounds, msgs, words, maxw) ->
-      let p = Obs.Scope.phase sc name in
-      M.add (Obs.Scope.counter p "phase_rounds") rounds;
-      M.add (Obs.Scope.counter p "phase_messages") msgs;
-      M.add (Obs.Scope.counter p "phase_words") words;
-      M.set_max (Obs.Scope.gauge p "phase_max_message_words") maxw)
+      let labels = [ ("phase", name) ] in
+      M.add (M.counter r ~labels "phase_rounds") rounds;
+      M.add (M.counter r ~labels "phase_messages") msgs;
+      M.add (M.counter r ~labels "phase_words") words;
+      M.set_max (M.gauge r ~labels "phase_max_message_words") maxw)
     [ ("exchange", 10, 100, 250, 3); ("wave", 5, 40, 41, 2) ];
   let rows = Obs.Report.phase_rows (M.snapshot r) in
   checki "two rows" 2 (List.length rows);
@@ -298,11 +269,6 @@ let suite =
           test_snapshot_order_and_find;
         Alcotest.test_case "save/load roundtrip" `Quick
           test_save_load_roundtrip;
-      ] );
-    ( "obs.scope",
-      [
-        Alcotest.test_case "label composition" `Quick test_scope_labels;
-        Alcotest.test_case "disabled scope" `Quick test_scope_disabled;
       ] );
     ( "obs.report",
       [

@@ -363,7 +363,30 @@ let test_sweep_over_budget_fails_and_replays () =
           checkb "replay reproduces the failure class" true
             (match rep'.Sweep.outcome with
             | Sweep.Failed (Sweep.Over_budget _) -> true
-            | _ -> false)
+            | _ -> false);
+          (* Shrinking keeps the failure class and never grows the plan. *)
+          let s = Sweep.shrink rep in
+          checkb "shrunk plan verified" true s.Shrink.verified;
+          checkb "shrunk plan no heavier" true
+            (Shrink.weight s.Shrink.plan <= Shrink.weight rep.Sweep.plan);
+          checkb "shrunk plan still over budget" true
+            (match (Sweep.run_plan s.Shrink.plan).Sweep.outcome with
+            | Sweep.Failed (Sweep.Over_budget _) -> true
+            | _ -> false);
+          let certified =
+            Sweep.run_plan
+              (Compile.compile
+                 (Option.get (Spec.builtin "bursty-loss"))
+                 ~sample:0)
+          in
+          checkb "a certified report is refused" true
+            (match certified.Sweep.outcome with
+            | Sweep.Certified _ -> (
+                try
+                  ignore (Sweep.shrink certified);
+                  false
+                with Invalid_argument _ -> true)
+            | Sweep.Failed _ -> false)
       | o ->
           Alcotest.failf "expected over-budget, got %s"
             (match o with

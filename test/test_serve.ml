@@ -290,7 +290,23 @@ let test_server_swap_and_staleness () =
     (try
        Server.publish srv (Snapshot.build ~generation:1 ~k:2 ~seed:1 g (spanner_of g));
        false
-     with Invalid_argument _ -> true)
+     with Invalid_argument _ -> true);
+  (* The same flow as one call, on a fresh server: [rebuild] runs once,
+     while the second third is being served stale. *)
+  let g, srv = make_server 60 in
+  let rebuilds = ref [] in
+  let rebuild () =
+    rebuilds := (Server.epoch srv, Server.generation srv) :: !rebuilds;
+    Snapshot.build ~generation:1 ~k:2 ~seed:1 g (spanner_of g)
+  in
+  let m = Server.run_swap srv w ~rebuild in
+  checkb "rebuild ran once at epoch 1, generation 0" true
+    (!rebuilds = [ (1, 0) ]);
+  checki "run_swap stale" 100 m.Server.stale;
+  checki "run_swap one swap" 1 (Server.swaps srv);
+  match m.Server.by_generation with
+  | [ (0, 100, 100); (1, 100, 0) ] -> ()
+  | _ -> Alcotest.fail "run_swap per-generation tallies wrong"
 
 let test_server_failed_counts_disconnected () =
   let g = G.of_edges ~n:4 [ (0, 1); (2, 3) ] in

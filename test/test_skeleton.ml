@@ -578,13 +578,6 @@ let first_hook_edge (r : Skeleton_dist.result) =
     r.Skeleton_dist.witness.Certify.parent_edge;
   !e
 
-let certify_churned (r : Skeleton_dist.result) g =
-  let down = Array.make (Stdlib.max 1 (G.m g)) false in
-  List.iter (fun e -> down.(e) <- true) r.Skeleton_dist.dead_edges;
-  Certify.run ~plan:r.Skeleton_dist.plan ~witness:r.Skeleton_dist.witness
-    ~down_edge:(fun e -> down.(e))
-    ~per_component:true g r.Skeleton_dist.spanner
-
 let test_churn_edge_kill_repaired_locally () =
   let g = Gen.connected_gnp (Util.Prng.create ~seed:21) ~n:96 ~p:0.07 in
   let plan = Plan.make ~n:(G.n g) () in
@@ -612,7 +605,7 @@ let test_churn_edge_kill_repaired_locally () =
     true
     (rp.Skeleton_dist.repair_rounds < base.Skeleton_dist.stats.Distnet.Sim.rounds);
   checkb "certifier accepts the repaired output" true
-    (Certify.ok (certify_churned r g))
+    (Certify.ok (Skeleton_dist.certify ~faults g r))
 
 let test_churn_healed_partition_ends_patched () =
   (* A partition that heals plus one permanent spanner-edge kill: the
@@ -640,7 +633,7 @@ let test_churn_healed_partition_ends_patched () =
   let rp = r.Skeleton_dist.repair in
   checkb "outcome is patched" true (rp.Skeleton_dist.outcome = Skeleton_dist.Patched);
   checki "one component after the heal" 1 rp.Skeleton_dist.components;
-  let verdict = certify_churned r g in
+  let verdict = Skeleton_dist.certify ~faults g r in
   checkb "certifier passes after the heal" true (Certify.ok verdict)
 
 let test_churn_partition_never_heals () =
@@ -663,7 +656,7 @@ let test_churn_partition_never_heals () =
   checkb "ladder reports the partition" true
     (rp.Skeleton_dist.outcome = Skeleton_dist.Partitioned 2);
   checki "two live components" 2 rp.Skeleton_dist.components;
-  let verdict = certify_churned r g in
+  let verdict = Skeleton_dist.certify ~faults g r in
   checki "certifier sees both components" 2 verdict.Certify.components;
   checkb "each island certifies" true (Certify.ok verdict)
 
