@@ -36,6 +36,23 @@ let baseline = ref None
 let tolerance = ref 0.25
 let profile = ref false
 
+(* A bad argument is one [bench:] line and exit 2, before any bench
+   runs. *)
+let usage_error fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_endline ("bench: " ^ msg);
+      exit 2)
+    fmt
+
+let number parse ~what flag v =
+  match parse v with
+  | Some x -> x
+  | None -> usage_error "%s %s is not %s" flag v what
+
+let int_arg = number int_of_string_opt ~what:"an integer"
+let float_arg = number float_of_string_opt ~what:"a number"
+
 let parse_args args =
   let rec go = function
     | [] -> ()
@@ -53,7 +70,7 @@ let parse_args args =
         tables := false;
         go rest
     | "--seed" :: v :: rest ->
-        seed := int_of_string v;
+        seed := int_arg "--seed" v;
         go rest
     | "--only" :: id :: rest ->
         only := Some id;
@@ -62,14 +79,12 @@ let parse_args args =
         baseline := Some file;
         go rest
     | "--tolerance" :: v :: rest ->
-        tolerance := float_of_string v;
+        tolerance := float_arg "--tolerance" v;
         go rest
     | "--profile" :: rest ->
         profile := true;
         go rest
-    | arg :: _ ->
-        Printf.eprintf "unknown argument %s\n" arg;
-        exit 2
+    | arg :: _ -> usage_error "unknown argument %s" arg
   in
   go args
 
@@ -319,10 +334,6 @@ let compare_baseline ~file rows =
   (* Under --json the comparison goes to stderr so stdout stays valid
      JSON; the exit code carries the verdict either way. *)
   let ppf = if !json then Format.err_formatter else Format.std_formatter in
-  if parse_baseline file = [] then begin
-    Printf.eprintf "bench: no timings found in baseline %s\n" file;
-    exit 2
-  end;
   let timed, slow =
     gate ppf ~file ~what:"wall time" ~field:"ns_per_run" ~tol:!tolerance
       (List.map (fun (name, ns, _) -> (name, ns)) rows)
@@ -482,7 +493,7 @@ let history args =
         current := Some file;
         go rest
     | "--tolerance" :: v :: rest ->
-        tolerance := float_of_string v;
+        tolerance := float_arg "--tolerance" v;
         go rest
     | arg :: _ ->
         Printf.eprintf "bench history: unknown argument %s\n" arg;
@@ -561,6 +572,15 @@ let () =
       exit 0
   | _ :: rest -> parse_args rest
   | [] -> ());
+  (* A baseline that cannot be read, or holds no timings, fails before
+     the benches run rather than after. *)
+  Option.iter
+    (fun file ->
+      match parse_baseline file with
+      | [] -> usage_error "no timings found in baseline %s" file
+      | _ -> ()
+      | exception Sys_error msg -> usage_error "%s" msg)
+    !baseline;
   (* Validate --only up front, whatever passes run: an unknown id must
      fail loudly (exit 2), not silently bench nothing under --json. *)
   (match !only with

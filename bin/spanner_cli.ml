@@ -36,8 +36,23 @@ let kind_arg =
 
 let n_arg = Arg.(value & opt int 2000 & info [ "n" ] ~docv:"N" ~doc:"Vertex count.")
 
+(* A parameter's converter with the library's bound on it: a value out
+   of range is a usage error naming the option, before any work. *)
+let checked conv ~want ok =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok x when not (ok x) -> Error (`Msg (Printf.sprintf "%s is not %s" s want))
+    | r -> r
+  in
+  Arg.conv (parse, Arg.conv_printer conv)
+
+let at_least lo =
+  checked Arg.int ~want:(Printf.sprintf ">= %d" lo) (fun x -> x >= lo)
+
+let fraction = checked Arg.float ~want:"in [0, 1]" (fun f -> f >= 0. && f <= 1.)
+
 let p_arg =
-  Arg.(value & opt float 0.005 & info [ "p" ] ~docv:"P" ~doc:"G(n,p) edge probability.")
+  Arg.(value & opt fraction 0.005 & info [ "p" ] ~docv:"P" ~doc:"G(n,p) edge probability.")
 
 let seed_arg = Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
 
@@ -68,21 +83,6 @@ let gen_cmd =
 
 (* ------------------------------------------------------------------ *)
 (* build *)
-
-(* A parameter's converter with the library's bound on it: a value out
-   of range is a usage error naming the option, before any work. *)
-let checked conv ~want ok =
-  let parse s =
-    match Arg.conv_parser conv s with
-    | Ok x when not (ok x) -> Error (`Msg (Printf.sprintf "%s is not %s" s want))
-    | r -> r
-  in
-  Arg.conv (parse, Arg.conv_printer conv)
-
-let at_least lo =
-  checked Arg.int ~want:(Printf.sprintf ">= %d" lo) (fun x -> x >= lo)
-
-let fraction = checked Arg.float ~want:"in [0, 1]" (fun f -> f >= 0. && f <= 1.)
 
 let k_arg =
   Arg.(value & opt (at_least 1) 3 & info [ "k"; "levels" ] ~docv:"K" ~doc:"Stretch parameter (2k-1).")
@@ -591,7 +591,7 @@ let simulate_cmd =
   let phase_limit =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some (at_least 1)) None
       & info [ "phase-limit" ] ~docv:"N"
           ~doc:
             "Abort a skeleton phase after N rounds with a structured stuck \
@@ -805,10 +805,7 @@ let simulate_cmd =
                   rc.Spanner.Skeleton_dist.checkpoints
                   rc.Spanner.Skeleton_dist.retransmissions
                   rc.Spanner.Skeleton_dist.dead_letters;
-              if
-                Distnet.Fault.has_churn faults
-                || Distnet.Fault.has_restarts faults
-              then begin
+              if Spanner.Skeleton_dist.repairs faults then begin
                 let rp = r.Spanner.Skeleton_dist.repair in
                 Format.printf
                   "repair: %a (%d dead spanner edges, %d rehooked, %d \
@@ -1688,7 +1685,7 @@ let sweep_cmd =
   let shrink_evals =
     Arg.(
       value
-      & opt int 80
+      & opt (at_least 0) 80
       & info [ "shrink-evals" ] ~docv:"N"
           ~doc:"Candidate-run budget per shrink.")
   in

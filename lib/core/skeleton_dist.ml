@@ -158,6 +158,8 @@ type node = {
   mutable alive : bool;
   mutable cl_center : int;
   mutable cl_fu : int;
+  mutable ck_cl : int;  (** checkpointed [cl_center]; -1 = none yet *)
+  mutable ck_fu : int;  (** checkpointed [cl_fu] *)
   mutable p1 : int;  (** parent towards the contracted vertex's center *)
   mutable p1_children : int list;
   mutable p2 : int;  (** parent towards the cluster's center *)
@@ -222,6 +224,8 @@ let fresh_node g id =
     alive = true;
     cl_center = id;
     cl_fu = 0;
+    ck_cl = -1;
+    ck_fu = -1;
     p1 = -1;
     p1_children = [];
     p2 = -1;
@@ -278,10 +282,6 @@ let is_dead nd w =
   let i = nb_index nd w in
   i >= 0 && nd.nb_dead.(i)
 
-let mark_dead nd w =
-  let i = nb_index nd w in
-  if i >= 0 then nd.nb_dead.(i) <- true
-
 (* [f w] for every peer [w] a waiting set still holds. *)
 let await_keys tbl f = Itbl.iter (fun w () -> f w) tbl
 
@@ -297,6 +297,17 @@ let heard_exchange nd w =
     nd.ex_waiting.(i) <- false;
     nd.ex_pending <- nd.ex_pending - 1
   end
+
+(* Back to the last exchange-boundary checkpoint, if there is one. *)
+let restore nd =
+  if nd.ck_cl >= 0 then begin
+    nd.cl_center <- nd.ck_cl;
+    nd.cl_fu <- nd.ck_fu
+  end
+
+(* [l] without [w].  An empty list comes back as is: the scrub of a
+   childless node then allocates no filter closure. *)
+let forget (w : int) = function [] -> [] | l -> List.filter (fun c -> c <> w) l
 
 (* Empty a node's per-call scratch in place for the next call. *)
 let reset_call_scratch nd =
@@ -319,6 +330,8 @@ let reset_call_scratch nd =
   nd.fin_src_done <- false;
   nd.fin_done_sent <- false;
   nd.fin_aborting <- false
+
+let repairs faults = Fault.has_churn faults || Fault.has_restarts faults
 
 let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
     ?(spans = Obs.Span.disabled) ?phase_round_limit ~plan ~sampling g =
@@ -346,7 +359,7 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
      fragment instead of leaving it on the keep-all rung. *)
   let orphan_detached = Array.make n false in
   let det = Recovery.Detector.create ~n in
-  let ckpt = Recovery.Checkpoints.create ~n in
+  let checkpoints = ref 0 in
   let orphans = ref 0 in
   let recovered_edges = ref 0 in
   let suspicion_events = ref 0 in
@@ -463,30 +476,25 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
   (* Deferred p2 (un)registrations, flushed in their own phase to keep
      the one-message-per-link-per-round rule easy to respect. *)
   let notifications = ref [] in
+  (* Point [nd]'s [p2] and witness labels at [target] (-1: none).  The
+     repair pass calls it directly: by then the (un)registration
+     traffic of [set_p2] has shut down. *)
+  let hook nd target =
+    nd.p2 <- target;
+    parent.(nd.id) <- target;
+    parent_edge.(nd.id) <- (if target >= 0 then edge_to nd target else -1)
+  in
   let set_p2 nd target =
     if nd.p2 <> target then begin
       if nd.p2 >= 0 then
         notifications := (nd.id, nd.p2, P2_unregister) :: !notifications;
       if target >= 0 then
         notifications := (nd.id, target, P2_register) :: !notifications;
-      nd.p2 <- target;
-      parent.(nd.id) <- target;
-      parent_edge.(nd.id) <-
-        (if target >= 0 then edge_to nd target else -1)
+      hook nd target
     end
   in
 
   (* ---------------- incremental repair helpers ---------------- *)
-
-  (* Repair runs after the protocol's own registration machinery has
-     shut down, so hook updates rewrite the witness labels directly —
-     no deferred (un)registration traffic. *)
-  let rp_set_parent nd target =
-    nd.p2 <- target;
-    parent.(nd.id) <- target;
-    parent_edge.(nd.id) <-
-      (if target >= 0 then edge_to nd target else -1)
-  in
 
   (* Forward the fragment-local minimum up the repair tree once every
      awaited child has reported (or been given up on). *)
@@ -516,10 +524,10 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
     | Some (edge, peer) ->
         if nd.rp_best_from < 0 then begin
           keep ~who:nd.id edge;
-          rp_set_parent nd peer
+          hook nd peer
         end
         else begin
-          rp_set_parent nd nd.rp_best_from;
+          hook nd nd.rp_best_from;
           emit ~src:nd.id ~dst:nd.rp_best_from Repair_on_path
         end
   in
@@ -543,15 +551,11 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
      intra-cluster edges, because a crash can sever the cluster tree
      itself (DESIGN.md, recovery model) — and leave the algorithm at
      this call's death-notice phase.  Size degrades; stretch does not. *)
-  let rec do_orphan nd =
+  let do_orphan nd =
     if nd.alive && not nd.orphaned then begin
       nd.orphaned <- true;
       incr orphans;
-      (match Recovery.Checkpoints.restore ckpt nd.id with
-      | Some (cl, fu) ->
-          nd.cl_center <- cl;
-          nd.cl_fu <- fu
-      | None -> ());
+      restore nd;
       (* The hook label is stale the moment the path to the root is
          gone: a concurrent decision wave may already have flipped the
          parent on the far side to point at us, and keeping our old
@@ -573,10 +577,11 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
           if not (is_dead nd c) then emit ~src:nd.id ~dst:c Orphan)
         (List.sort_uniq compare (nd.p1_children @ nd.p2_children))
     end
+  in
 
   (* After [cv_waiting] drains (a report arrived, or an awaited child
      was given up on), forward the merged candidate up the tree. *)
-  and cv_maybe_forward nd =
+  let cv_maybe_forward nd =
     if
       nd.deciding && (not nd.report_sent)
       && (not nd.orphaned)
@@ -590,31 +595,49 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
       | Some (edge, target_cl, target_fu) ->
           emit ~src:nd.id ~dst:nd.p1 (Report { edge; target_cl; target_fu })
     end
+  in
 
-  (* [by] has given up on every retransmission to [w]: in the
-     crash-stop model [w] is gone.  Scrub it from [by]'s waiting sets
-     and tree links; if it was [by]'s parent, [by] is an orphan. *)
-  and on_suspect ~by w =
-    incr suspicion_events;
-    Recovery.Detector.suspect det w;
-    let nd = nodes.(by) in
-    mark_dead nd w;
+  (* [nd] has learned that its neighbour [w] is gone: an ARQ write-off,
+     a death notice, or the write-off a revival forces.  Scrub [w] from
+     [nd]'s view of its neighbours (a pre-crash [Exchange] must not
+     leave a dead edge looking like a viable hook candidate) and from
+     its tree children (a child that registered earlier this round and
+     died later in it would leave [nd] waiting for its report forever).
+     In a call [nd] also stops waiting on [w] and, if [w] was its
+     parent, is an orphan; in the repair pass [w] leaves its repair
+     waits.  Elsewhere those waits are empty or never read again, so
+     the scrub skips them: most death notices reach nodes that died in
+     the same call. *)
+  let lose nd w =
+    let i = nb_index nd w in
+    if i >= 0 then nd.nb_dead.(i) <- true;
     heard_exchange nd w;
     Itbl.remove nd.nb_cl w;
-    if Itbl.mem nd.cv_waiting w then begin
-      Itbl.remove nd.cv_waiting w;
-      cv_maybe_forward nd
+    nd.p1_children <- forget w nd.p1_children;
+    nd.p2_children <- forget w nd.p2_children;
+    if nd.alive && not nd.orphaned then begin
+      if Itbl.mem nd.cv_waiting w then begin
+        Itbl.remove nd.cv_waiting w;
+        cv_maybe_forward nd
+      end;
+      Itbl.remove nd.die_waiting w;
+      if nd.p1 = w || nd.p2 = w then do_orphan nd
     end;
-    Itbl.remove nd.die_waiting w;
-    nd.p1_children <- List.filter (fun c -> c <> w) nd.p1_children;
-    nd.p2_children <- List.filter (fun c -> c <> w) nd.p2_children;
-    Itbl.remove nd.rp_waiting w;
-    if Itbl.mem nd.rp_cv_waiting w then begin
-      Itbl.remove nd.rp_cv_waiting w;
-      rp_maybe_forward nd
-    end;
-    nd.rp_children <- List.filter (fun c -> c <> w) nd.rp_children;
-    if nd.alive && (nd.p1 = w || nd.p2 = w) then do_orphan nd
+    if !repair_mode then begin
+      Itbl.remove nd.rp_waiting w;
+      if Itbl.mem nd.rp_cv_waiting w then begin
+        Itbl.remove nd.rp_cv_waiting w;
+        rp_maybe_forward nd
+      end;
+      nd.rp_children <- forget w nd.rp_children
+    end
+  in
+  (* [by] has given up on every retransmission to [w]: in the
+     crash-stop model [w] is gone. *)
+  let on_suspect ~by w =
+    incr suspicion_events;
+    Recovery.Detector.suspect det w;
+    lose nodes.(by) w
   in
 
   (* ---------------- message handlers ---------------- *)
@@ -692,6 +715,26 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
     | _ -> Itbl.replace best cl e
   in
 
+  (* A contracted vertex with no sampled neighbour dies this call: it
+     and its subtree stream their crossing edges to the center. *)
+  let start_dying nd =
+    nd.is_dying <- true;
+    nd.wave_done <- true;
+    List.iter (fun c -> emit ~src:nd.id ~dst:c Die_start) nd.p1_children
+  in
+
+  (* The paper's abort rule, at the aborting center and at each member
+     its final phase reaches: keep every incident crossing edge. *)
+  let abort nd =
+    nd.fin_aborting <- true;
+    nd.fin_src_done <- true;
+    kept_all.(nd.id) <- true;
+    Itbl.iter
+      (fun w (cl, _) ->
+        if cl <> nd.cl_center then keep ~who:nd.id (edge_to nd w))
+      nd.nb_cl
+  in
+
   (* Profiling category per message family: handler cost lands in one
      region per protocol mechanism (exchange / convergecast / wave /
      …), nested inside the engine's [sim_deliver] region. *)
@@ -744,10 +787,7 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
         List.iter
           (fun c -> emit ~src:nd.id ~dst:c (Off_path { new_cl; new_fu }))
           nd.p1_children
-    | Die_start when in_call ->
-        nd.is_dying <- true;
-        nd.wave_done <- true;
-        List.iter (fun c -> emit ~src:nd.id ~dst:c Die_start) nd.p1_children
+    | Die_start when in_call -> start_dying nd
     | Die_up { entries; finished } when in_call ->
         if nd.p1 < 0 then
           (* Center: authoritative merge. *)
@@ -762,45 +802,18 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
             Queue.add e nd.fin_queue)
           edges;
         if finished then nd.fin_src_done <- true
-    | Abort when in_call ->
-        nd.fin_aborting <- true;
-        nd.fin_src_done <- true;
-        kept_all.(nd.id) <- true;
-        (* Keep every incident crossing edge, as the paper's escape
-           hatch prescribes. *)
-        Itbl.iter
-          (fun w (cl, _) ->
-            if cl <> nd.cl_center then keep ~who:nd.id (edge_to nd w))
-          nd.nb_cl
+    | Abort when in_call -> abort nd
     | Orphan when in_call -> do_orphan nd
     | Exchange _ | Report_none | Report _ | On_path _ | Off_path _ | Die_start
     | Die_up _ | Final_down _ | Abort | Orphan -> ()
     | P2_register -> nd.p2_children <- src :: nd.p2_children
-    | P2_unregister ->
-        nd.p2_children <- List.filter (fun c -> c <> src) nd.p2_children
+    | P2_unregister -> nd.p2_children <- forget src nd.p2_children
     | Dead ->
-        (* Besides marking the link dead, forget the late neighbor as a
-           tree child: a contracted vertex that attached to us earlier
-           this round may die later in the round, and its stale
-           registration would make us wait forever for its report.  A
-           notice from our own tree parent means it exited while we
-           still depend on it — the orphan-register race — so recover. *)
+        (* A notice from our own tree parent means it exited while we
+           still depend on it — the orphan-register race — so [lose]
+           makes us an orphan. *)
         Recovery.Detector.note_death det src;
-        mark_dead nd src;
-        heard_exchange nd src;
-        (* Forget its advertised cluster too: a pre-crash Exchange must
-           not leave a dead edge looking like a viable hook candidate. *)
-        Itbl.remove nd.nb_cl src;
-        nd.p2_children <- List.filter (fun c -> c <> src) nd.p2_children;
-        nd.p1_children <- List.filter (fun c -> c <> src) nd.p1_children;
-        if in_call then begin
-          if Itbl.mem nd.cv_waiting src then begin
-            Itbl.remove nd.cv_waiting src;
-            cv_maybe_forward nd
-          end;
-          Itbl.remove nd.die_waiting src;
-          if nd.p1 = src || nd.p2 = src then do_orphan nd
-        end
+        lose nd src
     | Probe -> ()  (* the transport-level ack is the whole answer *)
     (* Repair messages ignore [alive]: by the time churn repair runs,
        every node has executed the final call's kill.  Presence is the
@@ -964,7 +977,9 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
        here (its cluster identity) is consistent cluster-wide, which is
        exactly what the orphan abort must fall back to. *)
     live_nodes (fun nd ->
-        Recovery.Checkpoints.commit ckpt nd.id (nd.cl_center, nd.cl_fu));
+        nd.ck_cl <- nd.cl_center;
+        nd.ck_fu <- nd.cl_fu;
+        incr checkpoints);
     (* Cluster spans share the stats-delta boundaries: they open at the
        exchange boundary just recorded and close at the wave boundary
        (or, for dying centers, at the final boundary). *)
@@ -1024,12 +1039,7 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
         if nd.deciding && nd.p1 < 0 then begin
           if Itbl.length nd.cv_waiting <> 0 then
             failwith "Skeleton_dist: convergecast incomplete at decision time";
-          match nd.best with
-          | Some _ -> start_wave nd
-          | None ->
-              nd.is_dying <- true;
-              nd.wave_done <- true;
-              List.iter (fun c -> emit ~src:nd.id ~dst:c Die_start) nd.p1_children
+          match nd.best with Some _ -> start_wave nd | None -> start_dying nd
         end);
     run_phase "wave"
       ~finished:(fun nd -> (not nd.deciding) || nd.wave_done)
@@ -1094,15 +1104,7 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
           let best = center_best.(nd.id) in
           if Itbl.length best > call.Plan.abort_q then begin
             incr aborts;
-            nd.fin_aborting <- true;
-            kept_all.(nd.id) <- true;
-            (* The center keeps its own crossing edges too. *)
-            Itbl.iter
-              (fun w (cl, _) ->
-                if cl <> nd.cl_center then
-                  keep ~who:nd.id (edge_to nd w))
-              nd.nb_cl;
-            nd.fin_src_done <- true
+            abort nd
           end
           else begin
             Itbl.iter
@@ -1155,18 +1157,14 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
        but silent — acking probes while never speaking again, a
        livelock for next call's exchange.  So collect-announce-drain
        repeats until no exiting node remains. *)
-    let deaths_pending () =
-      Array.exists
-        (fun nd ->
-          nd.alive && (nd.is_dying || nd.orphaned) && not (crashed_now nd.id))
-        nodes
+    let exiting nd =
+      nd.alive && (nd.is_dying || nd.orphaned) && not (crashed_now nd.id)
     in
-    while deaths_pending () do
+    while Array.exists exiting nodes do
       let newly_dead = ref [] in
       Array.iter
         (fun nd ->
-          if nd.alive && (nd.is_dying || nd.orphaned) && not (crashed_now nd.id)
-          then begin
+          if exiting nd then begin
             nd.alive <- false;
             newly_dead := nd :: !newly_dead
           end)
@@ -1237,30 +1235,22 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
     Edge_set.iter spanner (fun e -> if not (edge_up e) then dead := e :: !dead);
     List.iter (Edge_set.remove spanner) !dead;
     let dead_spanner_edges = List.length !dead in
-    (* 2. Roots: live nodes whose hook to their parent is unusable.
-       Hook-edge ids are snapshotted first — re-rooting rewrites
+    (* 2. Roots: live nodes whose hook to their parent is unusable,
+       and orphans the protocol never re-hooked (an orphan detached its
+       hook when it aborted; rooting it lets the wave reattach the
+       fragment rather than leave it on the keep-all rung).  Each
+       hook-edge id is snapshotted before re-rooting rewrites
        [parent_edge]. *)
-    let hook_edges = Itbl.create 16 in
+    let hook_edges = Itbl.create 16 and roots = ref [] in
     for v = 0 to n - 1 do
-      if live v && parent.(v) >= 0 then Itbl.replace hook_edges parent_edge.(v) ()
-    done;
-    let roots = ref [] in
-    for v = 0 to n - 1 do
-      if
-        live v
-        && parent.(v) >= 0
-        && ((not (live parent.(v))) || not (edge_up parent_edge.(v)))
-      then begin
-        rp_set_parent nodes.(v) (-1);
-        roots := v :: !roots
+      if live v && parent.(v) >= 0 then begin
+        Itbl.replace hook_edges parent_edge.(v) ();
+        if (not (live parent.(v))) || not (edge_up parent_edge.(v)) then begin
+          hook nodes.(v) (-1);
+          roots := v :: !roots
+        end
       end
-    done;
-    (* An orphan detached its hook when it aborted; if the protocol
-       never re-hooked it, root it here so the wave reattaches the
-       fragment rather than leaving it on the keep-all rung. *)
-    for v = 0 to n - 1 do
-      if live v && orphan_detached.(v) && parent.(v) < 0 then
-        roots := v :: !roots
+      else if live v && orphan_detached.(v) then roots := v :: !roots
     done;
     (* A joiner nobody ever heard from is a singleton fragment. *)
     List.iter
@@ -1281,7 +1271,7 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
         if r <= !round_now () && live v then begin
           incr rejoined;
           if parent.(v) >= 0 && not (Edge_set.mem spanner parent_edge.(v))
-          then rp_set_parent nodes.(v) (-1);
+          then hook nodes.(v) (-1);
           if parent.(v) < 0 then roots := v :: !roots
         end)
       (Fault.restart_schedule faults);
@@ -1533,7 +1523,6 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
     end) in
     let rt = R.create ~faults ?tracer ~metrics ~spans g in
     let net = R.net rt in
-    let dynamic = Fault.has_churn faults in
     round_now := (fun () -> Sim.round net);
     stats_now := (fun () -> Sim.stats net);
     window_now := (fun () -> Sim.take_window_max net);
@@ -1557,11 +1546,7 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
     let revive ~round v =
       R.start rt v;
       let nd = nodes.(v) in
-      (match Recovery.Checkpoints.restore ckpt v with
-      | Some (cl, fu) ->
-          nd.cl_center <- cl;
-          nd.cl_fu <- fu
-      | None -> ());
+      restore nd;
       nd.alive <- false;
       nd.orphaned <- false;
       nd.p1_children <- [];
@@ -1585,7 +1570,7 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
     idle_ref := (fun () -> R.idle rt ~round:(Sim.round net));
     link_idle_ref := (fun v w -> R.link_idle (R.endpoint rt v) w);
     run_plan ();
-    if dynamic || restarting then
+    if repairs faults then
       Obs.Prof.region (Obs.Prof.current ()) "skel_repair_drive" (fun () ->
           run_repair
             ~fast_forward:(fun target ->
@@ -1610,7 +1595,7 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
   if Obs.Metrics.enabled metrics then begin
     Obs.Metrics.add
       (Obs.Metrics.counter metrics "skeleton_checkpoint_commits")
-      (Recovery.Checkpoints.commits ckpt);
+      !checkpoints;
     Obs.Metrics.add (Obs.Metrics.counter metrics "skeleton_orphan_aborts")
       !orphans;
     Obs.Metrics.add (Obs.Metrics.counter metrics "skeleton_recovered_edges")
@@ -1674,7 +1659,7 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
         crashed = Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 crashed;
         orphaned = !orphans;
         recovered_edges = !recovered_edges;
-        checkpoints = Recovery.Checkpoints.commits ckpt;
+        checkpoints = !checkpoints;
         retransmissions = !retransmissions;
         dead_letters = !dead_letters;
       };
@@ -1691,9 +1676,9 @@ let build ?(d = 4) ?(eps = 0.5) ?faults ?tracer ?metrics ?spans
     g
 
 let certify ?metrics ~faults g r =
-  (* The repair pass runs under churn or restarts: the audit is then
-     of the surviving topology, which may be partitioned. *)
-  let repaired = Fault.has_churn faults || Fault.has_restarts faults in
+  (* After a repair pass the audit is of the surviving topology, which
+     may be partitioned. *)
+  let repaired = repairs faults in
   let down_edge =
     if not repaired then None
     else begin

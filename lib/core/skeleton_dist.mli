@@ -12,8 +12,8 @@
 
     + {b exchange} — every live node tells each live neighbor its
       cluster center and that center's first-unsampled call index
-      (2 words); the exchange boundary is also the {!Distnet.Recovery}
-      checkpoint every node commits;
+      (2 words); at the exchange boundary every node also checkpoints
+      that identity;
     + {b convergecast} — inside each contracted vertex whose cluster
       went unsampled, candidate crossing edges to sampled clusters
       flow up the [p1] tree, min edge id winning (3 words);
@@ -34,14 +34,19 @@
     link through the {!Distnet.Reliable} stop-and-wait ARQ, which makes
     delivery exact-once under loss, duplication and delay, and whose
     abandoned transmissions double as a crash-stop failure detector.  A
-    node whose cluster-tree parent ([p1] or [p2]) is detected crashed
-    executes the {e orphan abort}: it restores its exchange-boundary
-    checkpoint, keeps {e all} its incident live edges (the paper's
-    abort rule widened to intra-cluster edges — a crash can sever the
-    cluster tree itself; see DESIGN.md), cascades the abort to its own
-    subtree, and leaves the algorithm at the call's death-notice phase.
-    Crashes cost spanner {e size} (the recovered edges), never
-    {e stretch}.  Without faults the ARQ layer is bypassed entirely and
+    node learns that a neighbor is gone in three ways — an ARQ
+    write-off, a [Dead] notice, or the write-off a revival forces — and
+    handles all three alike: it stops waiting on the neighbor and
+    forgets it as a tree child.  A node whose cluster-tree parent ([p1]
+    or [p2]) is gone executes the {e orphan abort}: it restores its
+    exchange-boundary checkpoint (if it has committed one), keeps
+    {e all} its incident live edges (the paper's abort rule widened to
+    intra-cluster edges — a crash can sever the cluster tree itself;
+    see DESIGN.md), cascades the abort to its own subtree, and leaves
+    the algorithm at the call's death-notice phase.  Crashes are meant
+    to cost spanner {e size} (the recovered edges), never {e stretch};
+    [cli.t] and [sweep.t] pin the crash schedules that still break it.
+    Without faults the ARQ layer is bypassed entirely and
     the produced spanner is {e edge for edge identical} to
     {!Skeleton.build_with} on the same tape — the test suite relies on
     this.
@@ -159,16 +164,17 @@ val build_with :
     every message and ARQ span the transport records.  Equally
     observational: enabling spans never changes the run.
 
-    With a churn-carrying fault plan, the run fast-forwards past the
-    last churn event after the schedule completes and executes the
-    incremental repair pass (see {!repair_report}); down links during
-    the run look like loss to the ARQ and ripen into suspicions if
-    they stay down past the retry horizon.
+    When {!repairs} holds for the fault plan, the run fast-forwards
+    past the last churn event and restart once the schedule completes,
+    and executes the incremental repair pass (see {!repair_report}).
+    Under churn, down links look like loss to the ARQ and ripen into
+    suspicions if they stay down past the retry horizon.
 
     With a restart-carrying fault plan (crash-recovery), a node whose
     restart round arrives is revived with a fresh incarnation: its ARQ
     sessions are reset on both sides of every incident link, its
-    exchange-boundary checkpoint is restored, and every neighbor that
+    exchange-boundary checkpoint (if it committed one before crashing)
+    is restored, and every neighbor that
     had not yet written it off is forced to now (the crash severed
     their sessions, so the abandonment that would have ripened into a
     suspicion died with the reset).  The reborn node is engine-live
@@ -183,6 +189,10 @@ val build_with :
     a fault plan outside the recoverable envelope (e.g. a partitioned
     link that never heals); the payload names the stuck phase. *)
 
+val repairs : Distnet.Fault.t -> bool
+(** Whether a build under this fault plan runs the repair pass after
+    its calls (the plan has churn or restarts).  {!certify} follows it. *)
+
 val certify :
   ?metrics:Obs.Metrics.t ->
   faults:Distnet.Fault.t ->
@@ -191,8 +201,8 @@ val certify :
   Certify.verdict
 (** [certify ~faults g r] runs {!Certify.run} on the output of a build
     of [g] under [faults], against the topology that survived the run.
-    When the plan has churn or restarts, the repair pass ran: the edges
-    in [r.dead_edges] are excluded as [down_edge], and [per_component]
+    When [repairs faults] holds, the repair pass ran: the edges in
+    [r.dead_edges] are excluded as [down_edge], and [per_component]
     gives every component of the surviving graph a BFS source.
     Otherwise certification runs with neither.  [metrics] is passed
     through.  To certify a modified spanner, pass

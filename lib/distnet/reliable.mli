@@ -141,13 +141,14 @@ module Make (P : PROTOCOL) : sig
       ({!reset_peer}).  The calls come in visit order, and in [by]'s
       neighbor order within a visit; none comes while a visit runs.
       In a crash-stop fault model a write-off is most often a crashed
-      peer, so this is the failure detector that {!Recovery} and the
-      fault-tolerant skeleton consume.  It is not perfect: a try fails
-      when either the frame or its ack is lost, so under independent
-      loss [p] a live peer is written off with probability
-      [(1 - (1 - p)^2)^13] per frame, about 1.7e-6 at [p = 0.2]
-      (DESIGN.md §3, "Failure detection").  A build that sends
-      millions of frames meets it; [cli.t] pins such a wedge at
+      peer, so this is a failure detector: the fault-tolerant skeleton
+      records each write-off in a {!Recovery.Detector} and scrubs [w]
+      from [by]'s state as it does for a death notice.  It is not
+      perfect: a try fails when either the frame or its ack is lost,
+      so under independent loss [p] a live peer is written off with
+      probability [(1 - (1 - p)^2)^13] per frame, about 1.7e-6 at
+      [p = 0.2] (DESIGN.md §3, "Failure detection").  A build that
+      sends millions of frames meets it; [cli.t] pins such a wedge at
       n = 2,000. *)
 
   val idle : t -> round:int -> bool

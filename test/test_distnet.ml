@@ -685,32 +685,22 @@ let prop_dist_bfs_equals_sequential =
 (* ------------------------------------------------------------------ *)
 (* Recovery building blocks *)
 
-let test_recovery_checkpoints () =
-  let open Distnet.Recovery in
-  let ck = Checkpoints.create ~n:3 in
-  checkb "empty store" true (Checkpoints.restore ck 0 = None);
-  Checkpoints.commit ck 0 (1, 2);
-  Checkpoints.commit ck 0 (3, 4);
-  Checkpoints.commit ck 2 (5, 6);
-  checkb "latest wins" true (Checkpoints.restore ck 0 = Some (3, 4));
-  checkb "per node" true (Checkpoints.restore ck 2 = Some (5, 6));
-  checkb "untouched node" true (Checkpoints.restore ck 1 = None);
-  checki "commit count" 3 (Checkpoints.commits ck)
-
 let test_recovery_detector () =
   let open Distnet.Recovery in
   let d = Detector.create ~n:4 in
   Detector.suspect d 1;
   Detector.note_death d 2;
-  checkb "suspected is down" true (Detector.is_down d 1);
-  checkb "announced is down" true (Detector.is_down d 2);
+  checkb "suspected" true (Detector.is_suspected d 1);
   checkb "announced is not suspected" false (Detector.is_suspected d 2);
-  checkb "suspected list" true (Detector.suspected d = [ 1 ]);
+  checkb "untouched is not suspected" false (Detector.is_suspected d 0);
   (* A death notice supersedes an earlier suspicion: the peer left
      cleanly after all, so its contribution is complete. *)
   Detector.note_death d 1;
   checkb "notice supersedes suspicion" false (Detector.is_suspected d 1);
-  checki "no suspects left" 0 (Detector.suspected_count d)
+  (* ... and a later suspicion (a message sent after the notice) does
+     not override it. *)
+  Detector.suspect d 2;
+  checkb "notice survives a later suspicion" false (Detector.is_suspected d 2)
 
 let test_detector_unsuspect_after_message () =
   (* Crash-recovery: a delivery from a suspected node proves the
@@ -718,59 +708,21 @@ let test_detector_unsuspect_after_message () =
   let open Distnet.Recovery in
   let d = Detector.create ~n:3 in
   Detector.suspect d 1;
-  checkb "down while suspected" true (Detector.is_down d 1);
+  checkb "suspected" true (Detector.is_suspected d 1);
   Detector.unsuspect d 1;
-  checkb "message after suspicion clears it" false (Detector.is_down d 1);
-  checki "no suspects" 0 (Detector.suspected_count d);
+  checkb "message after suspicion clears it" false (Detector.is_suspected d 1);
+  Detector.suspect d 1;
+  checkb "a cleared node can be suspected again" true
+    (Detector.is_suspected d 1);
   Detector.unsuspect d 0;
-  checkb "unsuspecting an up node is a no-op" false (Detector.is_down d 0);
+  checkb "unsuspecting an up node is a no-op" false (Detector.is_suspected d 0);
   (* A death notice is never revoked: the old incarnation completed
-     its duties; the reborn one re-enters through repair. *)
+     its duties; the reborn one re-enters through repair.  Were the
+     notice cleared, the suspicion below would stick. *)
   Detector.note_death d 2;
   Detector.unsuspect d 2;
-  checkb "announced stays down" true (Detector.is_down d 2);
-  checkb "announced is still not suspected" false (Detector.is_suspected d 2)
-
-let test_detector_flapping () =
-  (* Suspect/unsuspect cycles (a peer that keeps crashing and
-     restarting) must keep the count and the list consistent. *)
-  let open Distnet.Recovery in
-  let d = Detector.create ~n:2 in
-  for _ = 1 to 5 do
-    Detector.suspect d 1;
-    checki "one suspect while down" 1 (Detector.suspected_count d);
-    checkb "listed while down" true (Detector.suspected d = [ 1 ]);
-    Detector.unsuspect d 1;
-    checki "zero after rebirth" 0 (Detector.suspected_count d);
-    checkb "unlisted after rebirth" true (Detector.suspected d = [])
-  done;
-  Detector.suspect d 1;
-  Detector.suspect d 1;
-  checki "re-suspecting does not double count" 1 (Detector.suspected_count d);
-  Detector.unsuspect d 1;
-  Detector.unsuspect d 1;
-  checki "re-unsuspecting does not go negative" 0
-    (Detector.suspected_count d)
-
-let test_detector_across_phase_boundary () =
-  (* Suspicion is orthogonal to checkpointing: a phase boundary
-     (commit) or a recovery (restore) neither clears nor creates
-     suspicion, and a flap does not disturb the stored snapshot. *)
-  let open Distnet.Recovery in
-  let d = Detector.create ~n:3 in
-  let ck = Checkpoints.create ~n:3 in
-  Detector.suspect d 1;
-  Checkpoints.commit ck 1 (4, 2);
-  checkb "commit keeps suspicion" true (Detector.is_suspected d 1);
-  Checkpoints.commit ck 2 (9, 9);
-  checkb "another node's boundary is irrelevant" true
-    (Detector.is_suspected d 1);
-  ignore (Checkpoints.restore ck 1);
-  checkb "restore keeps suspicion" true (Detector.is_suspected d 1);
-  Detector.unsuspect d 1;
-  checkb "only a delivery clears it" false (Detector.is_suspected d 1);
-  checkb "snapshot survives the flap" true
-    (Checkpoints.restore ck 1 = Some (4, 2))
+  Detector.suspect d 2;
+  checkb "announced stays announced" false (Detector.is_suspected d 2)
 
 (* A [suspect] for runs that ignore write-offs. *)
 let no_suspect ~by:_ _ = ()
@@ -1553,14 +1505,9 @@ let suite =
       ] );
     ( "distnet.recovery",
       [
-        Alcotest.test_case "checkpoints commit/restore" `Quick
-          test_recovery_checkpoints;
         Alcotest.test_case "detector precedence" `Quick test_recovery_detector;
         Alcotest.test_case "detector unsuspect after message" `Quick
           test_detector_unsuspect_after_message;
-        Alcotest.test_case "detector flapping" `Quick test_detector_flapping;
-        Alcotest.test_case "detector across phase boundary" `Quick
-          test_detector_across_phase_boundary;
         Alcotest.test_case "ARQ link idleness" `Quick test_reliable_link_idle;
       ] );
     ( "distnet.arq_config",
