@@ -36,14 +36,16 @@ let baseline = ref None
 let tolerance = ref 0.25
 let profile = ref false
 
-(* A bad argument is one [bench:] line and exit 2, before any bench
-   runs. *)
-let usage_error fmt =
+(* A bad argument is one [bench:] line ([bench history:] under
+   [history]) and exit 2, before any bench runs or table prints. *)
+let fail cmd fmt =
   Printf.ksprintf
     (fun msg ->
-      prerr_endline ("bench: " ^ msg);
+      prerr_endline (cmd ^ ": " ^ msg);
       exit 2)
     fmt
+
+let usage_error fmt = fail "bench" fmt
 
 let number parse ~what flag v =
   match parse v with
@@ -84,6 +86,8 @@ let parse_args args =
     | "--profile" :: rest ->
         profile := true;
         go rest
+    | [ ("--seed" | "--only" | "--baseline" | "--tolerance") as flag ] ->
+        usage_error "%s needs a value" flag
     | arg :: _ -> usage_error "unknown argument %s" arg
   in
   go args
@@ -140,6 +144,17 @@ let bench_tests () =
       | None -> assert false
     in
     Scenario.Compile.compile spec ~sample:!seed
+  in
+  (* The size ladder: a loss-free build, then its certificate, on
+     connected G(n, 8/n).  The graph is made outside the timed region. *)
+  let ladder n =
+    let g =
+      Gen.connected_gnp (Util.Prng.create ~seed:!seed) ~n
+        ~p:(8. /. float_of_int n)
+    in
+    fun () ->
+      let r = Spanner.Skeleton_dist.build ~seed:!seed g in
+      ignore (Spanner.Skeleton_dist.certify ~faults:Distnet.Fault.none g r)
   in
   [
     t "e1.skeleton_dist" (fun () ->
@@ -212,6 +227,8 @@ let bench_tests () =
         ignore (Serve.Server.run (Serve.Server.create serve_snap) serve_w));
     t "e26.scenario_sweep" (fun () ->
         ignore (Scenario.Sweep.run_plan sweep_plan));
+    t "ladder.n1e3" (ladder 1_000);
+    t "ladder.n1e4" (ladder 10_000);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -495,9 +512,9 @@ let history args =
     | "--tolerance" :: v :: rest ->
         tolerance := float_arg "--tolerance" v;
         go rest
-    | arg :: _ ->
-        Printf.eprintf "bench history: unknown argument %s\n" arg;
-        exit 2
+    | [ ("--current" | "--tolerance") as flag ] ->
+        fail "bench history" "%s needs a value" flag
+    | arg :: _ -> fail "bench history" "unknown argument %s" arg
   in
   go args;
   let snapshots =
@@ -514,7 +531,10 @@ let history args =
     List.map (fun f -> (label f, parse_baseline f)) snapshots
     @
     match !current with
-    | Some f -> [ ("current", parse_baseline f) ]
+    | Some f -> (
+        match parse_baseline f with
+        | entries -> [ ("current", entries) ]
+        | exception Sys_error msg -> fail "bench history" "%s" msg)
     | None -> []
   in
   if List.length columns < 1 then begin

@@ -131,30 +131,63 @@ let words = function
   | Repair_on_path -> 1
   | Repair_keep_all -> 1
 
+(* A per-node waiting set: one flag byte per slot (the peers still
+   awaited) and one count per node.  A phase ends when every live
+   node's set for it has drained, which (unlike running the network to
+   quiescence) still works when a message can be lost or its sender can
+   crash mid-phase. *)
+type waits = { on : Bytes.t; count : int array }
+
+(* Per-slot flags are bytes: ['\001'] set, ['\000'] clear. *)
+let flag b j = Bytes.get b j <> '\000'
+let set_flag b j v = Bytes.set b j (if v then '\001' else '\000')
+
+(* Per-slot state, one array per field, allocated once per build and
+   shared by every node.  A node's slots are its neighbours: slot
+   [nd.off + i] is its [i]-th neighbour in [nb] order. *)
+type slots = {
+  nb : int array;  (** neighbour, in neighbour -> edge table order *)
+  nb_e : int array;  (** the edge to [nb.(j)] *)
+  nb_dead : Bytes.t;  (** [nb.(j)] written off: suspected or announced dead *)
+  (* per-call scratch *)
+  nb_cl : int array;  (** [nb.(j)]'s last [Exchange] this call: its cl *)
+  nb_fu : int array;  (** ... and its fu *)
+  nb_stamp : int array;  (** when that [Exchange] first arrived; -1 = none yet *)
+  mutable clock : int;  (** the next [nb_stamp] *)
+  order : int array;  (** scratch for {!iter_heard_in_order}, max degree long *)
+  ex_waiting : waits;  (** exchange: neighbours awaited *)
+  cv_waiting : waits;  (** convergecast: children awaited *)
+  die_waiting : waits;  (** dying: children awaited *)
+  (* incremental repair scratch (only touched by the repair pass) *)
+  rp_nb : int array;  (** [nb.(j)]'s fragment root; [unheard] = none yet *)
+  rp_waiting : waits;  (** repair exchange: acks awaited *)
+  rp_cv_waiting : waits;  (** repair convergecast *)
+}
+
+let unheard = min_int
+
 (* Mutable per-node state.  Everything a node reads during the protocol
    is either local, carried by a received message, or part of the
    globally-known schedule — the driver below only sequences phases.
-   The [*_waiting] sets are each phase's explicit completion state:
-   a phase ends when every live node's set for it has drained, which
-   (unlike running the network to quiescence) still works when a
-   message can be lost or its sender can crash mid-phase.
 
-   The per-call scratch is allocated once per node and emptied in
-   place ([Itbl.reset], [Queue.clear], [Array.fill]) at each call.
-   The sets nothing iterates ([ex_waiting], [nb_dead]) are flags
-   aligned with [nb], so the per-message paths neither hash nor
-   allocate for them.  Iteration order is observable in two places,
-   so it must match a fresh table's: [nb] lists the neighbors in the
-   order a neighbor -> edge table built over the CSR row iterates
-   them, and that order sequences the exchange, death-notice and
-   keep-all sends; [nb_cl]'s order sequences [die_offer]'s queue and
-   the center's merge, and with them the [Die_up]/[Final_down]
-   batches.  A reset table shrinks back to its initial size, so it
-   iterates like a fresh one only if both were created with the same
-   size: [fresh_node] uses the sizes a call used to create the tables
-   with. *)
+   Whatever a node keeps per neighbour lives in the build's [slots]:
+   plain ints and flag bytes, filled in place over the node's slots at
+   each call, never hashed and never boxed.  The rest of the per-call
+   scratch is reset in place too.  Iteration order is observable in two
+   places, and both reproduce the neighbour-keyed tables these arrays
+   replaced (see {!Util.Hash_order}):
+   [nb] lists the neighbours in the order a neighbour -> edge table
+   filled from the CSR row iterated them, and that order sequences the
+   exchange, death-notice and keep-all sends; the dying phase visits
+   the [Exchange]s heard in the order the neighbour -> (cl, fu) table
+   did, which sequences [die_offer]'s queue and the center's merge, and
+   with them the [Die_up]/[Final_down] batches.  Every other walk over a
+   node's slots takes a minimum, keeps a set or is sorted before use. *)
 type node = {
   id : int;
+  sl : slots;
+  off : int;  (** first slot *)
+  deg : int;  (** number of slots *)
   mutable alive : bool;
   mutable cl_center : int;
   mutable cl_fu : int;
@@ -164,24 +197,20 @@ type node = {
   mutable p1_children : int list;
   mutable p2 : int;  (** parent towards the cluster's center *)
   mutable p2_children : int list;
-  nb_dead : bool array;  (** [nb.(i)] written off: suspected or announced dead *)
-  nb : int array;  (** neighbors, in neighbor -> edge table order *)
-  nb_e : int array;  (** [nb_e.(i)]: the edge to [nb.(i)] *)
   (* per-call scratch *)
-  nb_cl : (int * int) Itbl.t;  (** neighbor -> (cl, fu) *)
-  ex_waiting : bool array;  (** exchange: [nb.(i)] still awaited *)
-  mutable ex_pending : int;  (** how many [ex_waiting] entries are set *)
+  mutable heard : int;  (** slots with an [nb_stamp] *)
+  mutable heard_buckets : int;  (** their table's {!Util.Hash_order} bucket count *)
   mutable deciding : bool;
-  cv_waiting : unit Itbl.t;  (** convergecast: children awaited *)
   mutable report_sent : bool;
-  mutable best : (int * int * int) option;  (** edge, target cl, target fu *)
+  mutable best_e : int;  (** candidate edge; -1 = none *)
+  mutable best_cl : int;  (** its target cluster *)
+  mutable best_fu : int;  (** and that cluster's fu *)
   mutable best_peer : int;  (** crossing neighbor of my own candidate *)
-  mutable best_from : int;  (** child that supplied [best]; -1 = self *)
+  mutable best_from : int;  (** child that supplied [best_e]; -1 = self *)
   mutable wave_done : bool;
   mutable is_dying : bool;
   die_queue : (int * int) Queue.t;
-  die_sent : int Itbl.t;  (** cl -> best edge forwarded *)
-  die_waiting : unit Itbl.t;  (** dying: children awaited *)
+  mutable die_sent : int Itbl.t;  (** cl -> best edge forwarded; [no_table] until used *)
   mutable die_done_sent : bool;
   fin_queue : int Queue.t;
   mutable fin_src_done : bool;
@@ -192,35 +221,78 @@ type node = {
   mutable rp_root : int;  (** my fragment's repair root; -1 = attached *)
   mutable rp_parent : int;  (** parent within the repair forest *)
   mutable rp_children : int list;
-  rp_nb : int Itbl.t;  (** neighbor -> fragment root *)
-  rp_waiting : unit Itbl.t;  (** repair exchange: acks awaited *)
-  rp_cv_waiting : unit Itbl.t;  (** repair convergecast *)
   mutable rp_report_sent : bool;
-  mutable rp_best : (int * int) option;  (** edge, crossing peer (-1 from child) *)
-  mutable rp_best_from : int;  (** child that supplied [rp_best]; -1 = self *)
+  mutable rp_best_e : int;  (** candidate edge; -1 = none *)
+  mutable rp_best_peer : int;  (** its crossing peer; -1 = from a child *)
+  mutable rp_best_from : int;  (** child that supplied [rp_best_e]; -1 = self *)
 }
 
-(* [v]'s neighbors and edges in the order a table filled from its
-   CSR row iterates them — the order every per-neighbor send loop of
-   the protocol has always used. *)
-let neighbor_order g v =
-  let tbl = Itbl.create 4 in
-  Graph.iter_neighbors g v (fun w e -> Itbl.replace tbl w e);
-  let nb = Array.make (Itbl.length tbl) 0 in
-  let nb_e = Array.make (Itbl.length tbl) 0 in
-  let i = ref 0 in
-  Itbl.iter
-    (fun w e ->
-      nb.(!i) <- w;
-      nb_e.(!i) <- e;
-      incr i)
-    tbl;
-  (nb, nb_e)
+(* Shared by every node that has not needed a [die_sent] table yet;
+   never written. *)
+let no_table : int Itbl.t = Itbl.create 1
 
-let fresh_node g id =
-  let nb, nb_e = neighbor_order g id in
+let waits ~slots ~n = { on = Bytes.make slots '\000'; count = Array.make n 0 }
+
+(* [g]'s neighbour rows end to end: vertex [v]'s starts at slot
+   [start.(v)] and lists its neighbours in the order a neighbour -> edge
+   table filled from its CSR row iterates them — the order every
+   per-neighbor send loop of the protocol has always used. *)
+let make_slots g =
+  let n = Graph.n g in
+  let start = Array.make (n + 1) 0 in
+  for v = 0 to n - 1 do
+    start.(v + 1) <- start.(v) + Graph.degree g v
+  done;
+  let len = start.(n) and dmax = Graph.max_degree g in
+  let nb = Array.make len 0 and nb_e = Array.make len 0 in
+  let row_w = Array.make dmax 0 and row_e = Array.make dmax 0 in
+  let row_at = Array.init dmax Fun.id and ix = Array.make dmax 0 in
+  let k = ref 0 in
+  let fill w e =
+    row_w.(!k) <- w;
+    row_e.(!k) <- e;
+    ix.(!k) <- !k;
+    incr k
+  in
+  for v = 0 to n - 1 do
+    k := 0;
+    Graph.iter_neighbors g v fill;
+    let buckets = ref Util.Hash_order.initial_buckets in
+    for count = 1 to !k do
+      buckets := Util.Hash_order.grow ~buckets:!buckets ~count
+    done;
+    Util.Hash_order.sort ~buckets:!buckets ~keys:row_w ~stamps:row_at ix !k;
+    for i = 0 to !k - 1 do
+      nb.(start.(v) + i) <- row_w.(ix.(i));
+      nb_e.(start.(v) + i) <- row_e.(ix.(i))
+    done
+  done;
+  let slots =
+    {
+      nb;
+      nb_e;
+      nb_dead = Bytes.make len '\000';
+      nb_cl = Array.make len 0;
+      nb_fu = Array.make len 0;
+      nb_stamp = Array.make len (-1);
+      clock = 0;
+      order = Array.make dmax 0;
+      ex_waiting = waits ~slots:len ~n;
+      cv_waiting = waits ~slots:len ~n;
+      die_waiting = waits ~slots:len ~n;
+      rp_nb = Array.make len unheard;
+      rp_waiting = waits ~slots:len ~n;
+      rp_cv_waiting = waits ~slots:len ~n;
+    }
+  in
+  (slots, start)
+
+let fresh_node sl start id =
   {
     id;
+    sl;
+    off = start.(id);
+    deg = start.(id + 1) - start.(id);
     alive = true;
     cl_center = id;
     cl_fu = 0;
@@ -230,23 +302,19 @@ let fresh_node g id =
     p1_children = [];
     p2 = -1;
     p2_children = [];
-    nb_dead = Array.make (Array.length nb) false;
-    nb;
-    nb_e;
-    nb_cl = Itbl.create 8;
-    ex_waiting = Array.make (Array.length nb) false;
-    ex_pending = 0;
+    heard = 0;
+    heard_buckets = Util.Hash_order.initial_buckets;
     deciding = false;
-    cv_waiting = Itbl.create 4;
     report_sent = false;
-    best = None;
+    best_e = -1;
+    best_cl = -1;
+    best_fu = -1;
     best_peer = -1;
     best_from = -1;
     wave_done = false;
     is_dying = false;
     die_queue = Queue.create ();
-    die_sent = Itbl.create 4;
-    die_waiting = Itbl.create 4;
+    die_sent = no_table;
     die_done_sent = false;
     fin_queue = Queue.create ();
     fin_src_done = false;
@@ -256,47 +324,109 @@ let fresh_node g id =
     rp_root = -1;
     rp_parent = -1;
     rp_children = [];
-    rp_nb = Itbl.create 4;
-    rp_waiting = Itbl.create 4;
-    rp_cv_waiting = Itbl.create 4;
     rp_report_sent = false;
-    rp_best = None;
+    rp_best_e = -1;
+    rp_best_peer = -1;
     rp_best_from = -1;
   }
 
-(* [f i w e] for every neighbour [w = nd.nb.(i)], joined by edge [e]. *)
+(* [f j w e] for every slot [j] of [nd]: neighbour [w], joined by edge [e]. *)
 let iter_nb nd f =
-  for i = 0 to Array.length nd.nb - 1 do
-    f i nd.nb.(i) nd.nb_e.(i)
+  for j = nd.off to nd.off + nd.deg - 1 do
+    f j nd.sl.nb.(j) nd.sl.nb_e.(j)
   done
 
-(* [w]'s position in [nd.nb], or -1 when [w] is not a neighbour. *)
-let nb_index nd w =
-  let i = ref 0 and d = Array.length nd.nb in
-  while !i < d && nd.nb.(!i) <> w do
-    incr i
+(* [w]'s slot at [nd], or -1 when [w] is not a neighbour. *)
+let slot_of nd w =
+  let j = ref nd.off and stop = nd.off + nd.deg in
+  while !j < stop && nd.sl.nb.(!j) <> w do
+    incr j
   done;
-  if !i < d then !i else -1
+  if !j < stop then !j else -1
 
 let is_dead nd w =
-  let i = nb_index nd w in
-  i >= 0 && nd.nb_dead.(i)
+  let j = slot_of nd w in
+  j >= 0 && flag nd.sl.nb_dead j
 
-(* [f w] for every peer [w] a waiting set still holds. *)
-let await_keys tbl f = Itbl.iter (fun w () -> f w) tbl
+(* Wait on slot [j] of [nd]. *)
+let await ws nd j =
+  if not (flag ws.on j) then begin
+    set_flag ws.on j true;
+    ws.count.(nd.id) <- ws.count.(nd.id) + 1
+  end
+
+(* Wait on every child in [children]. *)
+let rec await_all ws nd = function
+  | [] -> ()
+  | c :: children ->
+      await ws nd (slot_of nd c);
+      await_all ws nd children
+
+(* Stop waiting on slot [j] (-1: not a neighbour); true when [nd] was
+   waiting on it. *)
+let release ws nd j =
+  j >= 0
+  && flag ws.on j
+  && begin
+       set_flag ws.on j false;
+       ws.count.(nd.id) <- ws.count.(nd.id) - 1;
+       true
+     end
+
+let pending ws nd = ws.count.(nd.id)
+
+(* [f w] for every peer [w] that [nd] still waits on. *)
+let awaited ws nd f =
+  for j = nd.off to nd.off + nd.deg - 1 do
+    if flag ws.on j then f nd.sl.nb.(j)
+  done
+
+let clear_waits ws nd =
+  Bytes.fill ws.on nd.off nd.deg '\000';
+  ws.count.(nd.id) <- 0
+
+(* Slot [j]'s [Exchange] carried [cl] and [fu]: the entry is added on
+   its first arrival this call and overwritten on a later one, like a
+   [replace] into the neighbour -> (cl, fu) table. *)
+let hear_exchange nd j ~cl ~fu =
+  let sl = nd.sl in
+  if sl.nb_stamp.(j) < 0 then begin
+    sl.nb_stamp.(j) <- sl.clock;
+    sl.clock <- sl.clock + 1;
+    nd.heard <- nd.heard + 1;
+    nd.heard_buckets <-
+      Util.Hash_order.grow ~buckets:nd.heard_buckets ~count:nd.heard
+  end;
+  sl.nb_cl.(j) <- cl;
+  sl.nb_fu.(j) <- fu
+
+let unhear nd j =
+  if nd.sl.nb_stamp.(j) >= 0 then begin
+    nd.sl.nb_stamp.(j) <- -1;
+    nd.heard <- nd.heard - 1
+  end
+
+(* [f j] for every slot [j] whose [Exchange] arrived this call, in the
+   order the neighbour -> (cl, fu) table iterated its entries. *)
+let iter_heard_in_order nd f =
+  let sl = nd.sl in
+  let len = ref 0 in
+  for j = nd.off to nd.off + nd.deg - 1 do
+    if sl.nb_stamp.(j) >= 0 then begin
+      sl.order.(!len) <- j;
+      incr len
+    end
+  done;
+  Util.Hash_order.sort ~buckets:nd.heard_buckets ~keys:sl.nb
+    ~stamps:sl.nb_stamp sl.order !len;
+  for i = 0 to !len - 1 do
+    f sl.order.(i)
+  done
 
 (* Up to [cap] entries popped off [q], the last popped first. *)
 let rec take_batch q cap acc =
   if cap = 0 || Queue.is_empty q then acc
   else take_batch q (cap - 1) (Queue.pop q :: acc)
-
-(* [w]'s exchange arrived, or [w] is gone: stop waiting for it. *)
-let heard_exchange nd w =
-  let i = nb_index nd w in
-  if i >= 0 && nd.ex_waiting.(i) then begin
-    nd.ex_waiting.(i) <- false;
-    nd.ex_pending <- nd.ex_pending - 1
-  end
 
 (* Back to the last exchange-boundary checkpoint, if there is one. *)
 let restore nd =
@@ -305,26 +435,28 @@ let restore nd =
     nd.cl_fu <- nd.ck_fu
   end
 
-(* [l] without [w].  An empty list comes back as is: the scrub of a
-   childless node then allocates no filter closure. *)
-let forget (w : int) = function [] -> [] | l -> List.filter (fun c -> c <> w) l
+(* [l] without [w].  A list without [w] comes back as is: most scrubs
+   reach a node [w] is no child of, and then allocate nothing. *)
+let forget (w : int) l = if List.mem w l then List.filter (fun c -> c <> w) l else l
 
 (* Empty a node's per-call scratch in place for the next call. *)
 let reset_call_scratch nd =
-  Itbl.reset nd.nb_cl;
-  Array.fill nd.ex_waiting 0 (Array.length nd.ex_waiting) false;
-  nd.ex_pending <- 0;
+  let sl = nd.sl in
+  Array.fill sl.nb_stamp nd.off nd.deg (-1);
+  nd.heard <- 0;
+  nd.heard_buckets <- Util.Hash_order.initial_buckets;
+  clear_waits sl.ex_waiting nd;
   nd.deciding <- false;
-  Itbl.reset nd.cv_waiting;
+  clear_waits sl.cv_waiting nd;
   nd.report_sent <- false;
-  nd.best <- None;
+  nd.best_e <- -1;
   nd.best_peer <- -1;
   nd.best_from <- -1;
   nd.wave_done <- false;
   nd.is_dying <- false;
   Queue.clear nd.die_queue;
-  Itbl.reset nd.die_sent;
-  Itbl.reset nd.die_waiting;
+  if nd.die_sent != no_table then Itbl.reset nd.die_sent;
+  clear_waits sl.die_waiting nd;
   nd.die_done_sent <- false;
   Queue.clear nd.fin_queue;
   nd.fin_src_done <- false;
@@ -336,7 +468,8 @@ let repairs faults = Fault.has_churn faults || Fault.has_restarts faults
 let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
     ?(spans = Obs.Span.disabled) ?phase_round_limit ~plan ~sampling g =
   let n = Graph.n g in
-  let nodes = Array.init n (fresh_node g) in
+  let sl, start = make_slots g in
+  let nodes = Array.init n (fresh_node sl start) in
   Array.iter
     (fun nd -> nd.cl_fu <- Sampling.first_unsampled sampling nd.id)
     nodes;
@@ -413,6 +546,10 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
   let idle_ref = ref (fun () -> true) in
   let link_idle_ref = ref (fun _ _ -> true) in
   let emit ~src ~dst m = !emit_ref ~src ~dst m in
+  let rec links_idle v = function
+    | [] -> true
+    | w :: ws -> !link_idle_ref v w && links_idle v ws
+  in
 
   (* Per-phase attribution: every phase's cost is the delta of the
      engine statistics since the previous mark, so the phase rows of a
@@ -502,14 +639,13 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
     if
       !repair_mode && nd.rp_root >= 0
       && (not nd.rp_report_sent)
-      && Itbl.length nd.rp_cv_waiting = 0
+      && pending sl.rp_cv_waiting nd = 0
       && nd.rp_parent >= 0
     then begin
       nd.rp_report_sent <- true;
-      match nd.rp_best with
-      | None -> emit ~src:nd.id ~dst:nd.rp_parent Repair_none
-      | Some (edge, _) ->
-          emit ~src:nd.id ~dst:nd.rp_parent (Repair_report { edge })
+      if nd.rp_best_e < 0 then emit ~src:nd.id ~dst:nd.rp_parent Repair_none
+      else
+        emit ~src:nd.id ~dst:nd.rp_parent (Repair_report { edge = nd.rp_best_e })
     end
   in
 
@@ -519,17 +655,15 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
      parent direction; the proposer keeps the crossing edge and hooks
      across it. *)
   let rp_start_wave nd =
-    match nd.rp_best with
-    | None -> ()
-    | Some (edge, peer) ->
-        if nd.rp_best_from < 0 then begin
-          keep ~who:nd.id edge;
-          hook nd peer
-        end
-        else begin
-          hook nd nd.rp_best_from;
-          emit ~src:nd.id ~dst:nd.rp_best_from Repair_on_path
-        end
+    if nd.rp_best_e >= 0 then
+      if nd.rp_best_from < 0 then begin
+        keep ~who:nd.id nd.rp_best_e;
+        hook nd nd.rp_best_peer
+      end
+      else begin
+        hook nd nd.rp_best_from;
+        emit ~src:nd.id ~dst:nd.rp_best_from Repair_on_path
+      end
   in
 
   (* Fragment-wide fallback, the paper's abort rule transplanted: every
@@ -565,8 +699,8 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
       set_p2 nd (-1);
       orphan_detached.(nd.id) <- true;
       kept_all.(nd.id) <- true;
-      iter_nb nd (fun i _ e ->
-          if not nd.nb_dead.(i) then
+      iter_nb nd (fun j _ e ->
+          if not (flag sl.nb_dead j) then
             if not (Edge_set.mem spanner e) then begin
               Edge_set.add spanner e;
               contributed.(nd.id) <- contributed.(nd.id) + 1;
@@ -585,15 +719,16 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
     if
       nd.deciding && (not nd.report_sent)
       && (not nd.orphaned)
-      && Itbl.length nd.cv_waiting = 0
+      && pending sl.cv_waiting nd = 0
       && nd.p1 >= 0
       && not (is_dead nd nd.p1)
     then begin
       nd.report_sent <- true;
-      match nd.best with
-      | None -> emit ~src:nd.id ~dst:nd.p1 Report_none
-      | Some (edge, target_cl, target_fu) ->
-          emit ~src:nd.id ~dst:nd.p1 (Report { edge; target_cl; target_fu })
+      if nd.best_e < 0 then emit ~src:nd.id ~dst:nd.p1 Report_none
+      else
+        emit ~src:nd.id ~dst:nd.p1
+          (Report
+             { edge = nd.best_e; target_cl = nd.best_cl; target_fu = nd.best_fu })
     end
   in
 
@@ -609,26 +744,22 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
      the scrub skips them: most death notices reach nodes that died in
      the same call. *)
   let lose nd w =
-    let i = nb_index nd w in
-    if i >= 0 then nd.nb_dead.(i) <- true;
-    heard_exchange nd w;
-    Itbl.remove nd.nb_cl w;
+    let j = slot_of nd w in
+    if j >= 0 then begin
+      set_flag sl.nb_dead j true;
+      ignore (release sl.ex_waiting nd j);
+      unhear nd j
+    end;
     nd.p1_children <- forget w nd.p1_children;
     nd.p2_children <- forget w nd.p2_children;
     if nd.alive && not nd.orphaned then begin
-      if Itbl.mem nd.cv_waiting w then begin
-        Itbl.remove nd.cv_waiting w;
-        cv_maybe_forward nd
-      end;
-      Itbl.remove nd.die_waiting w;
+      if release sl.cv_waiting nd j then cv_maybe_forward nd;
+      ignore (release sl.die_waiting nd j);
       if nd.p1 = w || nd.p2 = w then do_orphan nd
     end;
     if !repair_mode then begin
-      Itbl.remove nd.rp_waiting w;
-      if Itbl.mem nd.rp_cv_waiting w then begin
-        Itbl.remove nd.rp_cv_waiting w;
-        rp_maybe_forward nd
-      end;
+      ignore (release sl.rp_waiting nd j);
+      if release sl.rp_cv_waiting nd j then rp_maybe_forward nd;
       nd.rp_children <- forget w nd.rp_children
     end
   in
@@ -641,16 +772,16 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
   in
 
   (* ---------------- message handlers ---------------- *)
-  let merge_report nd ~from candidate =
-    (match candidate with
-    | None -> ()
-    | Some (e, cl, fu) -> (
-        match nd.best with
-        | Some (e', _, _) when e' <= e -> ()
-        | _ ->
-            nd.best <- Some (e, cl, fu);
-            nd.best_from <- from));
-    Itbl.remove nd.cv_waiting from;
+  (* A child's report: its subtree's candidate [e] (-1 = none), which
+     [nd] adopts when it beats its own (min edge id). *)
+  let merge_report nd ~from e ~cl ~fu =
+    if e >= 0 && (nd.best_e < 0 || e < nd.best_e) then begin
+      nd.best_e <- e;
+      nd.best_cl <- cl;
+      nd.best_fu <- fu;
+      nd.best_from <- from
+    end;
+    ignore (release sl.cv_waiting nd (slot_of nd from));
     cv_maybe_forward nd
   in
 
@@ -663,42 +794,41 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
     (* [nd]'s merged best is the contracted vertex's winning candidate;
        push the decision towards the proposer, everyone else off-path. *)
     nd.wave_done <- true;
-    match nd.best with
-    | None -> assert false
-    | Some (edge, new_cl, new_fu) ->
-        (* The wave may arrive after the node it would adopt as parent
-           (the hook peer, or the reporting child) has been found dead:
-           hooking there would wedge the next call's wave behind a
-           parent that can never answer.  Fall back to the orphan abort
-           — the path to the new cluster root is gone. *)
-        let adoptee = if nd.best_from < 0 then nd.best_peer else nd.best_from in
-        if is_dead nd adoptee then do_orphan nd
-        else begin
-          adopt_cluster nd ~cl:new_cl ~fu:new_fu;
-          if nd.best_from < 0 then begin
-            (* I proposed the winning edge: hook onto the sampled cluster. *)
-            keep ~who:nd.id edge;
-            set_p2 nd nd.best_peer;
-            List.iter
-              (fun c -> emit ~src:nd.id ~dst:c (Off_path { new_cl; new_fu }))
-              nd.p1_children
-          end
-          else begin
-            set_p2 nd nd.best_from;
-            List.iter
-              (fun c ->
-                if c = nd.best_from then
-                  emit ~src:nd.id ~dst:c (On_path { edge; new_cl; new_fu })
-                else emit ~src:nd.id ~dst:c (Off_path { new_cl; new_fu }))
-              nd.p1_children
-          end
-        end
+    assert (nd.best_e >= 0);
+    let edge = nd.best_e and new_cl = nd.best_cl and new_fu = nd.best_fu in
+    (* The wave may arrive after the node it would adopt as parent
+       (the hook peer, or the reporting child) has been found dead:
+       hooking there would wedge the next call's wave behind a
+       parent that can never answer.  Fall back to the orphan abort
+       — the path to the new cluster root is gone. *)
+    let adoptee = if nd.best_from < 0 then nd.best_peer else nd.best_from in
+    if is_dead nd adoptee then do_orphan nd
+    else begin
+      adopt_cluster nd ~cl:new_cl ~fu:new_fu;
+      let off = Off_path { new_cl; new_fu } in
+      if nd.best_from < 0 then begin
+        (* I proposed the winning edge: hook onto the sampled cluster. *)
+        keep ~who:nd.id edge;
+        set_p2 nd nd.best_peer;
+        List.iter (fun c -> emit ~src:nd.id ~dst:c off) nd.p1_children
+      end
+      else begin
+        set_p2 nd nd.best_from;
+        List.iter
+          (fun c ->
+            if c = nd.best_from then
+              emit ~src:nd.id ~dst:c (On_path { edge; new_cl; new_fu })
+            else emit ~src:nd.id ~dst:c off)
+          nd.p1_children
+      end
+    end
   in
 
   (* Enqueue a (cluster, edge) entry unless a no-worse one was already
      forwarded; intermediate dedup is best-effort, the center's merge is
      authoritative. *)
   let die_offer nd (cl, e) =
+    if nd.die_sent == no_table then nd.die_sent <- Itbl.create 4;
     match Itbl.find_opt nd.die_sent cl with
     | Some e' when e' <= e -> ()
     | _ ->
@@ -729,10 +859,10 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
     nd.fin_aborting <- true;
     nd.fin_src_done <- true;
     kept_all.(nd.id) <- true;
-    Itbl.iter
-      (fun w (cl, _) ->
-        if cl <> nd.cl_center then keep ~who:nd.id (edge_to nd w))
-      nd.nb_cl
+    for j = nd.off to nd.off + nd.deg - 1 do
+      if sl.nb_stamp.(j) >= 0 && sl.nb_cl.(j) <> nd.cl_center then
+        keep ~who:nd.id sl.nb_e.(j)
+    done
   in
 
   (* Profiling category per message family: handler cost lands in one
@@ -770,11 +900,12 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
     Obs.Prof.enter prof (prof_region_of m);
     (match m with
     | Exchange { cl; fu } when in_call ->
-        Itbl.replace nd.nb_cl src (cl, fu);
-        heard_exchange nd src
-    | Report_none when in_call -> merge_report nd ~from:src None
+        let j = slot_of nd src in
+        hear_exchange nd j ~cl ~fu;
+        ignore (release sl.ex_waiting nd j)
+    | Report_none when in_call -> merge_report nd ~from:src (-1) ~cl:0 ~fu:0
     | Report { edge; target_cl; target_fu } when in_call ->
-        merge_report nd ~from:src (Some (edge, target_cl, target_fu))
+        merge_report nd ~from:src edge ~cl:target_cl ~fu:target_fu
     | On_path _ when in_call ->
         (* My subtree supplied the winner, so my merged best is the
            edge named in the message; [start_wave] adopts it and pushes
@@ -784,16 +915,14 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
         adopt_cluster nd ~cl:new_cl ~fu:new_fu;
         set_p2 nd nd.p1;
         nd.wave_done <- true;
-        List.iter
-          (fun c -> emit ~src:nd.id ~dst:c (Off_path { new_cl; new_fu }))
-          nd.p1_children
+        List.iter (fun c -> emit ~src:nd.id ~dst:c m) nd.p1_children
     | Die_start when in_call -> start_dying nd
     | Die_up { entries; finished } when in_call ->
         if nd.p1 < 0 then
           (* Center: authoritative merge. *)
           List.iter (fun (cl, e) -> center_offer nd cl e) entries
         else List.iter (die_offer nd) entries;
-        if finished then Itbl.remove nd.die_waiting src
+        if finished then ignore (release sl.die_waiting nd (slot_of nd src))
     | Final_down { edges; finished } when in_call ->
         List.iter
           (fun e ->
@@ -820,27 +949,28 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
        engine's business — a message that arrives was deliverable. *)
     | Repair_id { root } ->
         if !repair_mode then begin
-          Itbl.replace nd.rp_nb src root;
+          sl.rp_nb.(slot_of nd src) <- root;
           emit ~src:nd.id ~dst:src (Repair_ack { root = nd.rp_root })
         end
     | Repair_ack { root } ->
         if !repair_mode then begin
-          Itbl.replace nd.rp_nb src root;
-          Itbl.remove nd.rp_waiting src
+          let j = slot_of nd src in
+          sl.rp_nb.(j) <- root;
+          ignore (release sl.rp_waiting nd j)
         end
     | Repair_report { edge } ->
         if !repair_mode then begin
-          (match nd.rp_best with
-          | Some (e', _) when e' <= edge -> ()
-          | _ ->
-              nd.rp_best <- Some (edge, -1);
-              nd.rp_best_from <- src);
-          Itbl.remove nd.rp_cv_waiting src;
+          if nd.rp_best_e < 0 || edge < nd.rp_best_e then begin
+            nd.rp_best_e <- edge;
+            nd.rp_best_peer <- -1;
+            nd.rp_best_from <- src
+          end;
+          ignore (release sl.rp_cv_waiting nd (slot_of nd src));
           rp_maybe_forward nd
         end
     | Repair_none ->
         if !repair_mode then begin
-          Itbl.remove nd.rp_cv_waiting src;
+          ignore (release sl.rp_cv_waiting nd (slot_of nd src));
           rp_maybe_forward nd
         end
     | Repair_on_path -> if !repair_mode then rp_start_wave nd
@@ -955,23 +1085,18 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
     Array.iter (fun nd -> if nd.alive then reset_call_scratch nd) nodes;
     live_nodes (fun nd ->
         let m = Exchange { cl = nd.cl_center; fu = nd.cl_fu } in
-        iter_nb nd (fun i w _ ->
-            if not nd.nb_dead.(i) then begin
-              if not nd.ex_waiting.(i) then begin
-                nd.ex_waiting.(i) <- true;
-                nd.ex_pending <- nd.ex_pending + 1
-              end;
-              emit ~src:nd.id ~dst:w m
-            end));
+        for j = nd.off to nd.off + nd.deg - 1 do
+          if not (flag sl.nb_dead j) then begin
+            await sl.ex_waiting nd j;
+            emit ~src:nd.id ~dst:sl.nb.(j) m
+          end
+        done);
     (* The exchange's waits resolve themselves (every awaited peer was
        also sent to), but a probe re-arms the abandonment clock after
        e.g. a replayed suspicion pattern diverges. *)
     run_phase "exchange"
-      ~finished:(fun nd -> nd.ex_pending = 0)
-      ~awaits:(fun nd f ->
-        for i = 0 to Array.length nd.nb - 1 do
-          if nd.ex_waiting.(i) then f nd.nb.(i)
-        done)
+      ~finished:(fun nd -> pending sl.ex_waiting nd = 0)
+      ~awaits:(awaited sl.ex_waiting)
       ();
     (* The exchange boundary is the recovery point: what a node knows
        here (its cluster identity) is consistent cluster-wide, which is
@@ -989,29 +1114,28 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
     live_nodes (fun nd ->
         if nd.cl_fu <= k then begin
           nd.deciding <- true;
-          Itbl.iter
-            (fun w (cl, fu) ->
-              if cl <> nd.cl_center && fu > k then begin
-                let e = edge_to nd w in
-                match nd.best with
-                | Some (e', _, _) when e' <= e -> ()
-                | _ ->
-                    nd.best <- Some (e, cl, fu);
-                    nd.best_peer <- w;
-                    nd.best_from <- -1
-              end)
-            nd.nb_cl;
-          List.iter
-            (fun c -> Itbl.replace nd.cv_waiting c ())
-            nd.p1_children
+          for j = nd.off to nd.off + nd.deg - 1 do
+            let cl = sl.nb_cl.(j) and fu = sl.nb_fu.(j) and e = sl.nb_e.(j) in
+            if
+              sl.nb_stamp.(j) >= 0 && cl <> nd.cl_center && fu > k
+              && (nd.best_e < 0 || e < nd.best_e)
+            then begin
+              nd.best_e <- e;
+              nd.best_cl <- cl;
+              nd.best_fu <- fu;
+              nd.best_peer <- sl.nb.(j);
+              nd.best_from <- -1
+            end
+          done;
+          await_all sl.cv_waiting nd nd.p1_children
         end);
     live_nodes cv_maybe_forward;
     run_phase "convergecast"
       ~finished:(fun nd ->
         (not nd.deciding)
-        || Itbl.length nd.cv_waiting = 0
+        || pending sl.cv_waiting nd = 0
            && (nd.p1 < 0 || nd.report_sent || is_dead nd nd.p1))
-      ~awaits:(fun nd f -> await_keys nd.cv_waiting f)
+      ~awaits:(awaited sl.cv_waiting)
       ();
     (* The deciding centers, snapshotted before the wave can rewrite
        their cluster identity (a hooking center adopts the target
@@ -1037,9 +1161,9 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
     (* Phase 3: decision waves from every deciding center. *)
     live_nodes (fun nd ->
         if nd.deciding && nd.p1 < 0 then begin
-          if Itbl.length nd.cv_waiting <> 0 then
+          if pending sl.cv_waiting nd <> 0 then
             failwith "Skeleton_dist: convergecast incomplete at decision time";
-          match nd.best with Some _ -> start_wave nd | None -> start_dying nd
+          if nd.best_e >= 0 then start_wave nd else start_dying nd
         end);
     run_phase "wave"
       ~finished:(fun nd -> (not nd.deciding) || nd.wave_done)
@@ -1066,21 +1190,20 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
        center's own incidences go straight into its merge. *)
     live_nodes (fun nd ->
         if nd.is_dying then begin
-          List.iter (fun c -> Itbl.replace nd.die_waiting c ()) nd.p1_children;
+          await_all sl.die_waiting nd nd.p1_children;
           if nd.p1 < 0 then center_best.(nd.id) <- Itbl.create 16;
-          Itbl.iter
-            (fun w (cl, _) ->
+          iter_heard_in_order nd (fun j ->
+              let cl = sl.nb_cl.(j) in
               if cl <> nd.cl_center then
-                if nd.p1 < 0 then center_offer nd cl (edge_to nd w)
-                else die_offer nd (cl, edge_to nd w))
-            nd.nb_cl
+                if nd.p1 < 0 then center_offer nd cl sl.nb_e.(j)
+                else die_offer nd (cl, sl.nb_e.(j)))
         end);
     run_phase "dying"
       ~finished:(fun nd ->
         (not nd.is_dying)
-        || Itbl.length nd.die_waiting = 0
+        || pending sl.die_waiting nd = 0
            && (nd.p1 < 0 || nd.die_done_sent))
-      ~awaits:(fun nd f -> await_keys nd.die_waiting f)
+      ~awaits:(awaited sl.die_waiting)
       ~tick:(fun nd ->
         if
           nd.p1 >= 0
@@ -1090,7 +1213,7 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
         then begin
           let entries = take_batch nd.die_queue die_cap [] in
           let finished =
-            Itbl.length nd.die_waiting = 0 && Queue.is_empty nd.die_queue
+            pending sl.die_waiting nd = 0 && Queue.is_empty nd.die_queue
           in
           if entries <> [] || finished then begin
             emit ~src:nd.id ~dst:nd.p1 (Die_up { entries; finished });
@@ -1125,7 +1248,7 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
         if
           nd.p1_children <> []
           && (not nd.fin_done_sent)
-          && List.for_all (fun c -> !link_idle_ref nd.id c) nd.p1_children
+          && links_idle nd.id nd.p1_children
         then
           if nd.fin_aborting then begin
             List.iter (fun c -> emit ~src:nd.id ~dst:c Abort) nd.p1_children;
@@ -1174,8 +1297,8 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
           (* A node cannot know a neighbor died in this very call, so
              simultaneous deaths cost one wasted notice per link — the
              real protocol pays the same. *)
-          iter_nb nd (fun i w _ ->
-              if not nd.nb_dead.(i) then emit ~src:nd.id ~dst:w Dead))
+          iter_nb nd (fun j w _ ->
+              if not (flag sl.nb_dead j) then emit ~src:nd.id ~dst:w Dead))
         !newly_dead;
       run_phase "death-notices" ()
     done;
@@ -1311,24 +1434,25 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
     Array.iter
       (fun nd ->
         if live nd.id then
-          iter_nb nd (fun i w e ->
-              if live w && edge_up e then nd.nb_dead.(i) <- false))
+          iter_nb nd (fun j w e ->
+              if live w && edge_up e then set_flag sl.nb_dead j false))
       nodes;
     repair_mode := true;
     (* Rebuild the repair forest from the witness labels (protocol
        liveness is gone by now) and mark fragment membership; each
        member's re-entry counts as one more call alive. *)
     let rebuild_forest () =
+      Array.fill sl.rp_nb 0 (Array.length sl.rp_nb) unheard;
       Array.iter
         (fun nd ->
           nd.rp_root <- -1;
           nd.rp_parent <- -1;
           nd.rp_children <- [];
-          Itbl.reset nd.rp_nb;
-          Itbl.reset nd.rp_waiting;
-          Itbl.reset nd.rp_cv_waiting;
+          clear_waits sl.rp_waiting nd;
+          clear_waits sl.rp_cv_waiting nd;
           nd.rp_report_sent <- false;
-          nd.rp_best <- None;
+          nd.rp_best_e <- -1;
+          nd.rp_best_peer <- -1;
           nd.rp_best_from <- -1)
         nodes;
       for v = 0 to n - 1 do
@@ -1368,47 +1492,44 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
          fragment root (-1 = attached). *)
       Array.iter
         (fun nd ->
-          iter_nb nd (fun _ w e ->
+          iter_nb nd (fun j w e ->
               if live w && edge_up e then begin
-                Itbl.replace nd.rp_waiting w ();
+                await sl.rp_waiting nd j;
                 emit ~src:nd.id ~dst:w (Repair_id { root = nd.rp_root })
               end))
         members;
       run_phase "repair-exchange" ~pop:members ~live:present
-        ~finished:(fun nd -> Itbl.length nd.rp_waiting = 0)
-        ~awaits:(fun nd f -> await_keys nd.rp_waiting f)
+        ~finished:(fun nd -> pending sl.rp_waiting nd = 0)
+        ~awaits:(awaited sl.rp_waiting)
         ();
       (* Local candidates — an edge crossing to the attached part or to
          a strictly smaller-rooted fragment (the order keeps the hook
          relation acyclic) — then convergecast the fragment minimum. *)
       Array.iter
         (fun nd ->
-          Itbl.iter
-            (fun w root_w ->
-              if root_w <> nd.rp_root && (root_w < 0 || root_w < nd.rp_root)
+          iter_nb nd (fun j w e ->
+              let root_w = sl.rp_nb.(j) in
+              if
+                root_w <> unheard && root_w <> nd.rp_root
+                && (root_w < 0 || root_w < nd.rp_root)
+                && (nd.rp_best_e < 0 || e < nd.rp_best_e)
               then begin
-                let e = edge_to nd w in
-                match nd.rp_best with
-                | Some (e', _) when e' <= e -> ()
-                | _ ->
-                    nd.rp_best <- Some (e, w);
-                    nd.rp_best_from <- -1
-              end)
-            nd.rp_nb;
-          List.iter
-            (fun c -> Itbl.replace nd.rp_cv_waiting c ())
-            nd.rp_children)
+                nd.rp_best_e <- e;
+                nd.rp_best_peer <- w;
+                nd.rp_best_from <- -1
+              end);
+          await_all sl.rp_cv_waiting nd nd.rp_children)
         members;
       Array.iter rp_maybe_forward members;
       run_phase "repair-convergecast" ~pop:members ~live:present
         ~finished:(fun nd ->
-          Itbl.length nd.rp_cv_waiting = 0
+          pending sl.rp_cv_waiting nd = 0
           && (nd.rp_parent < 0 || nd.rp_report_sent))
-        ~awaits:(fun nd f -> await_keys nd.rp_cv_waiting f)
+        ~awaits:(awaited sl.rp_cv_waiting)
         ();
       (* Roots with a candidate launch the parent-flip wave. *)
       let resolved, unresolved =
-        List.partition (fun r -> nodes.(r).rp_best <> None) !roots
+        List.partition (fun r -> nodes.(r).rp_best_e >= 0) !roots
       in
       List.iter (fun r -> rp_start_wave nodes.(r)) resolved;
       run_phase "repair-wave" ();
@@ -1551,7 +1672,7 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
       nd.orphaned <- false;
       nd.p1_children <- [];
       nd.p2_children <- [];
-      Array.fill nd.nb_dead 0 (Array.length nd.nb_dead) false;
+      Bytes.fill sl.nb_dead nd.off nd.deg '\000';
       reset_call_scratch nd;
       Graph.iter_neighbors g v (fun w _ ->
           R.reset_peer (R.endpoint rt w) ~round v;

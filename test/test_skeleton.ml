@@ -731,6 +731,36 @@ let prop_skeleton_connectivity =
       let r = Skeleton.build ~seed:(seed * 3) g in
       G.is_connected (Edge_set.to_graph r.Skeleton.spanner))
 
+(* ------------------------------------------------------------------ *)
+(* Allocation gate.  Words allocated, counted as minor + major -
+   promoted, are the same on every run of a build when the count starts
+   from an empty minor heap.  Without the [Gc.minor] the count drifts
+   with how full the minor heap was at the start: one build read
+   958,779 and then 1,141,341 words in the same process. *)
+
+let words_allocated f =
+  Gc.minor ();
+  let minor0, promoted0, major0 = Gc.counters () in
+  f ();
+  let minor1, promoted1, major1 = Gc.counters () in
+  int_of_float
+    (minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0))
+
+let test_lossfree_build_words () =
+  (* 662,645 words (331 per vertex) when the gate was set; the bound is
+     that count + 5%. *)
+  let n = 2_000 in
+  let g =
+    Gen.connected_gnp (Util.Prng.create ~seed:1) ~n
+      ~p:(8. /. float_of_int n)
+  in
+  let words =
+    words_allocated (fun () -> ignore (Skeleton_dist.build ~seed:1 g))
+  in
+  checkb
+    (Printf.sprintf "%d words for G(2000, 8/n), at most 695,777" words)
+    true (words <= 695_777)
+
 let suite =
   [
     ( "core.plan",
@@ -814,5 +844,10 @@ let suite =
         Alcotest.test_case "stuck is structured" `Quick
           test_churn_stuck_is_structured;
         QCheck_alcotest.to_alcotest prop_churn_trace_replay_identical;
+      ] );
+    ( "skeleton.alloc",
+      [
+        Alcotest.test_case "loss-free build words" `Quick
+          test_lossfree_build_words;
       ] );
   ]
