@@ -489,19 +489,19 @@ let simulate_cmd =
   let drop =
     Arg.(
       value
-      & opt float 0.
+      & opt fraction 0.
       & info [ "drop" ] ~docv:"P" ~doc:"Per-message loss probability.")
   in
   let dup =
     Arg.(
       value
-      & opt float 0.
+      & opt fraction 0.
       & info [ "dup" ] ~docv:"P" ~doc:"Per-message duplication probability.")
   in
   let delay =
     Arg.(
       value
-      & opt float 0.
+      & opt fraction 0.
       & info [ "delay" ] ~docv:"P" ~doc:"Per-message delay probability.")
   in
   let max_delay =

@@ -131,6 +131,64 @@ let words = function
   | Repair_on_path -> 1
   | Repair_keep_all -> 1
 
+(* The transport a build runs on, chosen once per build: protocol
+   messages ride the engine bare on a loss-free network, as in the
+   paper's model (no acks, no sequence numbers: word accounting and the
+   produced spanner match the original driver), and the Reliable
+   stop-and-wait ARQ on a faulty one, whose abandoned transmissions
+   double as the failure detector.  Engine readings and sends are the
+   same on either. *)
+module Transport = struct
+  type t = Bare of msg Sim.t | Arq of msg Reliable.t
+
+  (* Every node is started at once: a node absent from the network is
+     silenced by the engine, not by the transport. *)
+  let create ?tracer ~metrics ~spans faults g =
+    if Fault.is_none faults then
+      Bare (Sim.create ~faults ?tracer ~metrics ~spans g)
+    else begin
+      let rt = Reliable.create ~faults ?tracer ~metrics ~spans ~words g in
+      for v = 0 to Graph.n g - 1 do
+        Reliable.start rt v []
+      done;
+      Arq rt
+    end
+
+  let round = function
+    | Bare net -> Sim.round net
+    | Arq rt -> Sim.round (Reliable.net rt)
+
+  let stats = function
+    | Bare net -> Sim.stats net
+    | Arq rt -> Sim.stats (Reliable.net rt)
+
+  let take_window_max = function
+    | Bare net -> Sim.take_window_max net
+    | Arq rt -> Sim.take_window_max (Reliable.net rt)
+
+  let edge_up t e =
+    match t with
+    | Bare net -> Sim.edge_up net e
+    | Arq rt -> Sim.edge_up (Reliable.net rt) e
+
+  (* An ARQ send waits in the sender's outbox until its next visit. *)
+  let send t ~src ~dst m =
+    match t with
+    | Bare net -> Sim.send net ~src ~dst ~words:(words m) m
+    | Arq rt -> Reliable.send rt ~src ~dst m
+
+  (* Nothing of [v]'s toward [w] is queued or unacknowledged: the
+     streaming phases offer their next batch only on an idle link. *)
+  let link_idle t v w =
+    match t with
+    | Bare _ -> true
+    | Arq rt -> Reliable.link_idle (Reliable.endpoint rt v) w
+
+  let idle = function
+    | Bare net -> Sim.quiescent net
+    | Arq rt -> Reliable.idle rt ~round:(Sim.round (Reliable.net rt))
+end
+
 (* A per-node waiting set: one flag byte per slot (the peers still
    awaited) and one count per node.  A phase ends when every live
    node's set for it has drained, which (unlike running the network to
@@ -468,13 +526,21 @@ let repairs faults = Fault.has_churn faults || Fault.has_restarts faults
 let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
     ?(spans = Obs.Span.disabled) ?phase_round_limit ~plan ~sampling g =
   let n = Graph.n g in
+  (* First of all sink uses: the ARQ counters, then the engine's
+     instruments and the round-0 churn events. *)
+  let tr = Transport.create ?tracer ~metrics ~spans faults g in
+  let round_now () = Transport.round tr in
+  let emit ~src ~dst m = Transport.send tr ~src ~dst m in
+  let rec links_idle v = function
+    | [] -> true
+    | w :: ws -> Transport.link_idle tr v w && links_idle v ws
+  in
   let sl, start = make_slots g in
   let nodes = Array.init n (fresh_node sl start) in
   Array.iter
     (fun nd -> nd.cl_fu <- Sampling.first_unsampled sampling nd.id)
     nodes;
   let edge_to nd w = Graph.edge_id g nd.id w in
-  let use_arq = not (Fault.is_none faults) in
   let spanner = Edge_set.create g in
   let aborts = ref 0 in
   let budget = plan.Plan.word_budget in
@@ -497,14 +563,6 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
   let recovered_edges = ref 0 in
   let suspicion_events = ref 0 in
 
-  (* The engine is created inside the chosen transport (its wire type
-     differs: bare protocol messages vs ARQ frames), so round and
-     statistics access go through these cells. *)
-  let round_now = ref (fun () -> 0) in
-  let stats_now =
-    ref (fun () ->
-        { Sim.rounds = 0; messages = 0; words = 0; max_message_words = 0 })
-  in
   (* [crashed_now v]: is the fault plan holding [v] down at the current
      round?  This is the ENGINE's view — false again once a scheduled
      restart lands, so a reborn node's transport pumps and its probes
@@ -520,8 +578,8 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
   List.iter
     (fun (r, v) -> if r < crash_round.(v) then crash_round.(v) <- r)
     (Fault.crash_schedule faults);
-  let crashed_now v = Fault.crashed faults ~round:(!round_now ()) v in
-  let proto_dead v = !round_now () >= crash_round.(v) in
+  let crashed_now v = Fault.crashed faults ~round:(round_now ()) v in
+  let proto_dead v = round_now () >= crash_round.(v) in
   let is_live nd = nd.alive && (not nd.orphaned) && not (proto_dead nd.id) in
   let restarting = Fault.has_restarts faults in
   (* Churn-aware views of the topology (identity without churn): is an
@@ -529,35 +587,19 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
      crash-stopped?  The repair pass decides exclusively through these,
      never through protocol liveness (which ends false for everyone
      once the last call's kill has run). *)
-  let edge_up_now = ref (fun (_ : int) -> true) in
   let present_now v =
-    (not (crashed_now v)) && Fault.joined faults ~round:(!round_now ()) v
+    (not (crashed_now v)) && Fault.joined faults ~round:(round_now ()) v
   in
   let repair_mode = ref false in
   let rp_keep_alls = ref 0 and rp_replaced = ref 0 in
   let repair_ref = ref no_repair in
   let dead_edges_ref = ref [] in
 
-  (* Transport indirection: the one protocol below runs either straight
-     on the engine (loss-free fast path, bit-compatible with the
-     original driver) or through a per-link Reliable ARQ wrapper. *)
-  let emit_ref = ref (fun ~src:_ ~dst:_ (_ : msg) -> ()) in
-  let pump_ref = ref (fun () -> ()) in
-  let idle_ref = ref (fun () -> true) in
-  let link_idle_ref = ref (fun _ _ -> true) in
-  let emit ~src ~dst m = !emit_ref ~src ~dst m in
-  let rec links_idle v = function
-    | [] -> true
-    | w :: ws -> !link_idle_ref v w && links_idle v ws
-  in
-
   (* Per-phase attribution: every phase's cost is the delta of the
      engine statistics since the previous mark, so the phase rows of a
      metrics snapshot sum exactly to the final [Sim.stats].  Peak
      message length is not delta-able, so it comes from the engine's
-     reset-on-read window ({!Sim.take_window_max}), wired up by the
-     transport below. *)
-  let window_now = ref (fun () -> 0) in
+     reset-on-read window ({!Sim.take_window_max}). *)
   let last_stats =
     ref { Sim.rounds = 0; messages = 0; words = 0; max_message_words = 0 }
   in
@@ -573,7 +615,7 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
     let metrics_on = Obs.Metrics.enabled metrics in
     let spans_on = Obs.Span.enabled spans in
     if metrics_on || spans_on then begin
-      let s = !stats_now () in
+      let s = Transport.stats tr in
       let prev = !last_stats in
       last_stats := s;
       if spans_on then
@@ -593,7 +635,7 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
           (s.Sim.words - prev.Sim.words);
         Obs.Metrics.set_max
           (Obs.Metrics.gauge metrics ~labels "phase_max_message_words")
-          (!window_now ())
+          (Transport.take_window_max tr)
       end
     end
   in
@@ -672,7 +714,7 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
   let rp_do_keep_all nd =
     kept_all.(nd.id) <- true;
     iter_nb nd (fun _ w e ->
-        if present_now w && !edge_up_now e then keep ~who:nd.id e);
+        if present_now w && Transport.edge_up tr e then keep ~who:nd.id e);
     List.iter (fun c -> emit ~src:nd.id ~dst:c Repair_keep_all) nd.rp_children
   in
 
@@ -890,7 +932,7 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
     if
       restarting
       && Recovery.Detector.is_suspected det src
-      && Fault.incarnation faults ~round:(!round_now ()) src > 0
+      && Fault.incarnation faults ~round:(round_now ()) src > 0
     then Recovery.Detector.unsuspect det src;
     let nd = nodes.(dst) in
     (* A call message acts only on a node still in the call: alive, and
@@ -978,6 +1020,56 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
     Obs.Prof.leave prof
   in
 
+  (* ---------------- the round pump ---------------- *)
+  (* The node program behind the ARQ: a visit hands its deliveries to
+     [dispatch], and what they trigger waits in the outbox that the
+     same visit drains. *)
+  let receive v ~senders ~payloads k =
+    for i = 0 to k - 1 do
+      dispatch ~dst:v ~src:senders.(i) payloads.(i)
+    done
+  in
+  (* Crash-recovery: when a node's restart round arrives, revive it.
+     The reborn node is engine-live but protocol-dead ([proto_dead]):
+     its transport pumps and its probes ack, but it rejoins the output
+     only through the repair pass.  Reviving means amnesia — fresh ARQ
+     state on BOTH sides of every incident link (the reborn node must
+     not consume its predecessor's acks, nor have its restarted
+     sequence numbers swallowed as duplicates), the phase-boundary
+     checkpoint restored, and every neighbor that had not yet written
+     the node off forced to do so now: the crash severed their
+     sessions, and the abandonment that would have ripened into a
+     suspicion died with the reset. *)
+  let revive rt ~round v =
+    Reliable.start rt v [];
+    let nd = nodes.(v) in
+    restore nd;
+    nd.alive <- false;
+    nd.orphaned <- false;
+    nd.p1_children <- [];
+    nd.p2_children <- [];
+    Bytes.fill sl.nb_dead nd.off nd.deg '\000';
+    reset_call_scratch nd;
+    Graph.iter_neighbors g v (fun w _ ->
+        Reliable.reset_peer (Reliable.endpoint rt w) ~round v;
+        if (not (proto_dead w)) && not (is_dead nodes.(w) v) then
+          on_suspect ~by:w v)
+  in
+  let pending_revives = ref (Fault.restart_schedule faults) in
+  let rec landed round =
+    match (tr, !pending_revives) with
+    | Transport.Arq rt, (r, v) :: rest when r <= round ->
+        pending_revives := rest;
+        revive rt ~round v;
+        landed round
+    | _ -> ()
+  in
+  let pump () =
+    match tr with
+    | Transport.Bare net -> ignore (Sim.step net dispatch)
+    | Transport.Arq rt -> Reliable.step rt ~receive ~landed ~suspect:on_suspect
+  in
+
   (* ---------------- phase driver ---------------- *)
   let phase_round_limit =
     match phase_round_limit with Some l -> l | None -> 10_000 + (500 * n)
@@ -989,7 +1081,7 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
     for v = n - 1 downto 0 do
       if present_now v then
         Graph.iter_neighbors g v (fun w _ ->
-            if not (!link_idle_ref v w) then busy := (v, w) :: !busy)
+            if not (Transport.link_idle tr v w) then busy := (v, w) :: !busy)
     done;
     List.sort_uniq compare !busy
   in
@@ -1016,7 +1108,7 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
       | None -> fun _ -> false
     in
     let complete () =
-      if drain then !idle_ref () else not (Array.exists pending pop)
+      if drain then Transport.idle tr else not (Array.exists pending pop)
     in
     let waiter = ref (-1) and waits = ref [] in
     let note w =
@@ -1048,21 +1140,21 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
         match waiting_on () with [] -> busy_links () | links -> links
       in
       record_phase name;
-      raise (Stuck { phase = name; waiting_on; stats = !stats_now () })
+      raise (Stuck { phase = name; waiting_on; stats = Transport.stats tr })
     in
     let rounds = ref 0 and last_probe_mark = ref (-1) in
     while not (complete ()) do
       incr rounds;
       if !rounds > phase_round_limit then stuck ();
       if Option.is_some tick then Array.iter step pop;
-      if !idle_ref () then begin
+      if Transport.idle tr then begin
         if !last_probe_mark = !suspicion_events then stuck ();
         last_probe_mark := !suspicion_events;
         match waiting_on () with
         | [] -> stuck ()
         | targets -> List.iter probe targets
       end
-      else !pump_ref ()
+      else pump ()
     done;
     record_phase name
   in
@@ -1079,7 +1171,7 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
       current_call_span :=
         Obs.Span.open_span spans Obs.Span.Call
           ~name:(Printf.sprintf "call-%d" k)
-          ~round:(!round_now ());
+          ~round:(round_now ());
     live_nodes (fun nd -> calls_alive.(nd.id) <- calls_alive.(nd.id) + 1);
     (* Phase 1: exchange cluster identities over live links. *)
     Array.iter (fun nd -> if nd.alive then reset_call_scratch nd) nodes;
@@ -1108,7 +1200,7 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
     (* Cluster spans share the stats-delta boundaries: they open at the
        exchange boundary just recorded and close at the wave boundary
        (or, for dying centers, at the final boundary). *)
-    let cluster_start = !round_now () in
+    let cluster_start = round_now () in
     (* Phase 2: local candidates + convergecast inside unsampled
        contracted vertices. *)
     live_nodes (fun nd ->
@@ -1170,7 +1262,7 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
       ~awaits:(fun nd f -> f nd.p1)
       ();
     if spans_on then begin
-      let stop = !round_now () in
+      let stop = round_now () in
       List.iter
         (fun (v, cl) ->
           if not nodes.(v).is_dying then cluster_span ~stop (v, cl))
@@ -1209,7 +1301,7 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
           nd.p1 >= 0
           && (not nd.die_done_sent)
           && (not (is_dead nd nd.p1))
-          && !link_idle_ref nd.id nd.p1
+          && Transport.link_idle tr nd.id nd.p1
         then begin
           let entries = take_batch nd.die_queue die_cap [] in
           let finished =
@@ -1266,7 +1358,7 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
           end)
       ();
     if spans_on then begin
-      let stop = !round_now () in
+      let stop = round_now () in
       List.iter
         (fun (v, cl) -> if nodes.(v).is_dying then cluster_span ~stop (v, cl))
         deciding_centers
@@ -1303,7 +1395,7 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
       run_phase "death-notices" ()
     done;
     if spans_on then begin
-      Obs.Span.close spans ~round:(!round_now ()) !current_call_span;
+      Obs.Span.close spans ~round:(round_now ()) !current_call_span;
       current_call_span := -1
     end
   in
@@ -1342,17 +1434,21 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
      that stay detached after the iteration bound degrade to the
      paper's keep-all abort; a live graph that is itself disconnected
      is reported as partitioned, never as a failure. *)
-  let run_repair ~fast_forward () =
+  let run_repair () =
     (* Let every scheduled churn event and restart land before
        assessing damage. *)
-    fast_forward
-      (Stdlib.max
-         (Fault.last_churn_round faults)
-         (Fault.last_restart_round faults));
+    let target =
+      Stdlib.max
+        (Fault.last_churn_round faults)
+        (Fault.last_restart_round faults)
+    in
+    while round_now () < target do
+      pump ()
+    done;
     record_phase "churn-forward";
     let live v = present_now v in
-    let edge_up e = !edge_up_now e in
-    let start_round = !round_now () in
+    let edge_up = Transport.edge_up tr in
+    let start_round = round_now () in
     (* 1. Sweep spanner edges the churn left down. *)
     let dead = ref [] in
     Edge_set.iter spanner (fun e -> if not (edge_up e) then dead := e :: !dead);
@@ -1391,7 +1487,7 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
     let rejoined = ref 0 in
     List.iter
       (fun (r, v) ->
-        if r <= !round_now () && live v then begin
+        if r <= round_now () && live v then begin
           incr rejoined;
           if parent.(v) >= 0 && not (Edge_set.mem spanner parent_edge.(v))
           then hook nodes.(v) (-1);
@@ -1595,7 +1691,7 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
         rehooked = !rehooked;
         replaced_edges = !rp_replaced;
         keep_all_fallbacks = !rp_keep_alls;
-        repair_rounds = !round_now () - start_round;
+        repair_rounds = round_now () - start_round;
         components = ncomp;
         rejoined;
       };
@@ -1606,107 +1702,20 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
     dead_edges_ref := !down
   in
 
-  (* ---------------- transports ---------------- *)
+  run_plan ();
+  if repairs faults then
+    Obs.Prof.region (Obs.Prof.current ()) "skel_repair_drive" run_repair;
   let retransmissions = ref 0 and dead_letters = ref 0 in
-  if not use_arq then begin
-    (* Loss-free fast path: protocol messages ride the engine bare, as
-       in the paper's model.  No acks, no sequence numbers — word
-       accounting and the produced spanner match the original driver. *)
-    let net : msg Sim.t = Sim.create ~faults ?tracer ~metrics ~spans g in
-    round_now := (fun () -> Sim.round net);
-    stats_now := (fun () -> Sim.stats net);
-    window_now := (fun () -> Sim.take_window_max net);
-    emit_ref := (fun ~src ~dst m -> Sim.send net ~src ~dst ~words:(words m) m);
-    pump_ref := (fun () -> ignore (Sim.step net dispatch));
-    idle_ref := (fun () -> Sim.quiescent net);
-    link_idle_ref := (fun _ _ -> true);
-    run_plan ()
-  end
-  else begin
-    (* Faulty network: every link runs the Reliable stop-and-wait ARQ,
-       whose abandoned transmissions double as the failure detector.
-       The protocol state lives in [nodes]; the node program only hands
-       deliveries to [dispatch].  Every send — the phase driver's and
-       the dispatcher's alike — waits in the sender's outbox until its
-       next visit. *)
-    let module R = Reliable.Make (struct
-      type state = unit
-      type message = msg
-
-      let message_words = words
-      let init _ _ = ((), [])
-
-      let receive _ ~round:_ v () ~senders ~payloads k =
-        for i = 0 to k - 1 do
-          dispatch ~dst:v ~src:senders.(i) payloads.(i)
-        done;
-        ((), [])
-    end) in
-    let rt = R.create ~faults ?tracer ~metrics ~spans g in
-    let net = R.net rt in
-    round_now := (fun () -> Sim.round net);
-    stats_now := (fun () -> Sim.stats net);
-    window_now := (fun () -> Sim.take_window_max net);
-    edge_up_now := Sim.edge_up net;
-    for v = 0 to n - 1 do
-      R.start rt v
-    done;
-    emit_ref := R.send rt;
-    (* Crash-recovery: when a node's restart round arrives, revive it.
-       The reborn node is engine-live but protocol-dead ([proto_dead]):
-       its transport pumps and its probes ack, but it rejoins the
-       output only through the repair pass.  Reviving means amnesia —
-       fresh ARQ state on BOTH sides of every incident link (the
-       reborn node must not consume its predecessor's acks, nor have
-       its restarted sequence numbers swallowed as duplicates), the
-       phase-boundary checkpoint restored, and every neighbor that had
-       not yet written the node off forced to do so now: the crash
-       severed their sessions, and the abandonment that would have
-       ripened into a suspicion died with the reset. *)
-    let pending_revives = ref (Fault.restart_schedule faults) in
-    let revive ~round v =
-      R.start rt v;
-      let nd = nodes.(v) in
-      restore nd;
-      nd.alive <- false;
-      nd.orphaned <- false;
-      nd.p1_children <- [];
-      nd.p2_children <- [];
-      Bytes.fill sl.nb_dead nd.off nd.deg '\000';
-      reset_call_scratch nd;
-      Graph.iter_neighbors g v (fun w _ ->
-          R.reset_peer (R.endpoint rt w) ~round v;
-          if (not (proto_dead w)) && not (is_dead nodes.(w) v)
-          then on_suspect ~by:w v)
-    in
-    let rec landed round =
-      match !pending_revives with
-      | (r, v) :: rest when r <= round ->
-          pending_revives := rest;
-          revive ~round v;
-          landed round
-      | _ -> ()
-    in
-    pump_ref := (fun () -> R.step rt ~landed ~suspect:on_suspect);
-    idle_ref := (fun () -> R.idle rt ~round:(Sim.round net));
-    link_idle_ref := (fun v w -> R.link_idle (R.endpoint rt v) w);
-    run_plan ();
-    if repairs faults then
-      Obs.Prof.region (Obs.Prof.current ()) "skel_repair_drive" (fun () ->
-          run_repair
-            ~fast_forward:(fun target ->
-              while Sim.round net < target do
-                !pump_ref ()
-              done)
-            ());
-    for v = 0 to n - 1 do
-      if not (crashed_now v) then begin
-        let ep = R.endpoint rt v in
-        retransmissions := !retransmissions + R.retransmissions ep;
-        dead_letters := !dead_letters + R.dead_letters ep
-      end
-    done
-  end;
+  (match tr with
+  | Transport.Bare _ -> ()
+  | Transport.Arq rt ->
+      for v = 0 to n - 1 do
+        if not (crashed_now v) then begin
+          let ep = Reliable.endpoint rt v in
+          retransmissions := !retransmissions + Reliable.retransmissions ep;
+          dead_letters := !dead_letters + Reliable.dead_letters ep
+        end
+      done);
 
   (* ---------------- result ---------------- *)
   (* Whatever ran outside a named phase (initial flushes, kill
@@ -1725,7 +1734,7 @@ let build_with ?(faults = Fault.none) ?tracer ?(metrics = Obs.Metrics.disabled)
       !suspicion_events;
     Obs.Metrics.add (Obs.Metrics.counter metrics "skeleton_aborts") !aborts
   end;
-  let stats = !stats_now () in
+  let stats = Transport.stats tr in
   let crashed = Array.make n false in
   List.iter
     (fun (round, v) -> if round <= stats.Sim.rounds then crashed.(v) <- true)

@@ -30,10 +30,12 @@
     Between rounds each node locally promotes [p2] to [p1]
     (contraction costs no communication).
 
-    {b Fault tolerance.}  With a [?faults] plan the protocol runs every
-    link through the {!Distnet.Reliable} stop-and-wait ARQ, which makes
-    delivery exact-once under loss, duplication and delay, and whose
-    abandoned transmissions double as a crash-stop failure detector.  A
+    {b Fault tolerance.}  A build picks its transport once, before any
+    protocol code runs: the bare engine when [faults] is
+    {!Distnet.Fault.none}, and otherwise the {!Distnet.Reliable}
+    stop-and-wait ARQ on every link, which makes delivery exact-once
+    under loss, duplication and delay, and whose abandoned
+    transmissions double as a crash-stop failure detector.  A
     node learns that a neighbor is gone in three ways — an ARQ
     write-off, a [Dead] notice, or the write-off a revival forces — and
     handles all three alike: it stops waiting on the neighbor and
@@ -46,10 +48,10 @@
     the algorithm at the call's death-notice phase.  Crashes are meant
     to cost spanner {e size} (the recovered edges), never {e stretch};
     [cli.t] and [sweep.t] pin the crash schedules that still break it.
-    Without faults the ARQ layer is bypassed entirely and
-    the produced spanner is {e edge for edge identical} to
-    {!Skeleton.build_with} on the same tape — the test suite relies on
-    this.
+    On either transport, with no fault to mask, the produced spanner
+    is {e edge for edge identical} to {!Skeleton.build_with} on the
+    same tape, and the ARQ retransmits nothing — the test suite relies
+    on this.
 
     The construction also records the per-vertex {!Certify.witness}
     labels, so any output can be independently certified after the

@@ -34,8 +34,8 @@ val flood :
 
 (** {1 Fault-tolerant variants}
 
-    The same algorithms as self-contained node programs run on the
-    {!Reliable} ARQ runtime: every inner message is sequenced,
+    The same algorithms as node programs driven over the {!Reliable}
+    ARQ runtime, their state in arrays: every message is sequenced,
     acknowledged, and retransmitted until delivered, so both converge
     to the correct answer under any loss/duplication/delay rates below
     1 (crashed nodes excepted).  Statistics include all ARQ traffic.

@@ -1,8 +1,8 @@
 (** Crash-stop failure detection for multi-phase protocols on {!Sim}.
 
     {!Detector} merges the two honest information sources a node has:
-    transport-level suspicion (a write-off that {!Reliable.Make.step}
-    hands its caller: a transmission abandoned after 12 retransmissions
+    transport-level suspicion (a write-off that {!Reliable.step} hands
+    its caller: a transmission abandoned after 12 retransmissions
     means the peer is whp gone) and protocol-level death notices (a
     [Dead] message from a peer that left the algorithm gracefully).
     The two are tracked separately — a suspected node {e crashed} (its

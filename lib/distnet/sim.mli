@@ -13,7 +13,9 @@
     word accounting) while the algorithm drives rounds explicitly with
     {!step} — this is how the multi-phase protocols (skeleton,
     Fibonacci balls) are written.  Node programs on a lossy network
-    run on the ARQ runtime in {!Reliable}, which drives this engine.
+    run on the ARQ runtime in {!Reliable}, which drives this engine and
+    is itself driven the same way: its [step] takes the caller's
+    per-node [receive] as this one takes the delivery callback.
 
     The engine can be driven over a faulty network: {!create}'s
     [?faults] plan ({!Fault.t}) injects message loss, duplication,

@@ -1557,37 +1557,6 @@ let e27_crash_recovery ?(quick = true) ~seed () =
       ];
   }
 
-let all ?(quick = true) ~seed () =
-  [
-    e1_fig1 ~quick ~seed ();
-    e2_size_vs_density ~quick ~seed ();
-    e3_skeleton_scaling ~quick ~seed ();
-    e4_fib_stages ~quick ~seed ();
-    e5_fib_size_vs_order ~quick ~seed ();
-    e6_lb_eps_beta ~quick ~seed ();
-    e7_lb_additive ~quick ~seed ();
-    e8_fib_budget ~quick ~seed ();
-    e9_contribution ~quick ~seed ();
-    e10_overlay ~quick ~seed ();
-    e11_linear_strategies ~quick ~seed ();
-    e12_abort_ablation ~quick ~seed ();
-    e13_oracle ~quick ~seed ();
-    e14_combined ~quick ~seed ();
-    e15_lb_sublinear ~quick ~seed ();
-    e16_girth_frontier ~quick ~seed ();
-    e17_streaming ~quick ~seed ();
-    e18_beta_comparison ~quick ~seed ();
-    e19_eps_beta_behavior ~quick ~seed ();
-    e20_compact_routing ~quick ~seed ();
-    e21_faults ~quick ~seed ();
-    e22_recovery ~quick ~seed ();
-    e23_churn ~quick ~seed ();
-    e24_phase_breakdown ~quick ~seed ();
-    e25_serving ~quick ~seed ();
-    e26_resilience_sweep ~quick ~seed ();
-    e27_crash_recovery ~quick ~seed ();
-  ]
-
 let table_ids =
   [
     ("E1", e1_fig1);
@@ -1618,6 +1587,9 @@ let table_ids =
     ("E26", e26_resilience_sweep);
     ("E27", e27_crash_recovery);
   ]
+
+let all ?quick ~seed () =
+  List.map (fun (_, table) -> table ?quick ~seed ()) table_ids
 
 let by_id id = List.assoc_opt (String.uppercase_ascii id) table_ids
 let ids = List.map fst table_ids

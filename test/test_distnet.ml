@@ -727,33 +727,28 @@ let test_detector_unsuspect_after_message () =
 (* A [suspect] for runs that ignore write-offs. *)
 let no_suspect ~by:_ _ = ()
 
-let test_reliable_link_idle () =
-  let module P = struct
-    type state = unit
-    type message = unit
+(* A [receive] for runs that only count frames. *)
+let no_receive _ ~senders:_ ~payloads:_ _ = ()
 
-    let message_words () = 1
-    let init _ v = ((), if v = 0 then [ (1, ()) ] else [])
-    let receive _ ~round:_ _ () ~senders:_ ~payloads:_ _ = ((), [])
-  end in
-  let module R = Distnet.Reliable.Make (P) in
-  let rt = R.create (Gen.path 2) in
-  R.start rt 0;
-  R.start rt 1;
-  let idle v w = R.link_idle (R.endpoint rt v) w in
-  checkb "first transmission on the wire" false (Sim.quiescent (R.net rt));
+let test_reliable_link_idle () =
+  let rt = Reliable.create ~words:(fun () -> 1) (Gen.path 2) in
+  Reliable.start rt 0 [ (1, ()) ];
+  Reliable.start rt 1 [];
+  let idle v w = Reliable.link_idle (Reliable.endpoint rt v) w in
+  checkb "first transmission on the wire" false
+    (Sim.quiescent (Reliable.net rt));
   checkb "message awaiting ack -> busy" false (idle 0 1);
   checkb "nothing queued -> idle" true (idle 1 0);
   checkb "unknown neighbor -> idle" true (idle 1 7);
-  R.send rt ~src:1 ~dst:0 ();
+  Reliable.send rt ~src:1 ~dst:0 ();
   checkb "outbox -> busy" false (idle 1 0);
   (* Round 1: node 1 acks and sends its outbox; round 2: node 0 takes
      the ack and acks back; round 3: node 1 takes that ack. *)
   for _ = 1 to 3 do
-    R.step rt ~landed:ignore ~suspect:no_suspect
+    Reliable.step rt ~receive:no_receive ~landed:ignore ~suspect:no_suspect
   done;
   checkb "acked -> idle again" true (idle 0 1 && idle 1 0);
-  checkb "nothing left to do" true (R.idle rt ~round:4)
+  checkb "nothing left to do" true (Reliable.idle rt ~round:4)
 
 (* ------------------------------------------------------------------ *)
 (* Topology churn: plan validation, engine semantics, healing *)
@@ -1041,34 +1036,25 @@ let test_arq_due_schedule () =
      then 32 rounds; after twelve retransmissions the thirteenth
      timeout abandons the message and writes node 1 off.  The runtime
      visits node 0 only in its first round, which anchors the timer
-     [init] armed, and at each timeout: every other round it is
+     [start] armed, and at each timeout: every other round it is
      skipped.  The runtime calls [receive] once per visit. *)
-  let visits = ref [] in
-  let module P = struct
-    type state = unit
-    type message = unit
-
-    let message_words () = 1
-    let init _ v = ((), if v = 0 then [ (1, ()) ] else [])
-
-    let receive _ ~round v () ~senders:_ ~payloads:_ _ =
-      visits := (v, round) :: !visits;
-      ((), [])
-  end in
-  let module R = Reliable.Make (P) in
   let faults =
     Fault.make ~seed:1 { Fault.default_spec with Fault.crashes = [ (1, 0) ] }
   in
   let tracer = Trace.create () in
-  let rt = R.create ~faults ~tracer (Gen.path 2) in
-  R.start rt 0;
-  R.start rt 1;
+  let rt = Reliable.create ~faults ~tracer ~words:(fun () -> 1) (Gen.path 2) in
+  let visits = ref [] in
+  let receive v ~senders:_ ~payloads:_ _ =
+    visits := (v, Sim.round (Reliable.net rt)) :: !visits
+  in
+  Reliable.start rt 0 [ (1, ()) ];
+  Reliable.start rt 1 [];
   let writeoffs = ref [] in
   let suspect ~by w =
-    writeoffs := (Sim.round (R.net rt), (by, w)) :: !writeoffs
+    writeoffs := (Sim.round (Reliable.net rt), (by, w)) :: !writeoffs
   in
   for _ = 1 to 400 do
-    R.step rt ~landed:ignore ~suspect
+    Reliable.step rt ~receive ~landed:ignore ~suspect
   done;
   let frames =
     List.filter_map
@@ -1086,10 +1072,10 @@ let test_arq_due_schedule () =
   Alcotest.check ints "a frame at round 0 and each of the first twelve"
     (0 :: List.filteri (fun i _ -> i < 12) schedule)
     frames;
-  let ep = R.endpoint rt 0 in
-  checki "twelve retransmissions" 12 (R.retransmissions ep);
-  checki "one dead letter" 1 (R.dead_letters ep);
-  checkb "nothing in flight" true (R.idle rt ~round:401);
+  let ep = Reliable.endpoint rt 0 in
+  checki "twelve retransmissions" 12 (Reliable.retransmissions ep);
+  checki "one dead letter" 1 (Reliable.dead_letters ep);
+  checkb "nothing in flight" true (Reliable.idle rt ~round:401);
   Alcotest.check
     Alcotest.(list (pair int (pair int int)))
     "node 1 written off at the last timeout"
@@ -1102,33 +1088,21 @@ let test_arq_writeoff_order () =
      three are abandoned at the same timeout.  The write-offs reach
      [suspect] after the step's visits, in visit order and in peer
      order within a visit. *)
-  let module P = struct
-    type state = unit
-    type message = unit
-
-    let message_words () = 1
-
-    let init _ v =
-      ( (),
-        match v with 0 -> [ (1, ()) ] | 2 -> [ (1, ()); (3, ()) ] | _ -> [] )
-
-    let receive _ ~round:_ _ () ~senders:_ ~payloads:_ _ = ((), [])
-  end in
-  let module R = Reliable.Make (P) in
   let faults =
     Fault.make ~seed:1
       { Fault.default_spec with Fault.crashes = [ (1, 0); (3, 0) ] }
   in
-  let rt = R.create ~faults (Gen.path 4) in
+  let rt = Reliable.create ~faults ~words:(fun () -> 1) (Gen.path 4) in
   for v = 0 to 3 do
-    R.start rt v
+    Reliable.start rt v
+      (match v with 0 -> [ (1, ()) ] | 2 -> [ (1, ()); (3, ()) ] | _ -> [])
   done;
   let writeoffs = ref [] in
   let suspect ~by w =
-    writeoffs := (Sim.round (R.net rt), (by, w)) :: !writeoffs
+    writeoffs := (Sim.round (Reliable.net rt), (by, w)) :: !writeoffs
   in
   for _ = 1 to 400 do
-    R.step rt ~landed:ignore ~suspect
+    Reliable.step rt ~receive:no_receive ~landed:ignore ~suspect
   done;
   Alcotest.check
     Alcotest.(list (pair int (pair int int)))
@@ -1137,7 +1111,7 @@ let test_arq_writeoff_order () =
     (List.rev !writeoffs)
 
 let test_arq_late_joiner_timers () =
-  (* A late-joining root runs [init] and its first [receive] in its join
+  (* A late-joining root starts and gets its first visit in its join
      round, so its first timeout counts from the round before; at
      [initial_rto] itself a timer counted from round 0 would fire in the
      round the first frame went out and send twice on one link. *)
@@ -1163,41 +1137,32 @@ let test_arq_late_joiner_timers () =
         st)
     [ (3, 28); (6, 31) ]
 
-(* ARQ corner cases on a 2-path under scripted fates.  The program
-   keeps what it is handed, as (round, payload), newest first. *)
-module Arq_record = struct
-  type state = (int * int) list
-  type message = int
-
-  let message_words _ = 1
-  let init _ _ = ([], [])
-
-  let receive _ ~round _ st ~senders:_ ~payloads k =
-    let st = ref st in
-    for i = 0 to k - 1 do
-      st := (round, payloads.(i)) :: !st
-    done;
-    (!st, [])
-end
-
-module Arq2 = Reliable.Make (Arq_record)
-
-(* Node 0 queues [payloads] for node 1 before round 1, and [before r]
-   runs ahead of step [r].  With the fixed timer the transmissions
-   of node 0's first seq go out at rounds 1, 4, 10, 22, 46, 78, ...,
-   302, and the thirteenth timeout abandons it at round 334.  A frame
-   sent at round [r] has its fate scripted at [r + 1]. *)
+(* ARQ corner cases on a 2-path under scripted fates.  Each node keeps
+   what it is handed, as (round, payload); [got v] lists node [v]'s in
+   arrival order.  Node 0 queues [payloads] for node 1 before round 1,
+   and [before r] runs ahead of step [r].  With the fixed timer the
+   transmissions of node 0's first seq go out at rounds 1, 4, 10, 22,
+   46, 78, ..., 302, and the thirteenth timeout abandons it at round
+   334.  A frame sent at round [r] has its fate scripted at [r + 1]. *)
 let arq_2path ?(before = fun _ _ -> ()) events payloads ~rounds =
   let tracer = Trace.create () in
   let rt =
-    Arq2.create ~faults:(Fault.scripted events) ~tracer (Gen.path 2)
+    Reliable.create ~faults:(Fault.scripted events) ~tracer
+      ~words:(fun _ -> 1)
+      (Gen.path 2)
   in
-  Arq2.start rt 0;
-  Arq2.start rt 1;
-  List.iter (fun m -> Arq2.send rt ~src:0 ~dst:1 m) payloads;
+  let kept = Array.make 2 [] in
+  let receive v ~senders:_ ~payloads k =
+    for i = 0 to k - 1 do
+      kept.(v) <- (Sim.round (Reliable.net rt), payloads.(i)) :: kept.(v)
+    done
+  in
+  Reliable.start rt 0 [];
+  Reliable.start rt 1 [];
+  List.iter (fun m -> Reliable.send rt ~src:0 ~dst:1 m) payloads;
   for r = 1 to rounds do
     before rt r;
-    Arq2.step rt ~landed:ignore ~suspect:no_suspect
+    Reliable.step rt ~receive ~landed:ignore ~suspect:no_suspect
   done;
   let sends src =
     List.filter_map
@@ -1207,11 +1172,10 @@ let arq_2path ?(before = fun _ _ -> ()) events payloads ~rounds =
         else None)
       (Trace.events tracer)
   in
-  (rt, sends)
+  (rt, sends, fun v -> List.rev kept.(v))
 
 let seq0_sends = [ 1; 4; 10; 22; 46; 78; 110; 142; 174; 206; 238; 270; 302 ]
 let fate_ev round kind = { Trace.round; kind; src = 0; dst = 1; words = 2 }
-let got rt v = List.rev (Arq2.inner rt v)
 let pairs = Alcotest.(list (pair int int))
 
 let test_arq_two_acks_one_reply () =
@@ -1220,15 +1184,15 @@ let test_arq_two_acks_one_reply () =
      1's reply acks both, at 1 word per ack, plus 1 word of seq and
      the payload when it carries data. *)
   let events = [ fate_ev 2 (Trace.Delay 5) ] in
-  let rt, sends = arq_2path events [ 10; 11 ] ~rounds:10 in
-  Alcotest.check pairs "each payload once" [ (5, 10); (7, 11) ] (got rt 1);
+  let _, sends, got = arq_2path events [ 10; 11 ] ~rounds:10 in
+  Alcotest.check pairs "each payload once" [ (5, 10); (7, 11) ] (got 1);
   Alcotest.check pairs "two acks cost 2 words" [ (5, 1); (7, 2) ] (sends 1);
-  let before rt r = if r = 7 then Arq2.send rt ~src:1 ~dst:0 99 in
-  let rt, sends = arq_2path ~before events [ 10; 11 ] ~rounds:10 in
+  let before rt r = if r = 7 then Reliable.send rt ~src:1 ~dst:0 99 in
+  let rt, sends, got = arq_2path ~before events [ 10; 11 ] ~rounds:10 in
   Alcotest.check pairs "two acks and data cost 4 words" [ (5, 1); (7, 4) ]
     (sends 1);
-  Alcotest.check pairs "node 0 gets the reply" [ (8, 99) ] (got rt 0);
-  checkb "both seqs acked" true (Arq2.idle rt ~round:11)
+  Alcotest.check pairs "node 0 gets the reply" [ (8, 99) ] (got 0);
+  checkb "both seqs acked" true (Reliable.idle rt ~round:11)
 
 let test_arq_abandoned_seq_arrives_late () =
   (* Every copy of seq 0 is lost but the first, which is duplicated and
@@ -1242,15 +1206,15 @@ let test_arq_abandoned_seq_arrives_late () =
          (fun r -> fate_ev (r + 1) (Trace.Drop Trace.Loss))
          (List.tl seq0_sends)
   in
-  let rt, sends = arq_2path events [ 10; 11 ] ~rounds:405 in
+  let rt, sends, got = arq_2path events [ 10; 11 ] ~rounds:405 in
   Alcotest.check pairs "seq 1, then the abandoned seq 0" [ (335, 11); (400, 10) ]
-    (got rt 1);
+    (got 1);
   Alcotest.check pairs "one ack word per distinct seq" [ (335, 1); (400, 1) ]
     (sends 1);
-  let ep = Arq2.endpoint rt 0 in
-  checki "twelve retransmissions" 12 (Arq2.retransmissions ep);
-  checki "one dead letter" 1 (Arq2.dead_letters ep);
-  checkb "nothing left" true (Arq2.idle rt ~round:406)
+  let ep = Reliable.endpoint rt 0 in
+  checki "twelve retransmissions" 12 (Reliable.retransmissions ep);
+  checki "one dead letter" 1 (Reliable.dead_letters ep);
+  checkb "nothing left" true (Reliable.idle rt ~round:406)
 
 let test_arq_late_ack_of_abandoned_seq () =
   (* Only seq 0's last copy gets through (round 303), and its ack is
@@ -1266,37 +1230,40 @@ let test_arq_late_ack_of_abandoned_seq () =
            else Some (fate_ev (r + 1) (Trace.Drop Trace.Loss)))
          seq0_sends
   in
-  let rt, sends = arq_2path events [ 10; 11 ] ~rounds:345 in
+  let rt, sends, got = arq_2path events [ 10; 11 ] ~rounds:345 in
   Alcotest.check pairs "seq 0 at 303, seq 1 after its retransmission"
     [ (303, 10); (338, 11) ]
-    (got rt 1);
+    (got 1);
   Alcotest.check pairs "seq 1 sent at 334 and again at 337"
     [ (302, 2); (334, 2); (337, 2) ]
     (List.filter (fun (r, _) -> r >= 300) (sends 0));
-  let ep = Arq2.endpoint rt 0 in
-  checki "twelve retries of seq 0, one of seq 1" 13 (Arq2.retransmissions ep);
-  checki "one dead letter" 1 (Arq2.dead_letters ep)
+  let ep = Reliable.endpoint rt 0 in
+  checki "twelve retries of seq 0, one of seq 1" 13
+    (Reliable.retransmissions ep);
+  checki "one dead letter" 1 (Reliable.dead_letters ep)
 
 let test_arq_reset_peer_restarts_seqs () =
   (* Seq 0 carries 10.  A reset of the sender alone restarts its seqs,
      and the receiver swallows the new seq 0 (20) as a duplicate; after
      a reset of both endpoints the next seq 0 (30) is delivered. *)
   let before rt r =
-    let reset v w = Arq2.reset_peer (Arq2.endpoint rt v) ~round:(r - 1) w in
+    let reset v w =
+      Reliable.reset_peer (Reliable.endpoint rt v) ~round:(r - 1) w
+    in
     if r = 4 then begin
       reset 0 1;
-      Arq2.send rt ~src:0 ~dst:1 20
+      Reliable.send rt ~src:0 ~dst:1 20
     end
     else if r = 7 then begin
       reset 0 1;
       reset 1 0;
-      Arq2.send rt ~src:0 ~dst:1 30
+      Reliable.send rt ~src:0 ~dst:1 30
     end
   in
-  let rt, sends = arq_2path ~before [] [ 10 ] ~rounds:9 in
-  Alcotest.check pairs "10, then 30" [ (2, 10); (8, 30) ] (got rt 1);
+  let rt, sends, got = arq_2path ~before [] [ 10 ] ~rounds:9 in
+  Alcotest.check pairs "10, then 30" [ (2, 10); (8, 30) ] (got 1);
   Alcotest.check pairs "every seq 0 acked" [ (2, 1); (5, 1); (8, 1) ] (sends 1);
-  checkb "nothing left" true (Arq2.idle rt ~round:10)
+  checkb "nothing left" true (Reliable.idle rt ~round:10)
 
 (* Allocation gates.  Minor words are exact for a build, so each gate
    is a deterministic count. *)
@@ -1331,24 +1298,21 @@ let test_idle_sim_step_allocates_nothing () =
              done)))
     [ ("loss-free", Fault.none); ("lossy", lossy) ]
 
-module Arq_quiet = struct
-  type state = unit
-  type message = int
-
-  let message_words _ = 1
-  let init _ _ = ((), [])
-  let receive _ ~round:_ _ () ~senders:_ ~payloads:_ _ = ((), [])
-end
-
-module Arq_q = Reliable.Make (Arq_quiet)
+(* A 2-path ARQ run with both nodes started and nothing sent. *)
+let quiet_2path () =
+  let rt = Reliable.create ~words:(fun _ -> 1) (Gen.path 2) in
+  Reliable.start rt 0 [];
+  Reliable.start rt 1 [];
+  rt
 
 let test_idle_arq_step_allocates_nothing () =
-  let rt = Arq_q.create (Gen.path 2) in
-  Arq_q.start rt 0;
-  Arq_q.start rt 1;
-  Arq_q.step rt ~landed:ignore ~suspect:no_suspect;
+  let rt = quiet_2path () in
+  let step () =
+    Reliable.step rt ~receive:no_receive ~landed:ignore ~suspect:no_suspect
+  in
+  step ();
   checki "a step with no mail and no due timer" 0
-    (minor_words (fun () -> Arq_q.step rt ~landed:ignore ~suspect:no_suspect))
+    (minor_words step)
 
 let test_arq_exchange_words_per_message () =
   (* Node 0 queues [k] messages for node 1 over a loss-free link; the
@@ -1359,14 +1323,13 @@ let test_arq_exchange_words_per_message () =
      [k] are large enough to live outside the minor heap. *)
   let exchange k =
     minor_words (fun () ->
-        let rt = Arq_q.create (Gen.path 2) in
-        Arq_q.start rt 0;
-        Arq_q.start rt 1;
+        let rt = quiet_2path () in
         for m = 1 to k do
-          Arq_q.send rt ~src:0 ~dst:1 m
+          Reliable.send rt ~src:0 ~dst:1 m
         done;
-        while not (Arq_q.idle rt ~round:(Sim.round (Arq_q.net rt) + 1)) do
-          Arq_q.step rt ~landed:ignore ~suspect:no_suspect
+        while not (Reliable.idle rt ~round:(Sim.round (Reliable.net rt) + 1)) do
+          Reliable.step rt ~receive:no_receive ~landed:ignore
+            ~suspect:no_suspect
         done)
   in
   let extra = exchange 2_000 - exchange 1_000 in

@@ -453,23 +453,34 @@ let test_dist_rounds_scale_polylog () =
     true
     (float_of_int r_big < 3. *. float_of_int r_small)
 
+(* Both transports: the bare engine ([Fault.none]), and the ARQ with no
+   fault to mask ([Fault.scripted []], which [Fault.is_none] rejects),
+   where nothing may be retransmitted, orphaned or abandoned. *)
 let prop_dist_equals_sequential =
   QCheck.Test.make ~name:"skeleton: distributed = sequential (random graphs)"
-    ~count:15
-    QCheck.(pair (int_range 20 120) (int_bound 1000))
-    (fun (n, seed) ->
+    ~count:30
+    QCheck.(triple (int_range 20 120) (int_bound 1000) bool)
+    (fun (n, seed, arq) ->
       let r0 = Util.Prng.create ~seed:(seed + 1) in
       let g = Gen.gnp r0 ~n ~p:(4. /. float_of_int n) in
       let plan = Plan.make ~n () in
       let sampling = Sampling.draw (Util.Prng.create ~seed) ~n plan in
       let seq = Skeleton.build_with ~plan ~sampling g in
-      let dist = Skeleton_dist.build_with ~plan ~sampling g in
+      let faults =
+        if arq then Distnet.Fault.scripted [] else Distnet.Fault.none
+      in
+      let dist = Skeleton_dist.build_with ~faults ~plan ~sampling g in
       let same = ref true in
       Edge_set.iter seq.Skeleton.spanner (fun e ->
           if not (Edge_set.mem dist.Skeleton_dist.spanner e) then same := false);
       Edge_set.iter dist.Skeleton_dist.spanner (fun e ->
           if not (Edge_set.mem seq.Skeleton.spanner e) then same := false);
-      !same)
+      let rc = dist.Skeleton_dist.recovery in
+      !same
+      && arq = not (Distnet.Fault.is_none faults)
+      && rc.Skeleton_dist.retransmissions = 0
+      && rc.Skeleton_dist.orphaned = 0
+      && rc.Skeleton_dist.dead_letters = 0)
 
 (* ------------------------------------------------------------------ *)
 (* Self-healing: faulty transports, crash recovery, certification *)
