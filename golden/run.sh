@@ -2,8 +2,9 @@
 # The byte-identity gate.  Runs a fixed list of deterministic CLI runs
 # and digests every output: each run's stdout, stderr and exit code,
 # and every file it writes (traces, metrics, spans, edge lists, sweep
-# reports and shrunk plans).  Runs whose output holds wall-clock values
-# (serve, --profile, E25) are left out.
+# reports, shrunk plans and snapshots).  Wall-clock output is left out:
+# serve's one `latency:` line is removed before digesting, and
+# --profile and E25 are not run.
 #
 #   golden/run.sh CLI MANIFEST           check: name every file whose
 #                                        digest moved, exit 1 if any did
@@ -76,6 +77,16 @@ run sim-flood simulate --algo flood --kind gnp -n 60 -p 0.08 --seed 3 \
   --join 7@12 $(logs flood)
 
 run experiments experiment E10 E21 E22 E23 E24 E26 E27
+
+# serving: oracle and routing tables (space and stretch), a Zipf batch
+# with routes that saves its snapshot, and every answer of two query
+# runs on that snapshot
+run serving experiment E13 E20
+run serve serve --kind gnp -n 2000 -p 0.004 --seed 1 --queries 20000 \
+  --zipf 1.1 --route-frac 0.25 --routing --snapshot-out snap.txt
+sed -i '/^latency:/d' "$work/serve/stdout"
+run query-dist query --snapshot-in ../serve/snap.txt --queries 5000
+run query-route query --snapshot-in ../serve/snap.txt --route --queries 5000
 
 # restart-storm's FAILs are samples 137, 163 and 178
 for family in crash-storm bursty-loss churn-heavy mixed tight-budget \
