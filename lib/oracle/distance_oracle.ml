@@ -6,7 +6,7 @@ type t = {
   levels : int array;
   pivots : int array array;  (** pivots.(i).(v) = p_i(v), -1 if none *)
   pivot_dist : int array array;
-  bunches : (int, int) Hashtbl.t array;  (** bunches.(v) : w -> delta(v,w) *)
+  bunches : Rows.t;  (** row v : w -> delta(v,w), ascending in w *)
 }
 
 let draw_levels rng ~n ~k =
@@ -18,28 +18,6 @@ let draw_levels rng ~n ~k =
         else i
       in
       climb 0)
-
-(* Truncated BFS from a level-i center w, pruned by the Thorup–Zwick
-   cluster condition delta(v, w) < delta(v, A_{i+1}): exactly the
-   vertices whose bunch receives w. *)
-let grow_cluster g ~center ~next_dist ~visit =
-  let dist : (int, int) Hashtbl.t = Hashtbl.create 32 in
-  let q = Queue.create () in
-  Hashtbl.replace dist center 0;
-  Queue.add center q;
-  while not (Queue.is_empty q) do
-    let x = Queue.pop q in
-    let dx = Hashtbl.find dist x in
-    visit ~v:x ~dist:dx;
-    Graph.iter_neighbors g x (fun y _ ->
-        if not (Hashtbl.mem dist y) then begin
-          let dy = dx + 1 in
-          if dy < next_dist.(y) then begin
-            Hashtbl.replace dist y dy;
-            Queue.add y q
-          end
-        end)
-  done
 
 let build ~k ~seed g =
   if k < 1 then invalid_arg "Distance_oracle.build: k must be >= 1";
@@ -62,57 +40,37 @@ let build ~k ~seed g =
   done;
   (* A_k = empty: delta(v, A_k) = infinity. *)
   dist_to_level.(k) <- Array.make n max_int;
-  let bunches = Array.init n (fun _ -> Hashtbl.create 8) in
-  for i = 0 to k - 1 do
-    let next_dist = dist_to_level.(i + 1) in
-    List.iter
-      (fun w ->
-        if levels.(w) = i then
-          grow_cluster g ~center:w ~next_dist ~visit:(fun ~v ~dist ->
-              Hashtbl.replace bunches.(v) w dist))
-      (members i)
+  (* The cluster of a level-i centre w, pruned by the Thorup–Zwick
+     condition delta(v, w) < delta(v, A_{i+1}), is exactly the set of
+     vertices whose bunch receives w. *)
+  let cluster = Cluster.create g and writes = Rows.writes () in
+  for w = 0 to n - 1 do
+    let size = Cluster.grow cluster ~bound:dist_to_level.(levels.(w) + 1) w in
+    for j = 0 to size - 1 do
+      let v = Cluster.member cluster j in
+      Rows.add writes v w (Cluster.dist cluster v)
+    done
   done;
+  let bunches = Rows.build ~n writes in
   { k; levels; pivots; pivot_dist; bunches }
 
-let query t u v =
-  if u = v then Some 0
-  else begin
-    let rec loop i u v =
-      if i >= t.k then None
-      else begin
-        let w = t.pivots.(i).(u) in
-        if w < 0 then None
-        else
-          match Hashtbl.find_opt t.bunches.(v) w with
-          | Some dwv -> Some (t.pivot_dist.(i).(u) + dwv)
-          | None -> loop (i + 1) v u
-      end
-    in
-    loop 0 u v
-  end
+(* The query loop, at the top level so that a call allocates no
+   closure: level i, with u and v swapped at every miss. *)
+let rec est t i u v =
+  if i >= t.k then -1
+  else
+    let w = t.pivots.(i).(u) in
+    if w < 0 then -1
+    else
+      let dwv = Rows.find t.bunches v w in
+      if dwv >= 0 then t.pivot_dist.(i).(u) + dwv else est t (i + 1) v u
 
-let query_est t u v =
-  if u = v then 0
-  else begin
-    let rec loop i u v =
-      if i >= t.k then -1
-      else begin
-        let w = t.pivots.(i).(u) in
-        if w < 0 then -1
-        else
-          match Hashtbl.find_opt t.bunches.(v) w with
-          | Some dwv -> t.pivot_dist.(i).(u) + dwv
-          | None -> loop (i + 1) v u
-      end
-    in
-    loop 0 u v
-  end
+let query_est t u v = if u = v then 0 else est t 0 u v
+
+let query t u v =
+  let d = query_est t u v in
+  if d < 0 then None else Some d
 
 let k t = t.k
-
-let size t =
-  let total = ref 0 in
-  Array.iter (fun b -> total := !total + Hashtbl.length b) t.bunches;
-  !total + (t.k * Array.length t.levels)
-
+let size t = Rows.length t.bunches + (t.k * Array.length t.levels)
 let levels t = t.levels
