@@ -138,6 +138,72 @@ let prop_oracle_stretch =
       done;
       !ok)
 
+(* The Thorup–Zwick definition, by BFS: w is in B(v) iff
+   delta(v,w) < delta(v, A_{levels(w)+1}), stored with delta(v,w).
+   [bunch v w] is that distance or -1, [piv] and [pdist] the pivots
+   p_i(v) (nearest A_i vertex, -1 if none) and their distances. *)
+let tz_definition g ~k levels =
+  let n = G.n g in
+  let members i = List.filter (fun v -> levels.(v) >= i) (List.init n Fun.id) in
+  let forests = Array.init k (fun i -> Graphlib.Bfs.multi_source g ~sources:(members i)) in
+  let to_level i v =
+    if i >= k || forests.(i).Graphlib.Bfs.dist.(v) < 0 then max_int
+    else forests.(i).Graphlib.Bfs.dist.(v)
+  in
+  let exact = Array.init n (fun v -> Graphlib.Bfs.distances g ~src:v) in
+  let bunch v w =
+    let d = exact.(v).(w) in
+    if d >= 0 && d < to_level (levels.(w) + 1) v then d else -1
+  in
+  let piv = Array.map (fun f -> f.Graphlib.Bfs.source) forests in
+  let pdist = Array.map (fun f -> f.Graphlib.Bfs.dist) forests in
+  (bunch, piv, pdist)
+
+let small_graph =
+  QCheck.(quad (int_range 1 40) (int_range 1 3) (float_range 0.02 0.3) small_nat)
+
+let gnp_of (n, _, p, seed) = Gen.gnp (Util.Prng.create ~seed) ~n ~p
+
+let prop_bunches_are_tz =
+  QCheck.Test.make
+    ~name:"oracle: every bunch is the Thorup–Zwick definition, read by every query"
+    ~count:60 small_graph
+    (fun ((n, k, _, seed) as c) ->
+      let g = gnp_of c in
+      let o = Oracle.build ~k ~seed g in
+      let bunch, piv, pdist = tz_definition g ~k (Oracle.levels o) in
+      (* The query loop of the paper, on the definition's bunches: at
+         i = 0 it reads B(v)[u], so a stored entry missing, extra or
+         with another distance changes some answer. *)
+      let rec expected i u v =
+        if i >= k || piv.(i).(u) < 0 then -1
+        else
+          let d = bunch v piv.(i).(u) in
+          if d >= 0 then pdist.(i).(u) + d else expected (i + 1) v u
+      in
+      let ok = ref true in
+      for u = 0 to n - 1 do
+        for v = 0 to n - 1 do
+          let want = if u = v then 0 else expected 0 u v in
+          if Oracle.query_est o u v <> want then ok := false
+        done
+      done;
+      !ok)
+
+let prop_size_is_bunches_plus_pivots =
+  QCheck.Test.make ~name:"oracle: size = bunch total + k n" ~count:60 small_graph
+    (fun ((n, k, _, seed) as c) ->
+      let g = gnp_of c in
+      let o = Oracle.build ~k ~seed g in
+      let bunch, _, _ = tz_definition g ~k (Oracle.levels o) in
+      let total = ref 0 in
+      for v = 0 to n - 1 do
+        for w = 0 to n - 1 do
+          if bunch v w >= 0 then incr total
+        done
+      done;
+      Oracle.size o = !total + (k * n))
+
 let suite =
   [
     ( "oracle.thorup_zwick",
@@ -152,5 +218,7 @@ let suite =
         Alcotest.test_case "query_est agrees" `Quick test_query_est_agrees;
         QCheck_alcotest.to_alcotest prop_query_est_agrees;
         QCheck_alcotest.to_alcotest prop_oracle_stretch;
+        QCheck_alcotest.to_alcotest prop_bunches_are_tz;
+        QCheck_alcotest.to_alcotest prop_size_is_bunches_plus_pivots;
       ] );
   ]

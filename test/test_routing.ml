@@ -139,6 +139,35 @@ let prop_route_hops_agree =
       done;
       !ok)
 
+let prop_next_hops_step_closer =
+  (* A walk from x takes x's stored entry for the destination, or else
+     x's entry for the destination's home landmark, so the first hops
+     of all pairs' routes read every stored entry there is.  Each must
+     be a neighbour one step closer to its target. *)
+  QCheck.Test.make
+    ~name:"routing: every stored next hop is a neighbour one step closer"
+    ~count:40
+    QCheck.(triple (int_range 1 40) (float_range 0.02 0.3) small_nat)
+    (fun (n, p, seed) ->
+      let g = Gen.gnp (Util.Prng.create ~seed) ~n ~p in
+      let r = Routing.build ~seed g in
+      let d = Apsp.compute g in
+      let ok = ref true in
+      for x = 0 to n - 1 do
+        for dst = 0 to n - 1 do
+          if x <> dst then
+            match Routing.route r ~src:x ~dst with
+            | Some (_ :: y :: _) ->
+                let l = Routing.home_landmark r dst in
+                let closer t = t >= 0 && d.(y).(t) = d.(x).(t) - 1 in
+                if not (G.mem_edge g x y && (closer dst || closer l)) then
+                  ok := false
+            | Some _ -> ok := false
+            | None -> if d.(x).(dst) >= 0 then ok := false
+        done
+      done;
+      !ok)
+
 let test_home_landmark_is_nearest () =
   let g = Gen.connected_gnp (rng ()) ~n:200 ~p:0.04 in
   let r = Routing.build ~seed:9 g in
@@ -162,5 +191,6 @@ let suite =
         Alcotest.test_case "route_hops matches route" `Quick
           test_route_hops_matches_route;
         QCheck_alcotest.to_alcotest prop_route_hops_agree;
+        QCheck_alcotest.to_alcotest prop_next_hops_step_closer;
       ] );
   ]

@@ -391,6 +391,80 @@ let prop_serve_respects_stretch =
       in
       Server.audit_ok (Server.audit ~samples:64 ~seed:(n + 3) snap w))
 
+(* ------------------------------------------------------------------ *)
+(* Merge and allocation *)
+
+(* Hand-built batch reports: latencies with zeros, duplicates and
+   counts above 2^33, each report's sorted as [run] leaves it. *)
+let latency_ns =
+  QCheck.Gen.(
+    oneof
+      [ return 0; int_range 1 3; int_range 0 5_000; map (fun x -> (1 lsl 33) + x) (int_range 0 9) ])
+
+let prop_merge_sorts_concatenation =
+  QCheck.Test.make ~name:"serve: merge = sorted concatenation of the latencies"
+    ~count:200
+    QCheck.(make Gen.(list_size (int_range 0 4) (pair (int_range 0 3) (list_size (int_range 0 60) latency_ns))))
+    (fun batches ->
+      let reports =
+        List.map
+          (fun (gen, ns) ->
+            let lat = Array.of_list (List.map float_of_int (List.sort compare ns)) in
+            let len = Array.length lat in
+            {
+              Server.answered = len;
+              failed = 0;
+              stale = 0;
+              elapsed_ns = len;
+              latency_sorted = lat;
+              by_generation = (if len = 0 then [] else [ (gen, len, 0) ]);
+            })
+          batches
+      in
+      let m = Server.merge reports in
+      let all = List.concat_map snd batches in
+      let answered g =
+        List.fold_left
+          (fun a (g', ns) -> if g' = g then a + List.length ns else a)
+          0 batches
+      in
+      let gens =
+        List.sort_uniq compare
+          (List.filter_map (fun (g, ns) -> if ns = [] then None else Some g) batches)
+      in
+      Array.to_list m.Server.latency_sorted
+      = List.map float_of_int (List.sort compare all)
+      && m.Server.answered = List.length all
+      && m.Server.by_generation = List.map (fun g -> (g, answered g, 0)) gens)
+
+(* The reads the serving hot path makes, counted in minor words after a
+   [Gc.minor]: a per-read closure or option would show here. *)
+let test_reads_allocate_nothing () =
+  let n = 2_000 in
+  let g =
+    Gen.connected_gnp (Util.Prng.create ~seed:1) ~n ~p:(8. /. float_of_int n)
+  in
+  let snap = Snapshot.of_graph ~k:2 ~seed:1 ~routing:true g in
+  let rng = Util.Prng.create ~seed:2 in
+  let us = Array.init 10_000 (fun _ -> Util.Prng.int rng n) in
+  let vs = Array.init 10_000 (fun _ -> Util.Prng.int rng n) in
+  let minor_words f =
+    Gc.minor ();
+    let before = Gc.minor_words () in
+    f ();
+    int_of_float (Gc.minor_words () -. before)
+  in
+  checki "10,000 distance reads" 0
+    (minor_words (fun () ->
+         for i = 0 to 9_999 do
+           ignore (Snapshot.distance snap us.(i) vs.(i))
+         done));
+  checki "10,000 route reads" 0
+    (minor_words (fun () ->
+         for i = 0 to 9_999 do
+           ignore (Snapshot.route_hops snap us.(i) vs.(i))
+         done))
+
 let suite =
   [
     ( "serve.snapshot",
@@ -421,6 +495,7 @@ let suite =
         Alcotest.test_case "failed = disconnected" `Quick
           test_server_failed_counts_disconnected;
         Alcotest.test_case "metrics sink" `Quick test_server_metrics_sink;
+        QCheck_alcotest.to_alcotest prop_merge_sorts_concatenation;
       ] );
     ( "serve.audit",
       [
@@ -428,5 +503,10 @@ let suite =
           test_audit_passes_on_honest_snapshot;
         Alcotest.test_case "disconnected pairs" `Quick test_audit_disconnected_pairs;
         QCheck_alcotest.to_alcotest prop_serve_respects_stretch;
+      ] );
+    ( "serve.alloc",
+      [
+        Alcotest.test_case "distance and route reads allocate nothing" `Quick
+          test_reads_allocate_nothing;
       ] );
   ]
