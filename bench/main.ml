@@ -14,8 +14,9 @@
                            --json file (or a repo BENCH_*.json); exit 1 on
                            regression
            --tolerance X   relative slowdown allowed before a bench counts
-                           as regressed (default 0.25 = 25%); minor words
-                           are held to a fixed +2%
+                           as regressed (default 0.25 = 25%), judged on the
+                           median of three timings for a bench past it;
+                           minor words are held to a fixed +2%
            --profile       attach the Obs.Prof sink per bench and print each
                            bench's top allocation sites
 
@@ -126,10 +127,11 @@ let bench_tests () =
   let t name f = (name, f, Test.make ~name (Staged.stage f)) in
   (* The serving bench's snapshot and workload are built once, outside
      the timed region: the bench times the query hot path alone. *)
+  let serve_spanner =
+    (Spanner.Skeleton_dist.build ~seed:!seed g_small).Spanner.Skeleton_dist.spanner
+  in
   let serve_snap =
-    let r = Spanner.Skeleton_dist.build ~seed:!seed g_small in
-    Serve.Snapshot.build ~k:2 ~seed:!seed ~routing:true g_small
-      r.Spanner.Skeleton_dist.spanner
+    Serve.Snapshot.build ~k:2 ~seed:!seed ~routing:true g_small serve_spanner
   in
   let serve_w =
     Serve.Workload.generate ~seed:(!seed + 41) ~n:(Graph.n g_small)
@@ -225,6 +227,10 @@ let bench_tests () =
     t "baseline.greedy" (fun () -> ignore (Baseline.Greedy.build ~k:3 g_small));
     t "e25.serve_queries" (fun () ->
         ignore (Serve.Server.run (Serve.Server.create serve_snap) serve_w));
+    t "e25.snapshot_build" (fun () ->
+        ignore
+          (Serve.Snapshot.build ~k:2 ~seed:!seed ~routing:true g_small
+             serve_spanner));
     t "e26.scenario_sweep" (fun () ->
         ignore (Scenario.Sweep.run_plan sweep_plan));
     t "ladder.n1e3" (ladder 1_000);
@@ -242,7 +248,9 @@ let bench_tests () =
    JSON dependency.
 
    Two gates run against it: wall time ([ns_per_run]) at --tolerance,
-   and allocation ([minor_words]) at the fixed [words_tolerance].  Word
+   where a bench past it is timed twice more and judged on the median of
+   the three, and allocation ([minor_words]) at the fixed
+   [words_tolerance], on the one count.  Word
    counts are exact for a build (see [gc_measure]), so their gate can
    be tight where the clock's must absorb a shared runner's noise: a
    change that reintroduces per-round work fails it even when the
@@ -318,8 +326,10 @@ let parse_baseline ?(field = "ns_per_run") file =
 
 (* One gate: print each bench's [field] against the baseline's, and
    return how many benches were compared and how many went beyond
-   [tol]. *)
-let gate ppf ~file ~what ~field ~tol current =
+   [tol].  With [retime], a bench beyond [tol] is measured twice more
+   and judged on the median of its three values: one timing on a
+   shared runner can swing past +50% on code that did not change. *)
+let gate ?retime ppf ~file ~what ~field ~tol current =
   let base = parse_baseline ~field file in
   Format.fprintf ppf "@.== %s vs %s (%s, tolerance +%.0f%%)@." what file field
     (100. *. tol);
@@ -334,12 +344,22 @@ let gate ppf ~file ~what ~field ~tol current =
             Format.fprintf ppf "  %-30s %12.0f %12s %9s@." name b "-" "-";
             (compared, regressed)
         | Some (Some b), Some c ->
-            let delta = (c -. b) /. b in
-            let over = delta > tol in
-            Format.fprintf ppf "  %-30s %12.0f %12.0f %+8.1f%%%s@." name b c
-              (100. *. delta)
-              (if over then "  REGRESSED" else "");
-            (compared + 1, if over then regressed + 1 else regressed))
+            let over c = (c -. b) /. b > tol in
+            let c, again =
+              match retime with
+              | Some retime when over c ->
+                  let all = List.sort compare (c :: List.filter_map retime [ name; name ]) in
+                  (List.nth all (List.length all / 2), all)
+              | _ -> (c, [])
+            in
+            Format.fprintf ppf "  %-30s %12.0f %12.0f %+8.1f%%%s%s@." name b c
+              (100. *. ((c -. b) /. b))
+              (if over c then "  REGRESSED" else "")
+              (if again = [] then ""
+               else
+                 Printf.sprintf "  (median of %s)"
+                   (String.concat ", " (List.map (Printf.sprintf "%.0f") again)));
+            (compared + 1, if over c then regressed + 1 else regressed))
       (0, 0) current
   in
   if regressed > 0 then
@@ -347,12 +367,12 @@ let gate ppf ~file ~what ~field ~tol current =
       regressed compared (100. *. tol);
   (compared, regressed)
 
-let compare_baseline ~file rows =
+let compare_baseline ~file ~retime rows =
   (* Under --json the comparison goes to stderr so stdout stays valid
      JSON; the exit code carries the verdict either way. *)
   let ppf = if !json then Format.err_formatter else Format.std_formatter in
   let timed, slow =
-    gate ppf ~file ~what:"wall time" ~field:"ns_per_run" ~tol:!tolerance
+    gate ~retime ppf ~file ~what:"wall time" ~field:"ns_per_run" ~tol:!tolerance
       (List.map (fun (name, ns, _) -> (name, ns)) rows)
   in
   let weighed, heavy =
@@ -390,31 +410,38 @@ let run_benches () =
     Format.printf "@.== Bechamel timings (monotonic clock, one bench per experiment)@.";
   (* --only Ei narrows the bench pass to that experiment's benches
      (names are "e<i>.<what>"). *)
-  let measure () =
-    let selected =
-      let all = bench_tests () in
-      match !only with
-      | None -> all
-      | Some id ->
-          let prefix = String.lowercase_ascii id ^ "." in
-          let plen = String.length prefix in
-          List.filter
-            (fun (name, _, _) ->
-              String.length name >= plen && String.sub name 0 plen = prefix)
-            all
+  let selected =
+    let all = bench_tests () in
+    match !only with
+    | None -> all
+    | Some id ->
+        let prefix = String.lowercase_ascii id ^ "." in
+        let plen = String.length prefix in
+        List.filter
+          (fun (name, _, _) ->
+            String.length name >= plen && String.sub name 0 plen = prefix)
+          all
+  in
+  (* One Bechamel timing of one bench: its OLS estimate of ns per run. *)
+  let time test =
+    let results =
+      Benchmark.all cfg [ instance ] (Test.make_grouped ~name:"" [ test ])
     in
-    List.concat_map
-      (fun (_, f, test) ->
-        let results =
-          Benchmark.all cfg [ instance ] (Test.make_grouped ~name:"" [ test ])
-        in
-        let ols =
-          Analyze.all
-            (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |])
-            instance results
-        in
+    let ols =
+      Analyze.all
+        (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |])
+        instance results
+    in
+    Hashtbl.fold
+      (fun _ result _ ->
+        match Analyze.OLS.estimates result with Some [ est ] -> Some est | _ -> None)
+      ols None
+  in
+  let measure () =
+    List.map
+      (fun (name, f, test) ->
+        let est = time test in
         let gc = gc_measure f in
-
         let prof_rows =
           if not !profile then []
           else begin
@@ -425,18 +452,7 @@ let run_benches () =
             Obs.Prof.rows sink
           end
         in
-        Hashtbl.fold
-          (fun name result acc ->
-            (* Bechamel prefixes the (empty) group name: "/e1.foo". *)
-            let name =
-              if String.length name > 0 && name.[0] = '/' then
-                String.sub name 1 (String.length name - 1)
-              else name
-            in
-            match Analyze.OLS.estimates result with
-            | Some [ est ] -> (name, Some est, gc, prof_rows) :: acc
-            | _ -> (name, None, gc, prof_rows) :: acc)
-          ols [])
+        (name, est, gc, prof_rows))
       selected
   in
   (* Under --json the measuring pass is silenced: bench bodies share
@@ -493,7 +509,15 @@ let run_benches () =
          timings
      end
    end);
-  List.map (fun (name, est, (minor, _, _), _) -> (name, est, minor)) timings
+  let retime name =
+    let again () =
+      Option.bind
+        (List.find_opt (fun (n, _, _) -> n = name) selected)
+        (fun (_, _, test) -> time test)
+    in
+    if !json then silence_stdout again else again ()
+  in
+  (List.map (fun (name, est, (minor, _, _), _) -> (name, est, minor)) timings, retime)
 
 (* ------------------------------------------------------------------ *)
 (* bench history: the per-bench perf trajectory over every checked-in
@@ -622,8 +646,8 @@ let () =
           (Experiments.Run.all ~quick:!quick ~seed:!seed ())
   end;
   if !benches then begin
-    let timings = run_benches () in
+    let timings, retime = run_benches () in
     match !baseline with
-    | Some file -> compare_baseline ~file timings
+    | Some file -> compare_baseline ~file ~retime timings
     | None -> ()
   end

@@ -17,7 +17,18 @@
     [l(v)], where the write-set entries take over.  Total stretch is at
     most [1 + 2 delta(v, L) / delta(u, v) <= 5] for pairs without a
     direct entry, and measured stretch is far lower; per-node state is
-    [O(|L| + ball + write set)] entries ≈ [O(sqrt n)] on average. *)
+    [O(|L| + ball + write set)] entries ≈ [O(sqrt n)] on average.
+
+    Layout: the next hops towards the landmarks are one dense
+    [n x |L|] matrix, a node's row being its [|L|] hops.  On a
+    connected graph it holds the same [n |L|] entries as per-node
+    tables would (the one slot of a landmark towards itself stays
+    empty), in one word each.  The ball and write-set entries are
+    ascending per-node rows of [(destination, hop)] pairs, one packed
+    word each, in one CSR array, found by binary search; a node on
+    both a write-set path and in a ball for the same destination keeps
+    the ball entry, the later write.  Balls grow from one reusable set
+    of BFS arrays.  {!route_hops} allocates nothing. *)
 
 type t
 

@@ -13,7 +13,15 @@
     queries answer in [O(k)] lookups with stretch at most [2k - 1].
 
     The hierarchy sampling is the same machinery as the paper's spanner
-    constructions — this module shows it powering a query structure. *)
+    constructions — this module shows it powering a query structure.
+
+    Layout: every bunch is an ascending run of [(centre, distance)]
+    pairs, one packed word each, in one CSR array over all vertices,
+    and a lookup is a binary search of the run.  [build] grows each
+    centre's cluster — the vertices whose bunch receives it — from one
+    reusable set of BFS arrays, and sorts the cluster entries into
+    bunch order with a counting sort.  {!query_est} allocates
+    nothing. *)
 
 type t
 
@@ -28,7 +36,7 @@ val query : t -> int -> int -> int option
 val query_est : t -> int -> int -> int
 (** [query t u v] without the option wrapper: [-1] when disconnected.
     The serving hot path — answering millions of queries against a
-    snapshot — uses this form to avoid one allocation per query. *)
+    snapshot — uses this form: it allocates nothing. *)
 
 val k : t -> int
 val size : t -> int

@@ -3,10 +3,12 @@
     swap atomically.
 
     The server holds one {e current} snapshot and a {e topology
-    epoch}.  Readers always answer from the snapshot they observe at
-    query time; {!publish} replaces the snapshot in one assignment
-    (OCaml guarantees the reference swap is atomic — a reader either
-    sees the old generation or the new one, never a mix), and the old
+    epoch}.  A batch ({!run}) answers from the snapshot that was
+    current when it started: it reads the snapshot, its generation and
+    its freshness once, since nothing can publish inside a batch.
+    {!publish} replaces the snapshot in one assignment (OCaml
+    guarantees the reference swap is atomic — a reader either sees
+    the old generation or the new one, never a mix), and the old
     snapshot, being immutable, stays valid for any reader still
     holding it until it drains.  {!mark_dirty} advances the epoch when
     the underlying topology changes (churn landed, repair started):
@@ -17,8 +19,9 @@
 
     Per-query latency is measured with the monotonic clock and
     recorded both in the returned report (exact percentiles via
-    {!Util.Stats}) and, when a registry is supplied, in the metrics
-    sink: a [serve_latency_ns] histogram and [serve_answers] counters
+    {!Util.Stats}; the whole nanosecond counts are sorted with an LSD
+    radix sort, one or two passes for sub-4 ms latencies) and, when a
+    registry is supplied, in the metrics sink: a [serve_latency_ns] histogram and [serve_answers] counters
     labeled by generation and freshness, plus [serve_failed] and
     [serve_swaps]. *)
 
@@ -62,7 +65,9 @@ type report = {
 
 val run : ?first:int -> ?count:int -> t -> Workload.query array -> report
 (** Answer [queries.(first .. first+count-1)] (defaults: the whole
-    array) against the server, timing each query. *)
+    array) from the current snapshot, timing each query.  The report's
+    [by_generation] has that snapshot's one entry, or none for an
+    empty batch. *)
 
 val merge : report list -> report
 (** Combined report of consecutive batches (latencies re-sorted,

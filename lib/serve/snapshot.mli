@@ -42,7 +42,10 @@ val of_graph :
 
 (** {1 Queries}
 
-    Allocation-free reads — the serving hot path. *)
+    Allocation-free reads — the serving hot path: array reads and
+    binary searches of the oracle's and the routing tables' flat rows,
+    with no hashing, closure or option.  A test holds 10,000 of each
+    on a 2,000-vertex snapshot to 0 minor words. *)
 
 val distance : t -> int -> int -> int
 (** Oracle distance estimate, within [2k-1] of the spanner distance;
