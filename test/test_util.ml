@@ -306,111 +306,7 @@ let test_bitset_iter_order () =
   check (Alcotest.list Alcotest.int) "ascending" [ 1; 4; 7 ] (List.rev !seen)
 
 (* ------------------------------------------------------------------ *)
-(* Hash_order: a model of an int-keyed table, checked against the real
-   one.  Keys are [0 .. 79]; [stamps.(k)] is when [k] was added (-1 =
-   absent). *)
-
-module Int_tbl = Hashtbl.Make (Int)
-
-type hash_model = {
-  stamps : int array;
-  mutable clock : int;
-  mutable count : int;
-  mutable buckets : int;
-}
-
-let hash_keys = Array.init 80 Fun.id
-
-let model_create () =
-  {
-    stamps = Array.make 80 (-1);
-    clock = 0;
-    count = 0;
-    buckets = Util.Hash_order.initial_buckets;
-  }
-
-let model_insert m k =
-  if m.stamps.(k) < 0 then begin
-    m.stamps.(k) <- m.clock;
-    m.clock <- m.clock + 1;
-    m.count <- m.count + 1;
-    m.buckets <- Util.Hash_order.grow ~buckets:m.buckets ~count:m.count
-  end
-
-let model_order m =
-  let ix =
-    Array.of_list (List.filter (fun k -> m.stamps.(k) >= 0) (List.init 80 Fun.id))
-  in
-  Util.Hash_order.sort ~buckets:m.buckets ~keys:hash_keys ~stamps:m.stamps ix
-    (Array.length ix);
-  Array.to_list ix
-
-let table_order t =
-  let keys = ref [] in
-  Int_tbl.iter (fun k () -> keys := k :: !keys) t;
-  List.rev !keys
-
-let test_hash_order_grows () =
-  (* 80 fresh keys take the table from 16 buckets past 32 to 64. *)
-  let t = Int_tbl.create 8 and m = model_create () in
-  let seen = ref [] in
-  for k = 79 downto 0 do
-    Int_tbl.replace t k ();
-    model_insert m k;
-    if not (List.mem m.buckets !seen) then seen := m.buckets :: !seen;
-    check (Alcotest.list Alcotest.int) "order" (table_order t) (model_order m)
-  done;
-  check (Alcotest.list Alcotest.int) "bucket counts" [ 64; 32; 16 ] !seen
-
-(* ------------------------------------------------------------------ *)
 (* Properties *)
-
-type hash_op = Insert of int | Remove of int | Reset
-
-let prop_hash_order_matches_hashtbl =
-  let op =
-    QCheck.Gen.(
-      frequency
-        [
-          (200, map (fun k -> Insert k) (int_bound 79));
-          (40, map (fun k -> Remove k) (int_bound 79));
-          (1, return Reset);
-        ])
-  in
-  let print = function
-    | Insert k -> Printf.sprintf "+%d" k
-    | Remove k -> Printf.sprintf "-%d" k
-    | Reset -> "reset"
-  in
-  QCheck.Test.make
-    ~name:"hash_order: sort matches Hashtbl.iter through inserts, removes, resets"
-    ~count:100
-    QCheck.(
-      make
-        ~print:(Print.list print)
-        ~shrink:Shrink.list
-        Gen.(list_size (0 -- 600) op))
-    (fun ops ->
-      let t = Int_tbl.create 8 and m = model_create () in
-      List.for_all
-        (fun op ->
-          (match op with
-          | Insert k ->
-              Int_tbl.replace t k ();
-              model_insert m k
-          | Remove k ->
-              Int_tbl.remove t k;
-              if m.stamps.(k) >= 0 then begin
-                m.stamps.(k) <- -1;
-                m.count <- m.count - 1
-              end
-          | Reset ->
-              Int_tbl.reset t;
-              Array.fill m.stamps 0 80 (-1);
-              m.count <- 0;
-              m.buckets <- Util.Hash_order.initial_buckets);
-          table_order t = model_order m)
-        ops)
 
 let prop_uf_union_count =
   QCheck.Test.make ~name:"union_find: count decreases exactly on merges" ~count:100
@@ -578,12 +474,6 @@ let suite =
         Alcotest.test_case "basic" `Quick test_uf_basic;
         Alcotest.test_case "chain" `Quick test_uf_chain;
         QCheck_alcotest.to_alcotest prop_uf_union_count;
-      ] );
-    ( "util.hash_order",
-      [
-        Alcotest.test_case "grows past 16 and 32 buckets" `Quick
-          test_hash_order_grows;
-        QCheck_alcotest.to_alcotest prop_hash_order_matches_hashtbl;
       ] );
     ( "util.bitset",
       [
