@@ -193,7 +193,8 @@ val build_with :
 
 val repairs : Distnet.Fault.t -> bool
 (** Whether a build under this fault plan runs the repair pass after
-    its calls (the plan has churn or restarts).  {!certify} follows it. *)
+    its calls (the plan has crashes, churn or restarts).  {!certify}
+    follows it. *)
 
 val certify :
   ?metrics:Obs.Metrics.t ->
